@@ -124,6 +124,43 @@ def _load_corpus(args) -> list:
     return records
 
 
+class _FlagError(Exception):
+    """A flag value that a config object rejected: a usage error."""
+
+
+def _from_flags(config_type, **values):
+    try:
+        return config_type(**values)
+    except ValueError as exc:
+        raise _FlagError(exc) from None
+
+
+def _louvain_config(args) -> LouvainConfig:
+    return _from_flags(
+        LouvainConfig, resolution=args.resolution, seed=derive_seed(args.seed, "louvain")
+    )
+
+
+def _layout_config(args) -> LayoutConfig:
+    return _from_flags(
+        LayoutConfig,
+        scaling_kr=args.scaling,
+        gravity_kg=args.gravity,
+        barnes_hut={"on": True, "off": False, "auto": None}[args.barnes_hut],
+        iterations=args.iterations,
+        seed=derive_seed(args.seed, "layout"),
+    )
+
+
+def _power_config(args) -> PowerIterationConfig:
+    return _from_flags(
+        PowerIterationConfig,
+        mode=CentralityMode(args.mode),
+        normalization=Normalization(args.normalize),
+        teleport=args.teleport,
+    )
+
+
 def _graph_from_args(args):
     if args.input.endswith(".gexf"):
         return import_gexf(args.input)
@@ -159,10 +196,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_communities(args) -> int:
+    config = _louvain_config(args)
     graph = _graph_from_args(args)
-    config = LouvainConfig(
-        resolution=args.resolution, seed=derive_seed(args.seed, "louvain")
-    )
     partition = louvain(graph, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -176,12 +211,8 @@ def _cmd_communities(args) -> int:
 
 
 def _cmd_centrality(args) -> int:
+    config = _power_config(args)
     graph = _graph_from_args(args)
-    config = PowerIterationConfig(
-        mode=CentralityMode(args.mode),
-        normalization=Normalization(args.normalize),
-        teleport=args.teleport,
-    )
     result = eigenvector_centrality(graph, config)
     ranking = top_k(result.vector, args.top)
     out = Path(args.out)
@@ -232,15 +263,8 @@ def _cmd_text(args) -> int:
 
 
 def _cmd_layout(args) -> int:
+    config = _layout_config(args)
     graph = _graph_from_args(args)
-    barnes_hut = {"on": True, "off": False, "auto": None}[args.barnes_hut]
-    config = LayoutConfig(
-        scaling_kr=args.scaling,
-        gravity_kg=args.gravity,
-        barnes_hut=barnes_hut,
-        iterations=args.iterations,
-        seed=derive_seed(args.seed, "layout"),
-    )
     frame = run_layout(graph, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -273,29 +297,17 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
         if args.redact_allowlist
         else frozenset()
     )
-    barnes_hut = {"on": True, "off": False, "auto": None}[args.barnes_hut]
     return PipelineConfig(
         input_path=args.input,
         out_dir=Path(args.out),
         topic=_topic_from(args.topic),
         global_seed=args.seed,
-        louvain=LouvainConfig(
-            resolution=args.resolution, seed=derive_seed(args.seed, "louvain")
-        ),
-        power=PowerIterationConfig(
-            mode=CentralityMode(args.mode),
-            normalization=Normalization(args.normalize),
-            teleport=args.teleport,
-        ),
-        layout=LayoutConfig(
-            scaling_kr=args.scaling,
-            gravity_kg=args.gravity,
-            barnes_hut=barnes_hut,
-            iterations=args.iterations,
-            seed=derive_seed(args.seed, "layout"),
-        ),
-        deviation=DeviationConfig(
-            window=args.deviation_window, bucket_seconds=args.bucket_seconds
+        louvain=_louvain_config(args),
+        power=_power_config(args),
+        layout=_layout_config(args),
+        deviation=_from_flags(
+            DeviationConfig,
+            window=args.deviation_window, bucket_seconds=args.bucket_seconds,
         ),
         redaction=RedactionPolicy(allowlist=allowlist),
         report_format=args.format,
@@ -525,6 +537,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
+    except _FlagError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except AnalyticsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

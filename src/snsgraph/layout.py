@@ -11,18 +11,19 @@ merged view of the graph:
 * the swinging/traction adaptive speed scheme, with the per-step speed
   rise capped so the global speed can never explode.
 
-All forces of a step are computed from the previous frame and applied
-synchronously, so a (graph, config, seed) triple replays bit-identically
-regardless of traversal order. Repulsion is either an exact vectorized
-pairwise sum or a Barnes-Hut quadtree approximation; a minimum-distance
-guard keeps every division finite even for coincident points.
+All forces of a step are computed from the previous frame, each node's
+terms are summed in a fixed order, and the step is applied synchronously,
+so a (graph, config, seed) triple replays bit-identically. Repulsion is
+either an exact vectorized pairwise sum or a Barnes-Hut quadtree
+approximation; a minimum-distance guard keeps every division finite even
+for coincident points.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -117,21 +118,36 @@ class _Arrays:
             self.edge_f = weights**delta
 
 
-def _exact_repulsion(pos: np.ndarray, mass: np.ndarray, kr: float) -> np.ndarray:
-    """Exact pairwise repulsion, chunked over rows to bound memory."""
+def _exact_repulsion(
+    pos: np.ndarray, mass: np.ndarray, kr: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact pairwise repulsion, chunked over target nodes to bound memory.
+
+    Blocks are laid out ``[j, i]`` (source j, target i) and reduced over
+    axis 0, which numpy accumulates one source at a time in index order;
+    a reduction along the contiguous last axis would be pairwise and drift
+    in the last bits.
+    """
     n = len(pos)
-    forces = np.zeros_like(pos)
+    x, y = pos[:, 0], pos[:, 1]
+    fx, fy = np.empty((2, n))
     chunk = max(1, min(n, 8_000_000 // max(n, 1)))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        diff = pos[start:stop, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
+        dx = x[start:stop] - x[:, None]
+        dy = y[start:stop] - y[:, None]
+        dist = dx * dx + dy * dy
+        np.sqrt(dist, out=dist)
         np.maximum(dist, _EPS_DIST, out=dist)
-        factor = kr * (mass[start:stop, None] * mass[None, :]) / (dist * dist)
-        rows = np.arange(start, stop)
-        factor[rows - start, rows] = 0.0
-        forces[start:stop] = (diff * factor[:, :, None]).sum(axis=1)
-    return forces
+        dist *= dist
+        factor = kr * (mass[:, None] * mass[start:stop]) / dist
+        cols = np.arange(stop - start)
+        factor[cols + start, cols] = 0.0
+        dx *= factor
+        dy *= factor
+        fx[start:stop] = dx.sum(axis=0)
+        fy[start:stop] = dy.sum(axis=0)
+    return fx, fy
 
 
 def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -144,139 +160,109 @@ def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + inner
 
 
+def _add_in_order(
+    fx: np.ndarray, fy: np.ndarray, index: np.ndarray, wx: np.ndarray, wy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``f[index[k]] += w[k]`` for each k in turn, as ``np.add.at`` would.
+
+    ``np.bincount`` adds its weights one after another in input order, so
+    seeding bin i with ``f[i]`` first (``0.0 + f[i] == f[i]``) gives the
+    in-place sums bit for bit.
+    """
+    at = np.concatenate([np.arange(len(fx)), index])
+    return np.bincount(at, np.concatenate([fx, wx])), np.bincount(at, np.concatenate([fy, wy]))
+
+
 class _QuadTree:
     """Flattened quadtree over 2D points, rebuilt each step.
 
     The tree is constructed level-synchronously: every cell of a depth is
     split in one batch of array operations, so the build stays cheap even
-    when it runs every iteration. Cells live in parallel arrays; leaves
-    index into ``leaf_points``, a permutation of node indices grouped by
-    leaf. Coincident points that survive to the maximum depth share one
+    when it runs every iteration. Cells live in parallel arrays; a cell's
+    children are the ``child_count`` consecutive ids from ``first_child``
+    (ids are handed out in parent, then quadrant order), and a cell with
+    none is a leaf. A cell's points are ``point_count`` consecutive entries
+    of ``order`` from ``point_start``: each split only permutes points
+    within the cell being split, so the ranges of finished leaves stay
+    valid. Coincident points that survive to the maximum depth share one
     multi-point leaf.
     """
 
     __slots__ = (
-        "size", "com", "mass", "children", "is_leaf",
-        "leaf_start", "leaf_count", "leaf_points",
+        "size", "com_x", "com_y", "mass", "first_child", "child_count",
+        "point_start", "point_count", "order",
     )
 
-    def __init__(self, pos: np.ndarray, mass: np.ndarray):
-        n = len(pos)
-        mins = pos.min(axis=0)
-        maxs = pos.max(axis=0)
-        root_center = (mins + maxs) / 2.0
-        root_half = float(max((maxs - mins).max() / 2.0, _EPS_DIST)) * 1.0000001
+    def __init__(self, x: np.ndarray, y: np.ndarray, mass: np.ndarray):
+        n = len(x)
+        lo = np.array([[x.min()], [y.min()]])
+        hi = np.array([[x.max()], [y.max()]])
+        cx, cy = (lo + hi) / 2.0
+        half = np.array([max((hi - lo).max() / 2.0, _EPS_DIST) * 1.0000001])
+        off = np.array([[-1, -1], [1, -1], [-1, 1], [1, 1]], dtype=np.float64)
 
-        g_size: list[np.ndarray] = []
-        g_com: list[np.ndarray] = []
-        g_mass: list[np.ndarray] = []
-        g_children: list[np.ndarray] = []
-        g_is_leaf: list[np.ndarray] = []
-        g_leaf_start: list[np.ndarray] = []
-        g_leaf_count: list[np.ndarray] = []
-        leaf_chunks: list[np.ndarray] = []
-        leaf_total = 0
+        levels: list[tuple[np.ndarray, ...]] = []  # per depth, in __slots__ order
         next_id = 1
-
         order = np.arange(n, dtype=np.int64)
         starts = np.zeros(1, dtype=np.int64)
         counts = np.array([n], dtype=np.int64)
-        cx = np.array([root_center[0]])
-        cy = np.array([root_center[1]])
-        half = np.array([root_half])
         depth = 0
 
         while len(starts):
+            n_cells = len(starts)
             ends = starts + counts
             m_ord = mass[order]
             cum_m = np.concatenate([[0.0], np.cumsum(m_ord)])
-            cum_x = np.concatenate([[0.0], np.cumsum(m_ord * pos[order, 0])])
-            cum_y = np.concatenate([[0.0], np.cumsum(m_ord * pos[order, 1])])
+            cum_x = np.concatenate([[0.0], np.cumsum(m_ord * x[order])])
+            cum_y = np.concatenate([[0.0], np.cumsum(m_ord * y[order])])
             c_mass = cum_m[ends] - cum_m[starts]
-            c_com = np.stack(
-                [(cum_x[ends] - cum_x[starts]) / c_mass,
-                 (cum_y[ends] - cum_y[starts]) / c_mass],
-                axis=1,
-            )
+            com_x = (cum_x[ends] - cum_x[starts]) / c_mass
+            com_y = (cum_y[ends] - cum_y[starts]) / c_mass
             is_leaf = (counts == 1) | (depth >= _MAX_TREE_DEPTH)
 
             # Cell size: twice the largest point offset from the center of
             # mass. A cell containing the probe node can then never pass
             # the far test (theta <= 2), so no self-force sneaks in.
-            all_pts = order[_segments(starts, counts)]
-            owner_all = np.repeat(np.arange(len(starts)), counts)
-            spread = np.sqrt(((pos[all_pts] - c_com[owner_all]) ** 2).sum(axis=1))
-            bounds = np.concatenate([[0], np.cumsum(counts)[:-1]])
-            c_size = 2.0 * np.maximum.reduceat(spread, bounds)
-
-            g_size.append(c_size)
-            g_com.append(c_com)
-            g_mass.append(c_mass)
-            g_is_leaf.append(is_leaf)
-
-            leaf_start = np.zeros(len(starts), dtype=np.int64)
-            leaf_count = np.zeros(len(starts), dtype=np.int64)
-            if is_leaf.any():
-                lc = counts[is_leaf]
-                leaf_start[is_leaf] = leaf_total + np.concatenate(
-                    [[0], np.cumsum(lc)[:-1]]
-                )
-                leaf_count[is_leaf] = lc
-                leaf_chunks.append(order[_segments(starts[is_leaf], counts[is_leaf])])
-                leaf_total += int(lc.sum())
-            g_leaf_start.append(leaf_start)
-            g_leaf_count.append(leaf_count)
-
-            children = np.full((len(starts), 4), -1, dtype=np.int64)
-            sub = ~is_leaf
-            if not sub.any():
-                g_children.append(children)
-                break
-
-            sub_rows = np.flatnonzero(sub)
-            sel = _segments(starts[sub], counts[sub])
+            sel = _segments(starts, counts)
+            owner = np.repeat(np.arange(n_cells), counts)
             pts = order[sel]
-            owner = np.repeat(np.arange(len(sub_rows)), counts[sub])
-            quad = (pos[pts, 0] >= cx[sub][owner]).astype(np.int64) + 2 * (
-                pos[pts, 1] >= cy[sub][owner]
-            ).astype(np.int64)
-            key = owner * 4 + quad
+            dx = x[pts] - com_x[owner]
+            dy = y[pts] - com_y[owner]
+            spread = np.sqrt(dx * dx + dy * dy)
+            size = 2.0 * np.maximum.reduceat(spread, np.cumsum(counts) - counts)
+
+            split = ~is_leaf[owner]
+            sel, owner, pts = sel[split], owner[split], pts[split]
+            key = owner * 4 + (x[pts] >= cx[owner]) + 2 * (y[pts] >= cy[owner])
             perm = np.argsort(key, kind="stable")
             order[sel] = pts[perm]
-            key_sorted = key[perm]
-            uniq, first, child_counts = np.unique(
-                key_sorted, return_index=True, return_counts=True
+            uniq, first, child_points = np.unique(
+                key[perm], return_index=True, return_counts=True
             )
-            child_ids = next_id + np.arange(len(uniq), dtype=np.int64)
-            next_id += len(uniq)
-            children[sub_rows[uniq // 4], uniq % 4] = child_ids
-            g_children.append(children)
-
-            h2 = half[sub] / 2.0
-            off = np.array([[-1, -1], [1, -1], [-1, 1], [1, 1]], dtype=np.float64)
             parent = uniq // 4
+            child_count = np.bincount(parent, minlength=n_cells)
+            first_child = next_id + np.cumsum(child_count) - child_count
+            next_id += len(uniq)
+            levels.append(
+                (size, com_x, com_y, c_mass, first_child, child_count, starts, counts)
+            )
+
+            h2 = half[parent] / 2.0
             starts = sel[first]
-            counts = child_counts
-            cx = cx[sub][parent] + off[uniq % 4, 0] * h2[parent]
-            cy = cy[sub][parent] + off[uniq % 4, 1] * h2[parent]
-            half = h2[parent]
+            counts = child_points
+            cx = cx[parent] + off[uniq % 4, 0] * h2
+            cy = cy[parent] + off[uniq % 4, 1] * h2
+            half = h2
             depth += 1
 
-        self.size = np.concatenate(g_size)
-        self.com = np.concatenate(g_com)
-        self.mass = np.concatenate(g_mass)
-        self.children = np.concatenate(g_children)
-        self.is_leaf = np.concatenate(g_is_leaf)
-        self.leaf_start = np.concatenate(g_leaf_start)
-        self.leaf_count = np.concatenate(g_leaf_count)
-        self.leaf_points = (
-            np.concatenate(leaf_chunks) if leaf_chunks else np.zeros(0, dtype=np.int64)
-        )
+        for name, chunks in zip(self.__slots__, zip(*levels)):
+            setattr(self, name, np.concatenate(chunks))
+        self.order = order
 
 
 def _bh_repulsion(
     pos: np.ndarray, mass: np.ndarray, kr: float, theta: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Barnes-Hut approximate repulsion.
 
     A cell is aggregated into a single point at its center of mass when
@@ -285,73 +271,84 @@ def _bh_repulsion(
     excluded.
     """
     n = len(pos)
-    forces = np.zeros_like(pos)
+    fx, fy = np.zeros((2, n))
     if n < 2:
-        return forces
-    tree = _QuadTree(pos, mass)
+        return fx, fy
+    x, y = np.ascontiguousarray(pos.T)
+    tree = _QuadTree(x, y, mass)
 
     nodes = np.arange(n, dtype=np.int64)
     cells = np.zeros(n, dtype=np.int64)
     while len(nodes):
-        p = pos[nodes]
-        com = tree.com[cells]
-        diff = p - com
-        dist = np.sqrt((diff**2).sum(axis=1))
+        dx = x[nodes] - tree.com_x[cells]
+        dy = y[nodes] - tree.com_y[cells]
+        dist = np.sqrt(dx * dx + dy * dy)
         np.maximum(dist, _EPS_DIST, out=dist)
 
-        leaf = tree.is_leaf[cells]
+        kids = tree.child_count[cells]
+        leaf = kids == 0
         far = (dist * theta > tree.size[cells]) & ~leaf
 
-        if far.any():
-            idx = nodes[far]
-            factor = kr * mass[idx] * tree.mass[cells[far]] / (dist[far] ** 2)
-            np.add.at(forces, idx, diff[far] * factor[:, None])
+        lc = cells[leaf]
+        counts = tree.point_count[lc]
+        src = np.repeat(nodes[leaf], counts)
+        tgt = tree.order[_segments(tree.point_start[lc], counts)]
+        keep = src != tgt
+        src, tgt = src[keep], tgt[keep]
+        pdx = x[src] - x[tgt]
+        pdy = y[src] - y[tgt]
+        d = np.sqrt(pdx * pdx + pdy * pdy)
+        np.maximum(d, _EPS_DIST, out=d)
 
-        if leaf.any():
-            li = nodes[leaf]
-            lc = cells[leaf]
-            counts = tree.leaf_count[lc]
-            src = np.repeat(li, counts)
-            tgt = tree.leaf_points[_segments(tree.leaf_start[lc], counts)]
-            keep = src != tgt
-            src, tgt = src[keep], tgt[keep]
-            pd = pos[src] - pos[tgt]
-            d = np.sqrt((pd**2).sum(axis=1))
-            np.maximum(d, _EPS_DIST, out=d)
-            factor = kr * mass[src] * mass[tgt] / (d * d)
-            np.add.at(forces, src, pd * factor[:, None])
+        # Far cells, then leaf points: the fixed order each node's terms are summed in.
+        idx = np.concatenate([nodes[far], src])
+        if len(idx):
+            d = np.concatenate([dist[far], d])
+            other = np.concatenate([tree.mass[cells[far]], mass[tgt]])
+            factor = kr * mass[idx] * other / (d * d)
+            fx, fy = _add_in_order(
+                fx, fy, idx,
+                np.concatenate([dx[far], pdx]) * factor,
+                np.concatenate([dy[far], pdy]) * factor,
+            )
 
         descend = ~far & ~leaf
-        if descend.any():
-            kids = tree.children[cells[descend]]
-            nodes = np.repeat(nodes[descend], 4)
-            cells = kids.reshape(-1)
-            keep = cells >= 0
-            nodes, cells = nodes[keep], cells[keep]
-        else:
-            break
-    return forces
+        kids = kids[descend]
+        nodes = np.repeat(nodes[descend], kids)
+        cells = _segments(tree.first_child[cells[descend]], kids)
+    return fx, fy
+
+
+def _repulsion(
+    pos: np.ndarray, mass: np.ndarray, config: LayoutConfig, barnes_hut: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    if barnes_hut:
+        return _bh_repulsion(pos, mass, config.scaling_kr, config.theta)
+    return _exact_repulsion(pos, mass, config.scaling_kr)
 
 
 def _compute_forces(
     pos: np.ndarray, arrays: _Arrays, config: LayoutConfig, barnes_hut: bool
 ) -> np.ndarray:
-    if barnes_hut:
-        forces = _bh_repulsion(pos, arrays.mass, config.scaling_kr, config.theta)
-    else:
-        forces = _exact_repulsion(pos, arrays.mass, config.scaling_kr)
+    x, y = pos[:, 0], pos[:, 1]
+    fx, fy = _repulsion(pos, arrays.mass, config, barnes_hut)
 
     if config.gravity_kg > 0:
-        dist = np.sqrt((pos**2).sum(axis=1))
+        dist = np.sqrt(x * x + y * y)
         np.maximum(dist, _EPS_DIST, out=dist)
-        forces -= pos / dist[:, None] * (config.gravity_kg * arrays.mass)[:, None]
+        pull = config.gravity_kg * arrays.mass
+        fx = fx - x / dist * pull
+        fy = fy - y / dist * pull
 
-    if len(arrays.edge_u):
-        delta = pos[arrays.edge_u] - pos[arrays.edge_v]
-        pull = delta * arrays.edge_f[:, None]
-        np.add.at(forces, arrays.edge_u, -pull)
-        np.add.at(forces, arrays.edge_v, pull)
-    return forces
+    u, v = arrays.edge_u, arrays.edge_v
+    if len(u):
+        pull_x = (x[u] - x[v]) * arrays.edge_f
+        pull_y = (y[u] - y[v]) * arrays.edge_f
+        fx, fy = _add_in_order(
+            fx, fy, np.concatenate([u, v]),
+            np.concatenate([-pull_x, pull_x]), np.concatenate([-pull_y, pull_y]),
+        )
+    return np.stack([fx, fy], axis=1)
 
 
 def _apply_forces(
@@ -435,19 +432,7 @@ def fa2_step(
     config: LayoutConfig | None = None,
 ) -> LayoutFrame:
     """One synchronous layout step: forces from the old frame, applied at once."""
-    config = config or LayoutConfig()
-    view = _as_view(graph)
-    if view.node_count == 0:
-        return frame
-    arrays = _Arrays(view, config.edge_weight_influence)
-    pos, old_forces = _frame_to_state(frame, arrays)
-    barnes_hut = config.use_barnes_hut(len(pos))
-    forces = _compute_forces(pos, arrays, config, barnes_hut)
-    new_pos, speed, eff = _apply_forces(
-        pos, old_forces, forces, arrays.mass, config,
-        frame.global_speed, frame.speed_efficiency,
-    )
-    return _state_to_frame(arrays, new_pos, forces, frame.iteration + 1, speed, eff)
+    return run_layout(graph, replace(config or LayoutConfig(), iterations=1), frame)
 
 
 def run_layout(
@@ -495,8 +480,5 @@ def repulsion_forces(
     view = _as_view(graph)
     arrays = _Arrays(view, config.edge_weight_influence)
     pos, _ = _frame_to_state(frame, arrays)
-    if barnes_hut:
-        forces = _bh_repulsion(pos, arrays.mass, config.scaling_kr, config.theta)
-    else:
-        forces = _exact_repulsion(pos, arrays.mass, config.scaling_kr)
-    return {h: (float(x), float(y)) for h, (x, y) in zip(arrays.nodes, forces)}
+    fx, fy = _repulsion(pos, arrays.mass, config, barnes_hut)
+    return {h: (float(x), float(y)) for h, x, y in zip(arrays.nodes, fx, fy)}

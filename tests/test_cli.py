@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from snsgraph.cli import main
 from snsgraph.report import import_gexf
 from snsgraph.seeds import derive_seed
@@ -34,6 +36,23 @@ class TestExitCodes:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         assert run(["ingest", "--input", str(empty), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("layout", "--iterations", "-5"),
+        ("report", "--iterations", "-5"),
+        ("report", "--resolution", "-1"),
+        ("centrality", "--teleport", "-1"),
+    ])
+    def test_rejected_config_flag_is_usage_error(self, tmp_path, command, flag, value):
+        # The input does not exist: the flag must fail before any input is read.
+        proc = subprocess.run(
+            [sys.executable, "-m", "snsgraph.cli", command, flag, value,
+             "--input", str(tmp_path / "absent"), "--out", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_success_is_zero(self, tiny_corpus_path, tmp_path):
         assert run(["ingest", "--input", str(tiny_corpus_path),
