@@ -12,13 +12,13 @@ __version__ = "0.1.0"
 
 from .model import (
     CentralityVector,
-    DirectedView,
+    GraphCore,
+    GraphView,
     Handle,
     InteractionGraph,
     InteractionKind,
     Normalization,
     Partition,
-    UndirectedView,
     merge_kinds,
     undirected_view,
 )

@@ -64,33 +64,10 @@ class CentralityResult:
 def _edge_arrays(
     graph: InteractionGraph, mode: CentralityMode
 ) -> tuple[list[Handle], np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted node list plus (source, target, weight) arrays for the mode.
-
-    Edges are sorted canonically so scores never depend on the order the
-    graph was built in.
-    """
-    nodes = sorted(graph.nodes, key=lambda h: h.value)
-    index = {h: i for i, h in enumerate(nodes)}
-    if mode is CentralityMode.INCOMING:
-        triples = sorted(
-            (index[s], index[d], float(w)) for s, d, w in merge_kinds(graph).iter_edges()
-        )
-    else:
-        view = undirected_view(graph)
-        triples = []
-        for u, v, w in view.iter_pairs():
-            triples.append((index[u], index[v], float(w)))
-            triples.append((index[v], index[u], float(w)))
-        triples.sort()
-    if triples:
-        src = np.array([t[0] for t in triples], dtype=np.int64)
-        dst = np.array([t[1] for t in triples], dtype=np.int64)
-        w = np.array([t[2] for t in triples], dtype=np.float64)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-        w = np.zeros(0, dtype=np.float64)
-    return nodes, src, dst, w
+    """Sorted node list plus (source, target, weight) arcs for the mode, in
+    index order, so scores never depend on the order the graph was built in."""
+    view = merge_kinds(graph) if mode is CentralityMode.INCOMING else undirected_view(graph)
+    return view.handles, view.src, view.dst, view.weights
 
 
 def _normalize(x: np.ndarray, normalization: Normalization) -> np.ndarray:

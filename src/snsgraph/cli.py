@@ -108,10 +108,35 @@ def _read_stopwords(path: str | None) -> set[str] | None:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+# One writer per stage table, shared by the subcommands and ``report``.
+
+def _write_communities(out: Path, partition) -> None:
+    rows = sorted(partition.assignment.items(), key=lambda item: item[0].value)
+    _write_csv(out / "communities.csv", ["handle", "community_id"],
+               [(h.display(), c) for h, c in rows])
+
+
+def _write_centrality(out: Path, ranking) -> None:
+    _write_csv(out / "centrality.csv", ["handle", "eigenvector"],
+               [(h.display(), repr(s)) for h, s in ranking])
+
+
+def _write_terms(out: Path, ranked) -> None:
+    _write_csv(out / "terms.csv", ["term", "mention_count", "salience"],
+               [(t.term, t.mention_count, repr(t.salience)) for t in ranked])
+
+
+def _write_layout(out: Path, frame) -> None:
+    rows = sorted(frame.positions.items(), key=lambda item: item[0].value)
+    _write_csv(out / "layout.csv", ["handle", "x", "y"],
+               [(h.display(), repr(x), repr(y)) for h, (x, y) in rows])
 
 
 def _load_corpus(args) -> list:
@@ -133,6 +158,12 @@ def _from_flags(config_type, **values):
         return config_type(**values)
     except ValueError as exc:
         raise _FlagError(exc) from None
+
+
+def _top_flag(flag: str, k: int) -> int:
+    if k < 1:
+        raise _FlagError(f"{flag} must be >= 1, got {k}")
+    return k
 
 
 def _louvain_config(args) -> LouvainConfig:
@@ -178,17 +209,9 @@ def _cmd_ingest(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     export_gexf(graph, out / "graph.gexf")
     with open(out / "ingest_stats.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "records": stats.records,
-                "interactions": stats.interactions,
-                "self_loops_dropped": stats.self_loops_dropped,
-                "n": stats.node_count,
-                "m": stats.edge_count,
-            },
-            fh,
-            indent=2,
-        )
+        json.dump({"records": stats.records, "interactions": stats.interactions,
+                   "self_loops_dropped": stats.self_loops_dropped,
+                   "n": stats.node_count, "m": stats.edge_count}, fh, indent=2)
         fh.write("\n")
     print(f"n={stats.node_count} m={stats.edge_count} "
           f"self_loops_dropped={stats.self_loops_dropped}")
@@ -199,29 +222,18 @@ def _cmd_communities(args) -> int:
     config = _louvain_config(args)
     graph = _graph_from_args(args)
     partition = louvain(graph, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "communities.csv",
-        ["handle", "community_id"],
-        [(h.display(), c) for h, c in sorted(partition.assignment.items())],
-    )
+    _write_communities(Path(args.out), partition)
     print(f"Q={partition.modularity_q:.6f} communities={partition.community_count}")
     return 0
 
 
 def _cmd_centrality(args) -> int:
     config = _power_config(args)
+    top = _top_flag("--top", args.top)
     graph = _graph_from_args(args)
     result = eigenvector_centrality(graph, config)
-    ranking = top_k(result.vector, args.top)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "centrality.csv",
-        ["handle", "eigenvector"],
-        [(h.display(), repr(s)) for h, s in ranking],
-    )
+    ranking = top_k(result.vector, top)
+    _write_centrality(Path(args.out), ranking)
     if not result.converged:
         print(f"warning: power iteration did not converge in {result.iterations} "
               "iterations", file=sys.stderr)
@@ -230,16 +242,12 @@ def _cmd_centrality(args) -> int:
 
 
 def _cmd_text(args) -> int:
+    top = _top_flag("--top", args.top)
     records = _load_corpus(args)
     stats = term_stats(records, stopwords=_read_stopwords(args.stopwords))
-    ranked = top_terms(stats, args.top, order=args.order)
+    ranked = top_terms(stats, top, order=args.order)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "terms.csv",
-        ["term", "mention_count", "salience"],
-        [(t.term, t.mention_count, repr(t.salience)) for t in ranked],
-    )
+    _write_terms(out, ranked)
     if args.lexicon_pos and args.lexicon_neg:
         lexicon = load_lexicon(args.lexicon_pos, args.lexicon_neg)
         summaries = [sentiment(r.text, lexicon) for r in records]
@@ -266,16 +274,7 @@ def _cmd_layout(args) -> int:
     config = _layout_config(args)
     graph = _graph_from_args(args)
     frame = run_layout(graph, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "layout.csv",
-        ["handle", "x", "y"],
-        [
-            (h.display(), repr(x), repr(y))
-            for h, (x, y) in sorted(frame.positions.items())
-        ],
-    )
+    _write_layout(Path(args.out), frame)
     print(f"iterations={frame.iteration} nodes={len(frame.positions)}")
     return 0
 
@@ -311,8 +310,8 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
         ),
         redaction=RedactionPolicy(allowlist=allowlist),
         report_format=args.format,
-        top_accounts=args.top_accounts,
-        top_terms=args.top_terms,
+        top_accounts=_top_flag("--top-accounts", args.top_accounts),
+        top_terms=_top_flag("--top-terms", args.top_terms),
         term_order=args.order,
         lexicon_pos=args.lexicon_pos,
         lexicon_neg=args.lexicon_neg,
@@ -392,26 +391,10 @@ def run_report_pipeline(config: PipelineConfig) -> AnalysisReport:
         graph, out / "graph.gexf",
         positions=frame, partition=partition, centrality=result.vector,
     )
-    _write_csv(
-        out / "communities.csv",
-        ["handle", "community_id"],
-        [(h.display(), c) for h, c in sorted(partition.assignment.items())],
-    )
-    _write_csv(
-        out / "centrality.csv",
-        ["handle", "eigenvector"],
-        [(h.display(), repr(s)) for h, s in ranking],
-    )
-    _write_csv(
-        out / "terms.csv",
-        ["term", "mention_count", "salience"],
-        [(t.term, t.mention_count, repr(t.salience)) for t in ranked_terms],
-    )
-    _write_csv(
-        out / "layout.csv",
-        ["handle", "x", "y"],
-        [(h.display(), repr(x), repr(y)) for h, (x, y) in sorted(frame.positions.items())],
-    )
+    _write_communities(out, partition)
+    _write_centrality(out, ranking)
+    _write_terms(out, ranked_terms)
+    _write_layout(out, frame)
     suffix = "json" if config.report_format == "json" else "txt"
     with open(out / f"report.{suffix}", "w", encoding="utf-8") as fh:
         fh.write(render_report(report, config.report_format))

@@ -22,8 +22,10 @@ import random
 from dataclasses import dataclass, replace
 from typing import Mapping
 
+import numpy as np
+
 from .errors import UndefinedModularityError
-from .model import Handle, InteractionGraph, Partition, UndirectedView, undirected_view
+from .model import GraphView, Handle, InteractionGraph, Partition, undirected_view
 
 
 @dataclass(frozen=True)
@@ -45,39 +47,34 @@ class LouvainConfig:
             raise ValueError("restarts must be >= 1")
 
 
-def _as_view(graph: InteractionGraph | UndirectedView) -> UndirectedView:
-    if isinstance(graph, UndirectedView):
-        return graph
-    return undirected_view(graph)
-
-
 def modularity(
-    graph: InteractionGraph | UndirectedView,
+    graph: InteractionGraph | GraphView,
     assignment: Mapping[Handle, int],
     resolution: float = 1.0,
 ) -> float:
-    """Recompute Q from scratch for the given assignment."""
-    view = _as_view(graph)
+    """Recompute Q from scratch for the given assignment, adding community
+    terms in order of first appearance over the graph's node order."""
+    view = undirected_view(graph)
     total = view.total_weight
     if total <= 0:
         raise UndefinedModularityError("modularity undefined on a graph without edges")
-    for node in view.nodes:
+    labels: dict[int, int] = {}
+    comm = np.empty(view.node_count, dtype=np.int64)
+    for i in view.core.insertion:
+        node = view.handles[i]
         if node not in assignment:
             raise ValueError(f"node {node.display()} has no community assignment")
+        comm[i] = labels.setdefault(assignment[node], len(labels))
 
-    intra: dict[int, float] = {}
-    deg: dict[int, float] = {}
-    for u, v, w in view.iter_pairs():
-        if assignment[u] == assignment[v]:
-            c = assignment[u]
-            intra[c] = intra.get(c, 0.0) + w
-    for node in view.nodes:
-        c = assignment[node]
-        deg[c] = deg.get(c, 0.0) + view.degree(node)
+    inside = (comm[view.src] == comm[view.dst]) & (view.src < view.dst)
+    intra = np.bincount(
+        comm[view.src[inside]], weights=view.weights[inside], minlength=len(labels)
+    )
+    deg = np.bincount(comm, weights=view.degrees(), minlength=len(labels))
 
     q = 0.0
-    for c, d in deg.items():
-        q += intra.get(c, 0.0) / total - resolution * (d / (2.0 * total)) ** 2
+    for c_intra, c_deg in zip(intra.tolist(), deg.tolist()):
+        q += c_intra / total - resolution * (c_deg / (2.0 * total)) ** 2
     return q
 
 
@@ -104,36 +101,35 @@ def _delta_q(
 class MoveContext:
     """Cached quantities for evaluating single-node move gains.
 
-    Holds the total weight, per-node weighted degrees, and per-community
-    degree sums for one (view, assignment) pair; node-to-community link
-    weights are gathered per query from the adjacency.
+    Holds the total weight, per-node communities and weighted degrees (in
+    node index order) and per-community degree sums for one (view,
+    assignment) pair; link weights are gathered per query from a node's row.
     """
 
     def __init__(
         self,
-        graph: InteractionGraph | UndirectedView,
+        graph: InteractionGraph | GraphView,
         assignment: Mapping[Handle, int],
         resolution: float = 1.0,
     ):
-        self.view = _as_view(graph)
-        self.assignment = dict(assignment)
+        self.view = undirected_view(graph)
         self.resolution = resolution
         self.total = self.view.total_weight
         if self.total <= 0:
             raise UndefinedModularityError("move gains undefined on a graph without edges")
-        self.degree = {node: self.view.degree(node) for node in self.view.nodes}
+        self.community = [assignment[h] for h in self.view.handles]
+        self.degree = self.view.degrees().tolist()
         self.community_degree: dict[int, float] = {}
-        for node in self.view.nodes:
-            c = self.assignment[node]
-            self.community_degree[c] = self.community_degree.get(c, 0.0) + self.degree[node]
+        for c, d in zip(self.community, self.degree):
+            self.community_degree[c] = self.community_degree.get(c, 0.0) + d
 
-    def links_to(self, node: Handle) -> dict[int, float]:
-        """Weight from ``node`` to each community among its neighbors."""
+    def links_to(self, i: int) -> dict[int, float]:
+        """Weight from node ``i`` to each community among its neighbors."""
+        view = self.view
+        lo, hi = view.indptr[i], view.indptr[i + 1]
         out: dict[int, float] = {}
-        for nbr, w in self.view.neighbors(node).items():
-            if nbr == node:
-                continue
-            c = self.assignment[nbr]
+        for j, w in zip(view.dst[lo:hi].tolist(), view.weights[lo:hi].tolist()):
+            c = self.community[j]
             out[c] = out.get(c, 0.0) + w
         return out
 
@@ -144,14 +140,15 @@ def local_move_gain(node: Handle, target_community: int, context: MoveContext) -
     Matches a from-scratch modularity recomputation of the moved
     assignment; moving a node into its own community is a no-op.
     """
-    current = context.assignment[node]
+    i = context.view.core.index[node.value]
+    current = context.community[i]
     if target_community == current:
         return 0.0
-    links = context.links_to(node)
+    links = context.links_to(i)
     return _delta_q(
         context.total,
         context.resolution,
-        context.degree[node],
+        context.degree[i],
         links.get(target_community, 0.0),
         links.get(current, 0.0),
         context.community_degree[current],
@@ -173,6 +170,13 @@ class _WorkGraph:
         self.self_w = self_w
         self.degree = [sum(nbrs.values()) + 2.0 * self_w[i] for i, nbrs in enumerate(adj)]
         self.total = sum(self.degree) / 2.0
+
+    @classmethod
+    def from_view(cls, view: GraphView) -> "_WorkGraph":
+        """The symmetric view's rows as adjacency dicts, without self-loops."""
+        indptr, dst, weights = view.indptr.tolist(), view.dst.tolist(), view.weights.tolist()
+        adj = [dict(zip(dst[a:b], weights[a:b])) for a, b in zip(indptr, indptr[1:])]
+        return cls(adj, [0.0] * len(adj))
 
     @property
     def n(self) -> int:
@@ -269,18 +273,8 @@ def _aggregate(wg: _WorkGraph, comm: list[int]) -> tuple[_WorkGraph, list[int]]:
     return _WorkGraph(adj, self_w), dense
 
 
-def _view_to_workgraph(view: UndirectedView) -> tuple[_WorkGraph, list[Handle]]:
-    nodes = sorted(view.nodes)
-    index = {h: i for i, h in enumerate(nodes)}
-    adj: list[dict[int, float]] = [{} for _ in nodes]
-    for u, v, w in view.iter_pairs():
-        adj[index[u]][index[v]] = w
-        adj[index[v]][index[u]] = w
-    return _WorkGraph(adj, [0.0] * len(nodes)), nodes
-
-
 def louvain_trace(
-    graph: InteractionGraph | UndirectedView, config: LouvainConfig | None = None
+    graph: InteractionGraph | GraphView, config: LouvainConfig | None = None
 ) -> tuple[Partition, list[float]]:
     """Run Louvain and also report modularity after each pass.
 
@@ -289,7 +283,7 @@ def louvain_trace(
     is returned, deterministically.
     """
     config = config or LouvainConfig()
-    view = _as_view(graph)
+    view = undirected_view(graph)
     if view.total_weight <= 0:
         raise UndefinedModularityError("Louvain undefined on a graph without edges")
 
@@ -302,7 +296,7 @@ def louvain_trace(
                 best = result
         return best
 
-    wg, nodes = _view_to_workgraph(view)
+    wg = _WorkGraph.from_view(view)
     rng = random.Random(config.seed)
     membership = list(range(wg.n))  # original node -> current super-node
     trace: list[float] = []
@@ -318,7 +312,7 @@ def louvain_trace(
     # Dense final ids in order of first appearance over sorted handles.
     relabel: dict[int, int] = {}
     assignment: dict[Handle, int] = {}
-    for i, handle in enumerate(nodes):
+    for i, handle in enumerate(view.handles):
         c = membership[i]
         if c not in relabel:
             relabel[c] = len(relabel)
@@ -332,7 +326,7 @@ def louvain_trace(
 
 
 def louvain(
-    graph: InteractionGraph | UndirectedView, config: LouvainConfig | None = None
+    graph: InteractionGraph | GraphView, config: LouvainConfig | None = None
 ) -> Partition:
     """Detect communities by greedy modularity maximization."""
     partition, _ = louvain_trace(graph, config)

@@ -7,8 +7,8 @@ Corpora are JSON-lines files, one interaction record per line:
      "timestamp": "2017-04-21T12:00:00Z"}
 
 ``follows`` is optional; unknown extra fields are ignored so richer crawls
-stay readable. Malformed lines are skipped and reported as diagnostics
-instead of aborting the run.
+stay readable. Malformed lines, including lines that are not valid UTF-8,
+are skipped and reported as diagnostics instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import IO, Iterable, Union
 
 from .errors import EmptyCorpusError
-from .model import Handle, InteractionGraph, InteractionKind
+from .model import Handle, InteractionGraph, InteractionKind, ValueEdge
 
 
 def parse_rfc3339(value: str) -> datetime:
@@ -168,7 +168,8 @@ def parse_corpus(
     if format != "json-lines":
         raise ValueError(f"unsupported corpus format: {format!r}")
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        # Undecodable bytes become lone surrogates, caught per line below.
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return parse_corpus(fh, format=format)
 
     records: list[InteractionRecord] = []
@@ -178,8 +179,12 @@ def parse_corpus(
         if not stripped:
             continue
         try:
+            if not stripped.isascii():
+                stripped.encode("utf-8")
             obj = json.loads(stripped)
             records.append(record_from_dict(obj))
+        except UnicodeEncodeError as exc:
+            diagnostics.append(ParseDiagnostic(line_no, f"not UTF-8 at column {exc.start + 1}"))
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
             diagnostics.append(ParseDiagnostic(line_no, str(exc)))
     if not records:
@@ -216,17 +221,20 @@ def build_graph(
     of record order.
     """
     stats = IngestStats()
-    acc: dict[tuple[Handle, Handle, InteractionKind], int] = {}
+    handles: dict[str, Handle] = {}
+    counts: dict[ValueEdge, int] = {}
     for record in records:
         stats.records += 1
         for src, dst, kind in record.interactions():
-            if src == dst:
+            if src.value == dst.value:
                 stats.self_loops_dropped += 1
                 continue
             stats.interactions += 1
-            key = (src, dst, kind)
-            acc[key] = acc.get(key, 0) + 1
-    graph = InteractionGraph(acc)
+            handles.setdefault(src.value, src)
+            handles.setdefault(dst.value, dst)
+            key = (src.value, dst.value, kind)
+            counts[key] = counts.get(key, 0) + 1
+    graph = InteractionGraph.interned(handles, counts)
     stats.node_count = graph.node_count
     stats.edge_count = graph.edge_count
     return graph, stats

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Handle, InteractionGraph, UndirectedView, undirected_view
+from .model import GraphView, Handle, InteractionGraph, undirected_view
 
 _EPS_DIST = 1e-9
 _MAX_TREE_DEPTH = 48
@@ -74,9 +74,9 @@ class LayoutFrame:
     prev_forces: dict[Handle, tuple[float, float]] = field(default_factory=dict)
 
 
-def init_layout(graph: InteractionGraph | UndirectedView, seed: int) -> LayoutFrame:
+def init_layout(graph: InteractionGraph | GraphView, seed: int) -> LayoutFrame:
     """Seeded uniform positions in a square centered on the origin."""
-    nodes = sorted(_as_view(graph).nodes, key=lambda h: h.value)
+    nodes = undirected_view(graph).handles
     rng = random.Random(seed)
     side = max(1.0, math.sqrt(max(len(nodes), 1)))
     positions = {
@@ -86,36 +86,19 @@ def init_layout(graph: InteractionGraph | UndirectedView, seed: int) -> LayoutFr
     return LayoutFrame(positions=positions)
 
 
-def _as_view(graph: InteractionGraph | UndirectedView) -> UndirectedView:
-    if isinstance(graph, UndirectedView):
-        return graph
-    return undirected_view(graph)
-
-
 class _Arrays:
-    """Graph constants: sorted nodes, masses, and edge index arrays."""
+    """Graph constants of a symmetric view: sorted nodes, masses (1 + the
+    neighbor count), and each adjacent pair once as ``u < v``."""
 
-    __slots__ = ("nodes", "index", "mass", "edge_u", "edge_v", "edge_f")
+    __slots__ = ("nodes", "mass", "edge_u", "edge_v", "edge_f")
 
-    def __init__(self, view: UndirectedView, edge_weight_influence: float):
-        self.nodes = sorted(view.nodes, key=lambda h: h.value)
-        self.index = {h: i for i, h in enumerate(self.nodes)}
-        self.mass = np.array(
-            [1.0 + len(view.neighbors(h)) for h in self.nodes], dtype=np.float64
-        )
-        pairs = sorted(
-            (self.index[u], self.index[v], w) for u, v, w in view.iter_pairs()
-        )
-        self.edge_u = np.array([p[0] for p in pairs], dtype=np.int64)
-        self.edge_v = np.array([p[1] for p in pairs], dtype=np.int64)
-        delta = edge_weight_influence
-        weights = np.array([p[2] for p in pairs], dtype=np.float64)
-        if delta == 1.0:
-            self.edge_f = weights
-        elif delta == 0.0:
-            self.edge_f = np.ones_like(weights)
-        else:
-            self.edge_f = weights**delta
+    def __init__(self, view: GraphView, edge_weight_influence: float):
+        self.nodes = view.handles
+        self.mass = 1.0 + np.diff(view.indptr)
+        upper = view.src < view.dst
+        self.edge_u = view.src[upper]
+        self.edge_v = view.dst[upper]
+        self.edge_f = view.weights[upper] ** edge_weight_influence
 
 
 def _exact_repulsion(
@@ -427,7 +410,7 @@ def _state_to_frame(
 
 
 def fa2_step(
-    graph: InteractionGraph | UndirectedView,
+    graph: InteractionGraph | GraphView,
     frame: LayoutFrame,
     config: LayoutConfig | None = None,
 ) -> LayoutFrame:
@@ -436,13 +419,13 @@ def fa2_step(
 
 
 def run_layout(
-    graph: InteractionGraph | UndirectedView,
+    graph: InteractionGraph | GraphView,
     config: LayoutConfig | None = None,
     frame: LayoutFrame | None = None,
 ) -> LayoutFrame:
     """Run ``config.iterations`` steps from a seeded (or given) initial frame."""
     config = config or LayoutConfig()
-    view = _as_view(graph)
+    view = undirected_view(graph)
     if frame is None:
         frame = init_layout(view, config.seed)
     if view.node_count == 0 or config.iterations == 0:
@@ -466,7 +449,7 @@ def run_layout(
 
 
 def repulsion_forces(
-    graph: InteractionGraph | UndirectedView,
+    graph: InteractionGraph | GraphView,
     frame: LayoutFrame,
     config: LayoutConfig | None = None,
     barnes_hut: bool = False,
@@ -477,7 +460,7 @@ def repulsion_forces(
     observable against the exact pairwise sum.
     """
     config = config or LayoutConfig()
-    view = _as_view(graph)
+    view = undirected_view(graph)
     arrays = _Arrays(view, config.edge_weight_influence)
     pos, _ = _frame_to_state(frame, arrays)
     fx, fy = _repulsion(pos, arrays.mass, config, barnes_hut)

@@ -2,10 +2,11 @@
 
 The interaction graph is a weighted directed multigraph over account
 handles: one weighted edge per ordered ``(source, target, kind)`` triple,
-where the weight counts discrete interactions. Two derived views feed the
-analytics modules: :func:`merge_kinds` collapses the kind dimension into a
-simple weighted digraph, and :func:`undirected_view` symmetrizes it for
-algorithms defined on undirected weighted graphs.
+where the weight counts discrete interactions. Each graph builds one
+integer core (:class:`GraphCore`) on first use: handles numbered in sorted
+order, edge arrays, and the two :class:`GraphView` s every analytics stage
+reads, :func:`merge_kinds` (kinds collapsed into a weighted digraph) and
+:func:`undirected_view` (its symmetrization).
 
 Graphs are immutable after construction and safe to share across threads;
 "mutation" helpers return new values.
@@ -16,6 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -50,6 +53,7 @@ class InteractionKind(enum.Enum):
 
 
 Edge = tuple[Handle, Handle, InteractionKind]
+ValueEdge = tuple[str, str, InteractionKind]  # an edge keyed on handle values
 
 
 class InteractionGraph:
@@ -57,29 +61,48 @@ class InteractionGraph:
 
     ``edges`` maps ``(source, target, kind)`` to a positive integer count.
     Self-loops are rejected: reply/mention/follow acts target someone else,
-    and ingest drops (and counts) records that violate this.
+    and ingest drops (and counts) records that violate this. Internally
+    edges are keyed on handle values, so building a graph runs no
+    per-edge ``Handle`` hashing or comparison.
     """
 
-    __slots__ = ("_nodes", "_edges", "_total_weight")
+    __slots__ = ("_handles", "_counts", "_total_weight", "_core")
 
     def __init__(self, edges: Mapping[Edge, int], extra_nodes: Iterable[Handle] = ()):
-        cleaned: dict[Edge, int] = {}
-        nodes: dict[Handle, None] = {}
-        total = 0
+        handles: dict[str, Handle] = {}
+        counts: dict[ValueEdge, int] = {}
         for (src, dst, kind), weight in edges.items():
-            if src == dst:
-                raise ValueError(f"self-loop not allowed: {src.display()}")
+            handles.setdefault(src.value, src)
+            handles.setdefault(dst.value, dst)
+            counts[(src.value, dst.value, kind)] = weight
+        for h in extra_nodes:
+            handles.setdefault(h.value, h)
+        self._init(handles, counts)
+
+    @classmethod
+    def interned(
+        cls, handles: dict[str, Handle], counts: dict[ValueEdge, int]
+    ) -> "InteractionGraph":
+        """Build from counts keyed on handle values, taking ownership of both;
+        ``handles`` maps each value to its handle, in node order."""
+        graph = cls.__new__(cls)
+        graph._init(handles, counts)
+        return graph
+
+    def _init(self, handles: dict[str, Handle], counts: dict[ValueEdge, int]) -> None:
+        total = 0
+        for key, weight in counts.items():
+            if key[0] == key[1]:
+                raise ValueError(f"self-loop not allowed: @{key[0]}")
             if weight < 1 or weight != int(weight):
                 raise ValueError(f"edge weight must be a positive count, got {weight!r}")
-            cleaned[(src, dst, kind)] = int(weight)
-            nodes.setdefault(src)
-            nodes.setdefault(dst)
-            total += int(weight)
-        for h in extra_nodes:
-            nodes.setdefault(h)
-        self._edges = cleaned
-        self._nodes = nodes
+            if type(weight) is not int:
+                counts[key] = weight = int(weight)
+            total += weight
+        self._handles = handles
+        self._counts = counts
         self._total_weight = total
+        self._core = None
 
     @classmethod
     def from_interactions(
@@ -100,165 +123,175 @@ class InteractionGraph:
 
     @property
     def nodes(self) -> list[Handle]:
-        return list(self._nodes)
+        return list(self._handles.values())
+
+    @property
+    def core(self) -> "GraphCore":
+        """The integer index, built on first use and assigned only once
+        complete: threads racing on first use build identical cores."""
+        if self._core is None:
+            self._core = GraphCore(self._handles, self._counts)
+        return self._core
 
     @property
     def edges(self) -> dict[Edge, int]:
-        return dict(self._edges)
+        h = self._handles
+        return {(h[s], h[d], kind): w for (s, d, kind), w in self._counts.items()}
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._handles)
 
     @property
     def edge_count(self) -> int:
         """Number of distinct weighted edges (the ``m`` of n-nodes/m-edges)."""
-        return len(self._edges)
+        return len(self._counts)
 
     @property
     def total_weight(self) -> int:
         return self._total_weight
 
     def __contains__(self, handle: Handle) -> bool:
-        return handle in self._nodes
+        return isinstance(handle, Handle) and handle.value in self._handles
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InteractionGraph):
             return NotImplemented
-        return self._edges == other._edges and set(self._nodes) == set(other._nodes)
+        return self._counts == other._counts and self._handles.keys() == other._handles.keys()
 
     def __repr__(self) -> str:
         return f"InteractionGraph(n={self.node_count}, m={self.edge_count}, W={self.total_weight})"
 
     def with_node(self, handle: Handle) -> "InteractionGraph":
         """Return a copy that also contains ``handle`` (possibly isolated)."""
-        return InteractionGraph(self._edges, extra_nodes=[*self._nodes, handle])
+        return InteractionGraph(self.edges, extra_nodes=[*self.nodes, handle])
 
     def without_node(self, handle: Handle) -> "InteractionGraph":
         """Return a copy with ``handle`` and its incident edges removed."""
-        kept = {
-            e: w for e, w in self._edges.items() if e[0] != handle and e[1] != handle
-        }
-        extra = [h for h in self._nodes if h != handle]
+        kept = {e: w for e, w in self.edges.items() if e[0] != handle and e[1] != handle}
+        extra = [h for h in self.nodes if h != handle]
         return InteractionGraph(kept, extra_nodes=extra)
 
 
-class DirectedView:
-    """Simple weighted digraph: one weight per ordered node pair."""
+class GraphView:
+    """Handle-facing view of a graph's integer core: the kind-merged digraph
+    (one weight per ordered pair) or its symmetrization (``weight(u, v) ==
+    weight(v, u)``, summed over both directions and all kinds).
 
-    __slots__ = ("_nodes", "_succ", "_total_weight")
-
-    def __init__(self, nodes: Iterable[Handle], weights: Mapping[tuple[Handle, Handle], float]):
-        self._nodes = {h: None for h in nodes}
-        succ: dict[Handle, dict[Handle, float]] = {}
-        total = 0.0
-        for (src, dst), w in weights.items():
-            succ.setdefault(src, {})[dst] = w
-            total += w
-        self._succ = succ
-        self._total_weight = total
-
-    @property
-    def nodes(self) -> list[Handle]:
-        return list(self._nodes)
-
-    @property
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def total_weight(self) -> float:
-        return self._total_weight
-
-    def weight(self, src: Handle, dst: Handle) -> float:
-        return self._succ.get(src, {}).get(dst, 0.0)
-
-    def successors(self, src: Handle) -> dict[Handle, float]:
-        return dict(self._succ.get(src, {}))
-
-    def iter_edges(self) -> Iterator[tuple[Handle, Handle, float]]:
-        for src, targets in self._succ.items():
-            for dst, w in targets.items():
-                yield src, dst, w
-
-
-class UndirectedView:
-    """Symmetric weighted adjacency over the graph's node set.
-
-    ``weight(u, v) == weight(v, u)`` is the total interaction weight
-    between the pair in both directions and across all kinds.
-    ``total_weight`` counts each unordered pair once.
+    Arcs are kept in ``(src, dst)`` index order with ``indptr`` marking
+    each node's range; node ``i`` is ``handles[i]`` (sorted by value).
+    ``total_weight`` is the graph's in both views.
     """
 
-    __slots__ = ("_nodes", "_adj", "_total_weight")
+    __slots__ = ("core", "handles", "src", "dst", "weights", "indptr", "total_weight")
 
-    def __init__(self, nodes: Iterable[Handle], adj: Mapping[Handle, Mapping[Handle, float]]):
-        self._nodes = {h: None for h in nodes}
-        self._adj = {u: dict(nbrs) for u, nbrs in adj.items()}
-        total = 0.0
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                if u < v:
-                    total += w
-        self._total_weight = total
+    def __init__(self, core: "GraphCore", src, dst, weights, total: float):
+        self.core, self.handles = core, core.handles
+        self.src, self.dst, self.weights = src, dst, weights
+        counts = np.bincount(src, minlength=len(core.handles))
+        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.total_weight = total
+        for array in (src, dst, weights, self.indptr):  # shared by every reader
+            array.flags.writeable = False
 
     @property
     def nodes(self) -> list[Handle]:
-        return list(self._nodes)
+        """Nodes in the graph's own order."""
+        return [self.handles[i] for i in self.core.insertion]
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self.handles)
 
-    @property
-    def total_weight(self) -> float:
-        return self._total_weight
-
-    def weight(self, u: Handle, v: Handle) -> float:
-        return self._adj.get(u, {}).get(v, 0.0)
+    def degrees(self) -> np.ndarray:
+        """Weighted (out-)degree of every node, in index order."""
+        return np.bincount(self.src, weights=self.weights, minlength=self.node_count)
 
     def neighbors(self, u: Handle) -> dict[Handle, float]:
-        return dict(self._adj.get(u, {}))
+        """Arc weights out of ``u`` (successors in the directed view)."""
+        i = self.core.index.get(u.value)
+        if i is None:
+            return {}
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        dst, weights = self.dst[lo:hi].tolist(), self.weights[lo:hi].tolist()
+        return {self.handles[j]: w for j, w in zip(dst, weights)}
 
-    def degree(self, u: Handle) -> float:
-        """Weighted degree: sum of incident symmetric weights."""
-        return sum(self._adj.get(u, {}).values())
+    def weight(self, u: Handle, v: Handle) -> float:
+        return self.neighbors(u).get(v, 0.0)
 
-    def iter_pairs(self) -> Iterator[tuple[Handle, Handle, float]]:
-        """Yield each unordered adjacent pair once, as (u, v, weight) with u < v."""
-        for u, nbrs in self._adj.items():
-            for v, w in nbrs.items():
-                if u < v:
-                    yield u, v, w
+    def iter_edges(self) -> Iterator[tuple[Handle, Handle, float]]:
+        """Every stored arc; the symmetric view yields each pair both ways."""
+        for i, j, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist()):
+            yield self.handles[i], self.handles[j], w
 
 
-def merge_kinds(graph: InteractionGraph) -> DirectedView:
+def _sum_by_pair(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int):
+    """Merge arcs with equal ``(src, dst)``; the result is in ``(src, dst)`` order."""
+    if not len(src):
+        return src, dst, weights
+    pairs, slot = np.unique(src * n + dst, return_inverse=True)
+    return pairs // n, pairs % n, np.bincount(slot, weights=weights, minlength=len(pairs))
+
+
+class GraphCore:
+    """Integer index of an :class:`InteractionGraph`, built once per graph.
+
+    Handles are numbered in sorted ``value`` order (``handles[i]``, with
+    ``index`` mapping the value back); ``insertion`` lists the indices in
+    the graph's own node order. ``src``, ``dst``, ``kind`` and ``weight``
+    hold one entry per edge in ``(src, dst, kind value)`` order, kinds
+    coded so that their codes sort like their values. ``directed`` and
+    ``undirected`` are the kind-merged and symmetric views over it.
+    """
+
+    kinds = tuple(sorted(InteractionKind, key=lambda k: k.value))
+
+    __slots__ = (
+        "handles", "index", "insertion", "src", "dst", "kind", "weight",
+        "directed", "undirected",
+    )
+
+    def __init__(self, handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]):
+        values = sorted(handles)
+        self.handles = [handles[v] for v in values]
+        self.index = index = {v: i for i, v in enumerate(values)}
+        self.insertion = [index[v] for v in handles]
+        m = len(counts)
+        code = {k: i for i, k in enumerate(self.kinds)}
+        src = np.fromiter((index[e[0]] for e in counts), np.int64, m)
+        dst = np.fromiter((index[e[1]] for e in counts), np.int64, m)
+        kind = np.fromiter((code[e[2]] for e in counts), np.int8, m)
+        weight = np.fromiter(counts.values(), np.int64, m)
+        order = np.lexsort((kind, dst, src))
+        self.src, self.dst, self.kind, self.weight = (
+            src[order], dst[order], kind[order], weight[order]
+        )
+        for array in (self.src, self.dst, self.kind, self.weight):
+            array.flags.writeable = False
+
+        n = len(self.handles)
+        total = float(self.weight.sum())
+        msrc, mdst, mw = _sum_by_pair(self.src, self.dst, self.weight.astype(np.float64), n)
+        self.directed = GraphView(self, msrc, mdst, mw, total)
+        self.undirected = GraphView(
+            self,
+            *_sum_by_pair(np.concatenate([msrc, mdst]), np.concatenate([mdst, msrc]),
+                          np.concatenate([mw, mw]), n),
+            total,
+        )
+
+
+def merge_kinds(graph: InteractionGraph) -> GraphView:
     """Collapse reply/mention/follow multi-edges into one weight per ordered pair."""
-    weights: dict[tuple[Handle, Handle], float] = {}
-    for (src, dst, _kind), w in graph.edges.items():
-        key = (src, dst)
-        weights[key] = weights.get(key, 0.0) + w
-    return DirectedView(graph.nodes, weights)
+    return graph.core.directed
 
 
-def undirected_view(
-    graph: InteractionGraph | DirectedView | UndirectedView,
-) -> UndirectedView:
+def undirected_view(graph: InteractionGraph | GraphView) -> GraphView:
     """Symmetrize: weight(u, v) = sum over kinds of w(u->v) + w(v->u).
 
     Applying it to an already-symmetric view is the identity.
     """
-    if isinstance(graph, UndirectedView):
-        return UndirectedView(graph.nodes, graph._adj)
-    if isinstance(graph, InteractionGraph):
-        directed = merge_kinds(graph)
-    else:
-        directed = graph
-    adj: dict[Handle, dict[Handle, float]] = {h: {} for h in directed.nodes}
-    for src, dst, w in directed.iter_edges():
-        adj[src][dst] = adj[src].get(dst, 0.0) + w
-        adj[dst][src] = adj[dst].get(src, 0.0) + w
-    return UndirectedView(directed.nodes, adj)
+    return graph.core.undirected
 
 
 class Normalization(enum.Enum):

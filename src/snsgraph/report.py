@@ -30,6 +30,7 @@ from .model import (
     InteractionGraph,
     InteractionKind,
     Partition,
+    ValueEdge,
 )
 
 _GEXF_NS = "http://www.gexf.net/1.2draft"
@@ -156,8 +157,9 @@ def export_gexf(
         edge_attrs, f"{{{_GEXF_NS}}}attribute", id="kind", title="kind", type="string"
     )
 
+    core = graph.core
     nodes_elem = ET.SubElement(graph_elem, f"{{{_GEXF_NS}}}nodes")
-    for handle in sorted(graph.nodes):
+    for handle in core.handles:
         node = ET.SubElement(
             nodes_elem, f"{{{_GEXF_NS}}}node", id=handle.value, label=handle.display()
         )
@@ -179,20 +181,22 @@ def export_gexf(
             )
 
     edges_elem = ET.SubElement(graph_elem, f"{{{_GEXF_NS}}}edges")
-    ordered = sorted(
-        graph.edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value)
+    values = [h.value for h in core.handles]
+    kinds = [k.value for k in core.kinds]
+    ordered = zip(
+        core.src.tolist(), core.dst.tolist(), core.kind.tolist(), core.weight.tolist()
     )
-    for i, ((src, dst, kind), weight) in enumerate(ordered):
+    for i, (src, dst, kind, weight) in enumerate(ordered):
         edge = ET.SubElement(
             edges_elem,
             f"{{{_GEXF_NS}}}edge",
-            id=str(i), source=src.value, target=dst.value, weight=repr(float(weight)),
+            id=str(i), source=values[src], target=values[dst], weight=repr(float(weight)),
         )
         attv = ET.SubElement(edge, f"{{{_GEXF_NS}}}attvalues")
         ET.SubElement(
             attv,
             f"{{{_GEXF_NS}}}attvalue",
-            attrib={"for": "kind", "value": kind.value},
+            attrib={"for": "kind", "value": kinds[kind]},
         )
 
     ET.indent(root)
@@ -238,17 +242,27 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
         if node_id is None:
             raise GexfParseError("GEXF node without an id")
         label = node.get("label") or node_id
-        id_to_handle[node_id] = Handle(label if label.strip() else node_id)
+        try:
+            id_to_handle[node_id] = Handle(label if label.strip() else node_id)
+        except ValueError:
+            raise GexfParseError(f"GEXF node {node_id!r} has an empty handle {label!r}") from None
 
     kinds = {k.value: k for k in InteractionKind}
-    edges: dict[tuple[Handle, Handle, InteractionKind], int] = {}
+    handles: dict[str, Handle] = {}
+    counts: dict[ValueEdge, int] = {}
     for edge in find_all(graph_elem, "edge"):
         src_id, dst_id = edge.get("source"), edge.get("target")
         if src_id is None or dst_id is None:
             raise GexfParseError("GEXF edge without source/target")
         if src_id not in id_to_handle or dst_id not in id_to_handle:
             raise GexfParseError(f"GEXF edge references unknown node {src_id!r}/{dst_id!r}")
-        weight = round(float(edge.get("weight", "1")))
+        try:
+            weight = round(float(edge.get("weight", "1")))
+        except (ValueError, OverflowError):  # not a number, NaN or infinite
+            weight = 0
+        if weight < 1:
+            raise GexfParseError(f"GEXF edge {edge.get('id', f'{src_id}->{dst_id}')!r} "
+                                 f"has weight {edge.get('weight')!r}, not a positive count")
         kind = InteractionKind.MENTION
         for attv in find_all(edge, "attvalue"):
             if attv.get("for") == "kind" and attv.get("value") in kinds:
@@ -257,15 +271,18 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
             edge.get("type", ""), default_directed
         )
         src, dst = id_to_handle[src_id], id_to_handle[dst_id]
-        if src == dst:
+        if src.value == dst.value:
             continue
+        handles.setdefault(src.value, src)
+        handles.setdefault(dst.value, dst)
         pairs = [(src, dst)] if directed else [(src, dst), (dst, src)]
         for s, d in pairs:
-            key = (s, d, kind)
-            edges[key] = edges.get(key, 0) + weight
+            key = (s.value, d.value, kind)
+            counts[key] = counts.get(key, 0) + weight
 
-    extra = [id_to_handle[i] for i in sorted(id_to_handle)]
-    return InteractionGraph(edges, extra_nodes=extra)
+    for i in sorted(id_to_handle):
+        handles.setdefault(id_to_handle[i].value, id_to_handle[i])
+    return InteractionGraph.interned(handles, counts)
 
 
 # --- rendering ---------------------------------------------------------------

@@ -5,6 +5,7 @@ they happen (without ``-s`` pytest shows them for failing tests only).
 """
 
 import functools
+import hashlib
 import json
 import math
 import random
@@ -370,6 +371,20 @@ def synthetic_corpus(path, n_records=10_000, n_accounts=1_400, seed=20170421):
             fh.write(json.dumps(row) + "\n")
 
 
+# SHA-256 of every artifact criterion 10 writes, so "byte-identical for a
+# fixed seed" holds across code changes, not only between two runs of one
+# tree. A change that alters output on purpose must update these digests
+# and explain in CHANGES.md why the bytes moved.
+CRITERION_10_SHA256 = {
+    "centrality.csv": "863368bff99ff0fd65a4f8bbf0f5ec25045806e2432f2b64bda44dfc71d5b89b",
+    "communities.csv": "cd64491b069f236e4cf5607ec9c394db8dc4b23ec6fec6c09f5c8952cec7a0cd",
+    "graph.gexf": "062e2b614b62d705f75b15611560c02770e5de04b7f2dbda1cd2a1d084f2a07c",
+    "layout.csv": "82cbbcc6da866f25469e400a46d0a0dfeb20e54ca2c5364420659d852febe862",
+    "report.json": "85546acbd63350b1873ad6e589cff0c584c8658c0e436e47851da6e47a0780ca",
+    "terms.csv": "8c64c03ea475645a22ebaca347c12088c54c1decb455b25354c26899188b83b6",
+}
+
+
 @criterion("10 end-to-end desk scale (10k records < 60 s, seed-reproducible)")
 def test_criterion_10_end_to_end(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
@@ -388,6 +403,12 @@ def test_criterion_10_end_to_end(tmp_path):
     assert report["corpus"]["n"] > 1000  # Barnes-Hut auto engages past 1000 nodes
     assert report["community"]["community_count"] >= 2
     assert len(report["top_accounts"]) == 13
+
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(first.iterdir())
+    }
+    assert digests == CRITERION_10_SHA256
 
     second = tmp_path / "run2"
     assert cli_main(args + ["--out", str(second)]) == 0

@@ -42,6 +42,10 @@ class TestExitCodes:
         ("report", "--iterations", "-5"),
         ("report", "--resolution", "-1"),
         ("centrality", "--teleport", "-1"),
+        ("centrality", "--top", "0"),
+        ("text", "--top", "0"),
+        ("report", "--top-accounts", "0"),
+        ("report", "--top-terms", "0"),
     ])
     def test_rejected_config_flag_is_usage_error(self, tmp_path, command, flag, value):
         # The input does not exist: the flag must fail before any input is read.
@@ -53,6 +57,29 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("node_b, weight, culprit", [
+        ('label="@"', "2.0", "'b'"),
+        ('label="@b"', "0.3", "'e0'"),
+        ('label="@b"', "nan", "'e0'"),
+    ])
+    def test_hostile_gexf_is_data_error(self, tmp_path, node_b, weight, culprit):
+        gexf = tmp_path / "graph.gexf"
+        gexf.write_text(
+            '<gexf xmlns="http://www.gexf.net/1.2draft" version="1.2">'
+            '<graph defaultedgetype="directed"><nodes>'
+            f'<node id="a" label="@a"/><node id="b" {node_b}/></nodes><edges>'
+            f'<edge id="e0" source="a" target="b" weight="{weight}"/>'
+            "</edges></graph></gexf>\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "snsgraph.cli", "communities",
+             "--input", str(gexf), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and culprit in proc.stderr
 
     def test_success_is_zero(self, tiny_corpus_path, tmp_path):
         assert run(["ingest", "--input", str(tiny_corpus_path),

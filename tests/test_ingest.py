@@ -66,6 +66,17 @@ class TestParseCorpus:
         with pytest.raises(OSError):
             parse_corpus(tmp_path / "missing.jsonl")
 
+    def test_non_utf8_line_is_diagnostic(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps(GOOD_LINE).encode()
+        bad = json.dumps(dict(GOOD_LINE, id="2", text="caf\u00e9"), ensure_ascii=False)
+        bad = bad.encode("latin-1")  # a lone 0xe9 byte
+        path.write_bytes(good + b"\n" + bad + b"\n" + good.replace(b'"1"', b'"3"') + b"\n")
+        records, diags = parse_corpus(path)
+        assert [r.id for r in records] == ["1", "3"]
+        assert [d.line_no for d in diags] == [2]
+        assert "UTF-8" in diags[0].reason
+
     def test_file_roundtrip(self, tmp_path):
         path = write_jsonl(tmp_path / "c.jsonl", [GOOD_LINE])
         records, _ = parse_corpus(path)
