@@ -4,22 +4,24 @@ Redaction is default-deny: every handle not on an explicit allowlist of
 public accounts is replaced by a placeholder before a report leaves the
 pipeline, leaving all numbers, orderings, and row counts untouched.
 
-GEXF export targets version 1.2 with directed weighted edges; community
-ids, eigenvector scores, and layout positions ride along as node
-attributes when available, and each edge keeps its interaction kind so an
-exported graph re-imports exactly. Reports render as machine-readable
-JSON or as fixed-column text tables, and echo the seeds and configuration
-that produced them so every number can be recomputed.
+GEXF 1.2 export writes directed weighted edges, each with its interaction
+kind, and community ids, eigenvector scores and layout positions as node
+attributes when given, as formatted text in chunks of bounded size. Import
+keeps only compact tuples from expat's callbacks and always reads UTF-8.
+Neither builds an element tree, and an exported graph re-imports exactly.
+Reports render as JSON or fixed-column text tables, and echo the seeds and
+configuration that produced them so every number can be recomputed.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import xml.etree.ElementTree as ET
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterator, Union
+from xml.parsers import expat
 
 from .collector import AlertEvent
 from .errors import GexfParseError
@@ -108,6 +110,17 @@ def redact(report: AnalysisReport, policy: RedactionPolicy) -> AnalysisReport:
 
 # --- GEXF --------------------------------------------------------------------
 
+_CHUNK = 1024  # nodes or edges formatted per write: bounds the writer's memory
+_DIRECTED = {"directed": True, "undirected": False}  # by an edge's type attribute
+
+
+def _escape(text: str) -> str:
+    """Escape an attribute value by ElementTree's table."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("\r", "&#13;").replace("\n", "&#10;")
+            .replace("\t", "&#09;"))
+
+
 def export_gexf(
     graph: InteractionGraph,
     sink: Union[str, Path, IO[str]],
@@ -116,96 +129,62 @@ def export_gexf(
     centrality: CentralityVector | None = None,
 ) -> None:
     """Write a GEXF 1.2 document with directed weighted kind-tagged edges."""
-    for name, mapping in (
-        ("positions", positions.positions if positions else None),
-        ("partition", partition.assignment if partition else None),
-        ("centrality", centrality.scores if centrality else None),
-    ):
-        if mapping is not None:
-            missing = [h for h in graph.nodes if h not in mapping]
-            if missing:
-                raise ValueError(
-                    f"{name} does not cover node {missing[0].display()}"
-                )
-
-    ET.register_namespace("", _GEXF_NS)
-    ET.register_namespace("viz", _VIZ_NS)
-    root = ET.Element(f"{{{_GEXF_NS}}}gexf", version="1.2")
-    graph_elem = ET.SubElement(
-        root, f"{{{_GEXF_NS}}}graph", defaultedgetype="directed"
-    )
-
-    node_attrs = ET.SubElement(
-        graph_elem, f"{{{_GEXF_NS}}}attributes", {"class": "node"}
-    )
-    if partition is not None:
-        ET.SubElement(
-            node_attrs,
-            f"{{{_GEXF_NS}}}attribute",
-            id="community", title="community", type="integer",
-        )
-    if centrality is not None:
-        ET.SubElement(
-            node_attrs,
-            f"{{{_GEXF_NS}}}attribute",
-            id="eigenvector", title="eigenvector", type="double",
-        )
-    edge_attrs = ET.SubElement(
-        graph_elem, f"{{{_GEXF_NS}}}attributes", {"class": "edge"}
-    )
-    ET.SubElement(
-        edge_attrs, f"{{{_GEXF_NS}}}attribute", id="kind", title="kind", type="string"
-    )
+    for name, mapping in (("positions", positions and positions.positions),
+                          ("partition", partition and partition.assignment),
+                          ("centrality", centrality and centrality.scores)):
+        missing = [h for h in graph.nodes if h not in mapping] if mapping is not None else []
+        if missing:
+            raise ValueError(f"{name} does not cover node {missing[0].display()}")
 
     core = graph.core
-    nodes_elem = ET.SubElement(graph_elem, f"{{{_GEXF_NS}}}nodes")
-    for handle in core.handles:
-        node = ET.SubElement(
-            nodes_elem, f"{{{_GEXF_NS}}}node", id=handle.value, label=handle.display()
-        )
-        values = []
-        if partition is not None:
-            values.append(("community", str(partition.assignment[handle])))
-        if centrality is not None:
-            values.append(("eigenvector", repr(centrality.scores[handle])))
-        if values:
-            attv = ET.SubElement(node, f"{{{_GEXF_NS}}}attvalues")
-            for key, val in values:
-                ET.SubElement(
-                    attv, f"{{{_GEXF_NS}}}attvalue", attrib={"for": key, "value": val}
-                )
-        if positions is not None:
-            x, y = positions.positions[handle]
-            ET.SubElement(
-                node, f"{{{_VIZ_NS}}}position", x=repr(x), y=repr(y), z="0.0"
-            )
-
-    edges_elem = ET.SubElement(graph_elem, f"{{{_GEXF_NS}}}edges")
-    values = [h.value for h in core.handles]
+    ids = [_escape(h.value) for h in core.handles]
     kinds = [k.value for k in core.kinds]
-    ordered = zip(
-        core.src.tolist(), core.dst.tolist(), core.kind.tolist(), core.weight.tolist()
+    attributes = [(key, kind, text) for key, kind, text, given in (
+        ("community", "integer", lambda h: partition.assignment[h], partition),
+        ("eigenvector", "double", lambda h: repr(centrality.scores[h]), centrality),
+    ) if given is not None]
+    declared = "".join(f'      <attribute id="{key}" title="{key}" type="{kind}" />\n'
+                       for key, kind, _ in attributes)
+    viz = f' xmlns:viz="{_VIZ_NS}"' if positions is not None and ids else ""
+    head = (
+        "<?xml version='1.0' encoding='utf-8'?>\n"
+        f'<gexf xmlns="{_GEXF_NS}"{viz} version="1.2">\n  <graph defaultedgetype="directed">\n'
+        + (f'    <attributes class="node">\n{declared}    </attributes>\n' if declared
+           else '    <attributes class="node" />\n')
+        + '    <attributes class="edge">\n'
+        '      <attribute id="kind" title="kind" type="string" />\n    </attributes>\n'
     )
-    for i, (src, dst, kind, weight) in enumerate(ordered):
-        edge = ET.SubElement(
-            edges_elem,
-            f"{{{_GEXF_NS}}}edge",
-            id=str(i), source=values[src], target=values[dst], weight=repr(float(weight)),
-        )
-        attv = ET.SubElement(edge, f"{{{_GEXF_NS}}}attvalues")
-        ET.SubElement(
-            attv,
-            f"{{{_GEXF_NS}}}attvalue",
-            attrib={"for": "kind", "value": kinds[kind]},
+
+    def nodes(lo: int, hi: int) -> Iterator[str]:
+        for handle, value in zip(core.handles[lo:hi], ids[lo:hi]):
+            inner = "".join(f'          <attvalue for="{key}" value="{text(handle)}" />\n'
+                            for key, _, text in attributes)
+            inner = f"        <attvalues>\n{inner}        </attvalues>\n" if inner else ""
+            if positions is not None:
+                inner += ('        <viz:position x="{!r}" y="{!r}" z="0.0" />\n'
+                          .format(*positions.positions[handle]))
+            tag = f'      <node id="{value}" label="@{value}"'
+            yield f"{tag}>\n{inner}      </node>\n" if inner else f"{tag} />\n"
+
+    def edges(lo: int, hi: int) -> Iterator[str]:
+        return (
+            f'      <edge id="{i}" source="{ids[s]}" target="{ids[d]}" weight="{float(w)!r}">\n'
+            f'        <attvalues>\n          <attvalue for="kind" value="{kinds[k]}" />\n'
+            "        </attvalues>\n      </edge>\n"
+            for i, s, d, k, w in zip(range(lo, hi), *(
+                a[lo:hi].tolist() for a in (core.src, core.dst, core.kind, core.weight)))
         )
 
-    ET.indent(root)
-    document = ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(document)
-    else:
-        sink.write(document)
+    named = isinstance(sink, (str, Path))
+    with open(sink, "w", encoding="utf-8") if named else nullcontext(sink) as fh:
+        fh.write(head)  # then at most _CHUNK nodes or edges per write
+        for name, rows, count in (("nodes", nodes, len(ids)), ("edges", edges, len(core.src))):
+            fh.write(f"    <{name}>\n" if count else f"    <{name} />\n")
+            for lo in range(0, count, _CHUNK):
+                fh.write("".join(rows(lo, lo + _CHUNK)))
+            if count:
+                fh.write(f"    </{name}>\n")
+        fh.write("  </graph>\n</gexf>\n")
 
 
 def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
@@ -213,70 +192,99 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
 
     Unknown attributes are ignored; edges without a kind default to
     mention; undirected edges become two directed edges of equal weight.
+    Only the first ``<graph>`` is read, edges may precede their nodes, and
+    node ids whose labels name one handle are a :class:`GexfParseError`.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return import_gexf(fh)
+    kinds = {k.value: k for k in InteractionKind}
+    default_directed: bool | None = None  # set by the first <graph>
+    nodes: list[tuple] = []  # (id, label) per <node> in the first <graph>
+    edges: list[tuple] = []  # (id, source, target, weight, directed) per <edge> there
+    edge_kinds: list[InteractionKind] = []  # the last valid kind attvalue under each
+    open_edges: list[int] = []
+    share = {}.setdefault  # one string object per distinct node id and weight
+    depth = graph_depth = 0  # graph_depth: depth of the first <graph> while open
+
+    def start(name, attrs):
+        nonlocal depth, graph_depth, default_directed
+        depth += 1
+        local = name.rpartition("}")[2]
+        if graph_depth:
+            if local == "edge":
+                open_edges.append(len(edges))
+                get = attrs.get
+                src, dst, weight = get("source"), get("target"), get("weight", "1")
+                directed = _DIRECTED.get(get("type"), default_directed)
+                edges.append((get("id"), share(src, src), share(dst, dst),
+                              share(weight, weight), directed))
+                edge_kinds.append(InteractionKind.MENTION)
+            elif local == "node":
+                nodes.append((attrs.get("id"), attrs.get("label")))
+            elif local == "attvalue" and open_edges and attrs.get("for") == "kind":
+                kind = kinds.get(attrs.get("value"))
+                for i in open_edges if kind else ():
+                    edge_kinds[i] = kind
+        elif depth == 1 and local != "gexf":
+            raise GexfParseError(f"not a GEXF document (root <{local}>)")
+        elif local == "graph" and default_directed is None:
+            default_directed = attrs.get("defaultedgetype", "directed") == "directed"
+            graph_depth = depth
+
+    def end(name):
+        nonlocal depth, graph_depth
+        if depth == graph_depth:
+            graph_depth = 0
+        elif graph_depth and name.rpartition("}")[2] == "edge":
+            open_edges.pop()
+        depth -= 1
+
+    parser = expat.ParserCreate(encoding="utf-8", namespace_separator="}")
+    parser.StartElementHandler, parser.EndElementHandler = start, end
     try:
-        tree = ET.parse(source)
-    except ET.ParseError as exc:
-        line, column = exc.position if exc.position else (None, None)
-        raise GexfParseError(f"malformed GEXF: {exc}", line=line, column=column) from exc
-
-    root = tree.getroot()
-    if root.tag.rsplit("}", 1)[-1] != "gexf":
-        raise GexfParseError(f"not a GEXF document (root <{root.tag}>)")
-
-    def find_all(elem, name):
-        return [e for e in elem.iter() if e.tag.rsplit("}", 1)[-1] == name]
-
-    graph_elems = find_all(root, "graph")
-    if not graph_elems:
+        with open(source, "rb") if isinstance(source, (str, Path)) else nullcontext(source) as fh:
+            while chunk := fh.read(1 << 16):
+                parser.Parse(chunk, False)
+            parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        raise GexfParseError(f"malformed GEXF: {exc}", line=exc.lineno, column=exc.offset) from exc
+    if default_directed is None:
         raise GexfParseError("GEXF document has no <graph> element")
-    graph_elem = graph_elems[0]
-    default_directed = graph_elem.get("defaultedgetype", "directed") == "directed"
 
     id_to_handle: dict[str, Handle] = {}
-    for node in find_all(graph_elem, "node"):
-        node_id = node.get("id")
+    for node_id, label in nodes:
         if node_id is None:
             raise GexfParseError("GEXF node without an id")
-        label = node.get("label") or node_id
+        label = label or node_id
         try:
             id_to_handle[node_id] = Handle(label if label.strip() else node_id)
         except ValueError:
             raise GexfParseError(f"GEXF node {node_id!r} has an empty handle {label!r}") from None
+    owner: dict[str, str] = {}
+    for node_id, handle in id_to_handle.items():
+        if owner.setdefault(handle.value, node_id) != node_id:
+            raise GexfParseError(f"GEXF nodes {owner[handle.value]!r} and {node_id!r} "
+                                 f"both name {handle.display()}")
 
-    kinds = {k.value: k for k in InteractionKind}
     handles: dict[str, Handle] = {}
     counts: dict[ValueEdge, int] = {}
-    for edge in find_all(graph_elem, "edge"):
-        src_id, dst_id = edge.get("source"), edge.get("target")
+    for (edge_id, src_id, dst_id, raw_weight, directed), kind in zip(edges, edge_kinds):
         if src_id is None or dst_id is None:
             raise GexfParseError("GEXF edge without source/target")
         if src_id not in id_to_handle or dst_id not in id_to_handle:
             raise GexfParseError(f"GEXF edge references unknown node {src_id!r}/{dst_id!r}")
         try:
-            weight = round(float(edge.get("weight", "1")))
+            weight = round(float(raw_weight))
         except (ValueError, OverflowError):  # not a number, NaN or infinite
             weight = 0
         if weight < 1:
-            raise GexfParseError(f"GEXF edge {edge.get('id', f'{src_id}->{dst_id}')!r} "
-                                 f"has weight {edge.get('weight')!r}, not a positive count")
-        kind = InteractionKind.MENTION
-        for attv in find_all(edge, "attvalue"):
-            if attv.get("for") == "kind" and attv.get("value") in kinds:
-                kind = kinds[attv.get("value")]
-        directed = {"directed": True, "undirected": False}.get(
-            edge.get("type", ""), default_directed
-        )
+            edge_id = f"{src_id}->{dst_id}" if edge_id is None else edge_id
+            raise GexfParseError(f"GEXF edge {edge_id!r} "
+                                 f"has weight {raw_weight!r}, not a positive count")
         src, dst = id_to_handle[src_id], id_to_handle[dst_id]
         if src.value == dst.value:
             continue
-        handles.setdefault(src.value, src)
-        handles.setdefault(dst.value, dst)
-        pairs = [(src, dst)] if directed else [(src, dst), (dst, src)]
-        for s, d in pairs:
+        for s, d in ((src, dst),) if directed else ((src, dst), (dst, src)):
+            handles.setdefault(s.value, s)
+            handles.setdefault(d.value, d)
             key = (s.value, d.value, kind)
             counts[key] = counts.get(key, 0) + weight
 
@@ -324,16 +332,8 @@ def report_from_json(text: str) -> AnalysisReport:
     obj = json.loads(text)
     from .ingest import parse_rfc3339
 
-    alerts = tuple(
-        AlertEvent(
-            metric=a["metric"],
-            bucket=parse_rfc3339(a["bucket"]),
-            observed=a["observed"],
-            rolling_mean=a["rolling_mean"],
-            rolling_std=a["rolling_std"],
-            z_score=a["z_score"],
-        )
-        for a in obj.get("alerts", [])
+    alerts = tuple(  # the inverse of AlertEvent.to_dict
+        AlertEvent(**{**a, "bucket": parse_rfc3339(a["bucket"])}) for a in obj.get("alerts", [])
     )
     return AnalysisReport(
         record_count=obj["corpus"]["records"],

@@ -62,6 +62,7 @@ class TestExitCodes:
         ('label="@"', "2.0", "'b'"),
         ('label="@b"', "0.3", "'e0'"),
         ('label="@b"', "nan", "'e0'"),
+        ('label="A"', "1.0", "nodes 'a' and 'b' both name @a"),
     ])
     def test_hostile_gexf_is_data_error(self, tmp_path, node_b, weight, culprit):
         gexf = tmp_path / "graph.gexf"
@@ -80,6 +81,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and culprit in proc.stderr
+
+    def test_undecodable_gexf_is_data_error(self, tmp_path):
+        gexf = tmp_path / "bad.gexf"
+        gexf.write_bytes(b'<gexf version="1.2"><graph><nodes><node id="a" label="\xff"/>'
+                         b"</nodes></graph></gexf>\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "snsgraph.cli", "communities",
+             "--input", str(gexf), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(
+            "error: malformed GEXF: not well-formed (invalid token): line 1, column 54"
+        )
 
     def test_success_is_zero(self, tiny_corpus_path, tmp_path):
         assert run(["ingest", "--input", str(tiny_corpus_path),
