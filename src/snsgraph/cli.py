@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +29,8 @@ from .centrality import (
 from .collector import (
     CollectorConfig,
     DeviationConfig,
-    bucketize,
+    bucket_series,
+    bucketize,  # noqa: F401
     detect_deviation,
     run_collector,
 )
@@ -47,7 +48,8 @@ from .report import (
     render_report,
 )
 from .seeds import derive_seed, global_seed_from_env
-from .textmine import load_lexicon, sentiment, term_stats, top_terms
+# bucketize, sentiment and term_stats go unused here: perfbench/traced.py wraps these names
+from .textmine import load_lexicon, sentiment, term_stats, text_pass, top_terms  # noqa: F401
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -92,19 +94,16 @@ def _topic_from(arg: str | None) -> TopicFilter | None:
 
 def _read_handle_lines(path: str) -> frozenset[Handle]:
     handles = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    # Undecodable bytes become lone surrogates, which Handle rejects.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if line and not line.startswith("#"):
-                handles.add(Handle(line))
+                try:
+                    handles.add(Handle(line))
+                except ValueError as exc:
+                    raise AnalyticsError(f"{path}: line {line_no}: {exc}") from None
     return frozenset(handles)
-
-
-def _read_stopwords(path: str | None) -> set[str] | None:
-    if not path:
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return {ln.strip().lower() for ln in fh if ln.strip()}
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -241,25 +240,33 @@ def _cmd_centrality(args) -> int:
     return 0
 
 
+def _text_stage(records, files, top: int, order: str):
+    """The text stage of `text` and `report`: :func:`text_pass` and the top terms.
+    ``files`` (flags or a PipelineConfig) has stopwords/lexicon_pos/lexicon_neg."""
+    stopwords = lexicon = None
+    if files.stopwords:
+        with open(files.stopwords, "r", encoding="utf-8") as fh:
+            stopwords = {ln.strip().lower() for ln in fh if ln.strip()}
+    if files.lexicon_pos and files.lexicon_neg:
+        lexicon = load_lexicon(files.lexicon_pos, files.lexicon_neg)
+    stats, summaries = text_pass(records, stopwords, lexicon)
+    return stats, top_terms(stats, top, order=order), summaries
+
+
 def _cmd_text(args) -> int:
     top = _top_flag("--top", args.top)
     records = _load_corpus(args)
-    stats = term_stats(records, stopwords=_read_stopwords(args.stopwords))
-    ranked = top_terms(stats, top, order=args.order)
+    stats, ranked, summaries = _text_stage(records, args, top, args.order)
     out = Path(args.out)
     _write_terms(out, ranked)
-    if args.lexicon_pos and args.lexicon_neg:
-        lexicon = load_lexicon(args.lexicon_pos, args.lexicon_neg)
-        summaries = [sentiment(r.text, lexicon) for r in records]
+    if summaries is not None:
         scored = [s for s in summaries if not s.neutral]
         overall = {
             "records": len(records),
             "scored_records": len(scored),
             "positive_hits": sum(s.positive_hits for s in summaries),
             "negative_hits": sum(s.negative_hits for s in summaries),
-            "mean_score": (
-                sum(s.score for s in scored) / len(scored) if scored else 0.0
-            ),
+            "mean_score": sum(s.score for s in scored) / len(scored) if scored else 0.0,
         }
         with open(out / "sentiment.json", "w", encoding="utf-8") as fh:
             json.dump(overall, fh, indent=2)
@@ -343,25 +350,15 @@ def run_report_pipeline(config: PipelineConfig) -> AnalysisReport:
     partition = louvain(graph, config.louvain)
     result = eigenvector_centrality(graph, config.power)
     ranking = top_k(result.vector, config.top_accounts)
-    terms = term_stats(records, stopwords=_read_stopwords(config.stopwords))
-    ranked_terms = top_terms(terms, config.top_terms, order=config.term_order)
+    _, ranked_terms, summaries = _text_stage(records, config, config.top_terms, config.term_order)
+    scores = None if summaries is None else [s.score for s in summaries]
+    volume, mean = bucket_series(records, config.deviation.bucket_seconds, scores)
+    del summaries, scores  # per record: not kept past bucketing
     frame = run_layout(graph, config.layout)
 
-    lexicon = None
-    if config.lexicon_pos and config.lexicon_neg:
-        lexicon = load_lexicon(config.lexicon_pos, config.lexicon_neg)
-    alerts = detect_deviation(
-        bucketize(records, config.deviation), config.deviation
-    )
-    if lexicon is not None:
-        sent_dev = DeviationConfig(
-            metric="mean_sentiment",
-            window=config.deviation.window,
-            z_threshold=config.deviation.z_threshold,
-            sigma_floor=config.deviation.sigma_floor,
-            bucket_seconds=config.deviation.bucket_seconds,
-        )
-        alerts = alerts + detect_deviation(bucketize(records, sent_dev, lexicon), sent_dev)
+    alerts = detect_deviation(volume, config.deviation)
+    if mean is not None:
+        alerts += detect_deviation(mean, replace(config.deviation, metric="mean_sentiment"))
         alerts.sort(key=lambda a: (a.bucket, a.metric))
 
     report = AnalysisReport(
@@ -371,9 +368,7 @@ def run_report_pipeline(config: PipelineConfig) -> AnalysisReport:
         modularity_q=partition.modularity_q,
         community_count=partition.community_count,
         top_accounts=tuple((h.display(), s) for h, s in ranking),
-        top_terms=tuple(
-            (t.term, t.mention_count, t.salience) for t in ranked_terms
-        ),
+        top_terms=tuple((t.term, t.mention_count, t.salience) for t in ranked_terms),
         alerts=tuple(alerts),
         metadata={
             **config.echo,

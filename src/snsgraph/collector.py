@@ -16,13 +16,10 @@ divides cleanly.
 
 from __future__ import annotations
 
-import email.utils
 import json
 import re
 import statistics
 import time
-import urllib.error
-import urllib.request
 import xml.etree.ElementTree as ET
 import zlib
 from dataclasses import dataclass, field
@@ -40,7 +37,7 @@ from .ingest import (
     record_to_dict,
 )
 from .model import Handle
-from .textmine import Lexicon, sentiment
+from .textmine import Lexicon, load_lexicon, sentiment
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
 
@@ -138,6 +135,8 @@ def _feed_records(text: str, fallback_ts: datetime) -> list[InteractionRecord]:
     elements and inline #tags so topic filters keep working on collected
     corpora.
     """
+    import email.utils  # imported here: CLI start-up would pay for it
+
     root = ET.fromstring(text)
     rootname = _local_name(root.tag)
 
@@ -193,22 +192,13 @@ def _feed_records(text: str, fallback_ts: datetime) -> list[InteractionRecord]:
             if _local_name(c.tag) == "category" and c.text and c.text.strip()
         ]
         tags += [t.lower() for t in _HASHTAG_RE.findall(text_joined)]
-        seen: dict[str, None] = {}
-        for t in tags:
-            seen.setdefault(t)
-        records.append(
-            InteractionRecord(
-                id=rid,
-                author=author,
-                text=text_joined,
-                timestamp=ts,
-                hashtags=tuple(seen),
-            )
-        )
+        records.append(InteractionRecord(rid, author, text_joined, ts, tuple(dict.fromkeys(tags))))
     return records
 
 
 def _fetch_url(location: str, timeout: float = 30.0) -> str:
+    import urllib.request  # imported here: CLI start-up would pay for it
+
     with urllib.request.urlopen(location, timeout=timeout) as response:
         return response.read().decode("utf-8", errors="replace")
 
@@ -254,7 +244,7 @@ def poll_source(
                     diagnostics.append(
                         SourceDiagnostic(spec.id, f"line {line_no}: {exc}")
                     )
-    except (OSError, urllib.error.URLError) as exc:
+    except OSError as exc:  # urllib's URLError included
         diagnostics.append(
             SourceDiagnostic(spec.id, f"unreachable: {exc}", retryable=True)
         )
@@ -400,40 +390,46 @@ def read_records(source: Union[str, Path, IO[str]], format: str) -> list[OutputR
 
 # --- deviation notification --------------------------------------------------
 
+def bucket_series(
+    records: Iterable[OutputRecord | InteractionRecord], bucket_seconds: float,
+    scores: Sequence[float] | None = None,
+) -> tuple[list[tuple[datetime, float]], list[tuple[datetime, float]] | None]:
+    """Record volume and, given one score per record, mean score (else ``None``)
+    per fixed-width time bucket, in one pass over the records. Gaps between
+    the first and last bucket are zero-filled so silence is observable."""
+    width = timedelta(seconds=bucket_seconds)
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    index: dict[datetime, int] = {}  # the bucket of each distinct timestamp
+    counts: dict[int, int] = {}
+    sums: dict[int, float] = {}
+    for i, item in enumerate(records):
+        ts = (item.payload if isinstance(item, OutputRecord) else item).timestamp
+        if (bucket := index.get(ts)) is None:
+            bucket = index[ts] = int((ts - epoch) // width)
+        counts[bucket] = counts.get(bucket, 0) + 1
+        if scores is not None:
+            sums[bucket] = sums.get(bucket, 0.0) + scores[i]
+    buckets = range(min(counts), max(counts) + 1) if counts else range(0)
+    volume = [(epoch + b * width, float(counts.get(b, 0))) for b in buckets]
+    mean = None if scores is None else [
+        (ts, sums[b] / counts[b] if b in counts else 0.0) for (ts, _), b in zip(volume, buckets)]
+    return volume, mean
+
+
 def bucketize(
     records: Iterable[OutputRecord | InteractionRecord],
     config: DeviationConfig,
     lexicon: Lexicon | None = None,
 ) -> list[tuple[datetime, float]]:
-    """Aggregate records into fixed-width time buckets of the chosen metric.
-
-    Volume counts records per bucket; mean_sentiment averages the lexicon
-    score (and requires a lexicon). Gaps between the first and last bucket
-    are filled with zero so silence is observable.
-    """
-    if config.metric == "mean_sentiment" and lexicon is None:
+    """Records per fixed-width time bucket (volume) or their mean lexicon
+    score (mean_sentiment, which needs a lexicon); see :func:`bucket_series`."""
+    if config.metric == "volume":
+        return bucket_series(records, config.bucket_seconds)[0]
+    if lexicon is None:
         raise ValueError("mean_sentiment bucketing needs a lexicon")
-    width = timedelta(seconds=config.bucket_seconds)
-    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for item in records:
-        payload = item.payload if isinstance(item, OutputRecord) else item
-        bucket = int((payload.timestamp - epoch) // width)
-        counts[bucket] = counts.get(bucket, 0) + 1
-        if config.metric == "mean_sentiment":
-            sums[bucket] = sums.get(bucket, 0.0) + sentiment(payload.text, lexicon).score
-    if not counts:
-        return []
-    series = []
-    for b in range(min(counts), max(counts) + 1):
-        ts = epoch + b * width
-        if config.metric == "volume":
-            series.append((ts, float(counts.get(b, 0))))
-        else:
-            n = counts.get(b, 0)
-            series.append((ts, (sums.get(b, 0.0) / n) if n else 0.0))
-    return series
+    payloads = [item.payload if isinstance(item, OutputRecord) else item for item in records]
+    scores = [sentiment(p.text, lexicon).score for p in payloads]
+    return bucket_series(payloads, config.bucket_seconds, scores)[1]
 
 
 def detect_deviation(
@@ -539,8 +535,6 @@ def run_collector(
     ``max_cycles`` rounds have run (or forever). All sources feed one
     serialized sink writer, so records never interleave mid-line.
     """
-    from .textmine import load_lexicon
-
     stats = CollectorRunStats()
     states = {spec.id: SourceState() for spec in config.sources}
     lexicon = None

@@ -7,20 +7,26 @@ Corpora are JSON-lines files, one interaction record per line:
      "timestamp": "2017-04-21T12:00:00Z"}
 
 ``follows`` is optional; unknown extra fields are ignored so richer crawls
-stay readable. Malformed lines, including lines that are not valid UTF-8,
-are skipped and reported as diagnostics instead of aborting the run.
+stay readable. One parse builds each distinct raw handle, timestamp and tag
+once. Malformed lines (not valid UTF-8, a handle holding a code point XML
+1.0 forbids, a string field holding a lone surrogate such as JSON's
+``"\\ud800"``) are skipped and reported as diagnostics, not fatal.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Callable, Iterable, Union
 
 from .errors import EmptyCorpusError
 from .model import Handle, InteractionGraph, InteractionKind, ValueEdge
+
+_SURROGATE = re.compile("[\ud800-\udfff]")  # JSON's "\\ud800" decodes to one
 
 
 def parse_rfc3339(value: str) -> datetime:
@@ -44,7 +50,7 @@ def format_rfc3339(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionRecord:
     """One authored post and the interactions it encodes."""
 
@@ -85,9 +91,6 @@ class TopicFilter:
     def of(cls, *tags: str) -> "TopicFilter":
         return cls(frozenset(tags))
 
-    def matches(self, record: InteractionRecord) -> bool:
-        return any(tag in self.tags for tag in record.hashtags)
-
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -110,32 +113,34 @@ def _normalize_tag(tag) -> str:
     return str(tag).strip().lstrip("#").lower()
 
 
+def record_reader() -> Callable[[dict], InteractionRecord]:
+    """A :func:`record_from_dict` that, while kept, interns raw handle ->
+    :class:`Handle`, raw timestamp -> ``datetime`` and raw tag -> normalized
+    tag. A value that fails to parse is not cached: it raises every time."""
+    handle, stamp, tag = map(lru_cache(maxsize=None), (Handle, parse_rfc3339, _normalize_tag))
+
+    def read(obj: dict) -> InteractionRecord:
+        if not isinstance(obj, dict):
+            raise ValueError("record must be a JSON object")
+        for key in ("id", "author", "timestamp"):
+            if key not in obj or obj[key] is None:
+                raise ValueError(f"missing required field {key!r}")
+        rid = str(obj["id"])
+        author = handle(str(obj["author"]))
+        text = str(obj.get("text", "") or "")
+        ts = stamp(str(obj["timestamp"]))
+        hashtags = tuple([t for t in map(tag, map(str, obj.get("hashtags") or ())) if t])
+        in_reply_to = handle(str(reply)) if (reply := obj.get("in_reply_to")) else None
+        mentions = tuple(map(handle, map(str, obj.get("mentions") or ())))
+        follows = tuple(map(handle, map(str, obj.get("follows") or ())))
+        return InteractionRecord(rid, author, text, ts, hashtags, in_reply_to, mentions, follows)
+
+    return read
+
+
 def record_from_dict(obj: dict) -> InteractionRecord:
     """Build a record from one decoded JSON object. Raises on bad shape."""
-    if not isinstance(obj, dict):
-        raise ValueError("record must be a JSON object")
-    for key in ("id", "author", "timestamp"):
-        if key not in obj or obj[key] is None:
-            raise ValueError(f"missing required field {key!r}")
-    rid = str(obj["id"])
-    author = Handle(str(obj["author"]))
-    text = str(obj.get("text", "") or "")
-    ts = parse_rfc3339(str(obj["timestamp"]))
-    hashtags = tuple(_normalize_tag(t) for t in obj.get("hashtags") or [] if _normalize_tag(t))
-    reply_raw = obj.get("in_reply_to")
-    in_reply_to = Handle(str(reply_raw)) if reply_raw else None
-    mentions = tuple(Handle(str(m)) for m in obj.get("mentions") or [])
-    follows = tuple(Handle(str(f)) for f in obj.get("follows") or [])
-    return InteractionRecord(
-        id=rid,
-        author=author,
-        text=text,
-        timestamp=ts,
-        hashtags=hashtags,
-        in_reply_to=in_reply_to,
-        mentions=mentions,
-        follows=follows,
-    )
+    return record_reader()(obj)
 
 
 def record_to_dict(record: InteractionRecord) -> dict:
@@ -172,6 +177,7 @@ def parse_corpus(
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return parse_corpus(fh, format=format)
 
+    read = record_reader()
     records: list[InteractionRecord] = []
     diagnostics: list[ParseDiagnostic] = []
     for line_no, line in enumerate(source, start=1):
@@ -181,8 +187,11 @@ def parse_corpus(
         try:
             if not stripped.isascii():
                 stripped.encode("utf-8")
-            obj = json.loads(stripped)
-            records.append(record_from_dict(obj))
+            record = read(json.loads(stripped))
+            if "\\u" in stripped and (bad := _SURROGATE.search(
+                    "".join((record.id, record.text, *record.hashtags)))):
+                raise ValueError(f"lone surrogate U+{ord(bad.group()):04X} in a string field")
+            records.append(record)
         except UnicodeEncodeError as exc:
             diagnostics.append(ParseDiagnostic(line_no, f"not UTF-8 at column {exc.start + 1}"))
         except (json.JSONDecodeError, ValueError, TypeError) as exc:
@@ -206,7 +215,7 @@ def filter_topic(
     records: Iterable[InteractionRecord], topic: TopicFilter
 ) -> list[InteractionRecord]:
     """Keep records whose hashtag set intersects the filter, preserving order."""
-    return [r for r in records if topic.matches(r)]
+    return [r for r in records if not topic.tags.isdisjoint(r.hashtags)]
 
 
 def build_graph(

@@ -15,10 +15,14 @@ Graphs are immutable after construction and safe to share across threads;
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+
+# Code points XML 1.0 forbids: C0 controls but tab/LF/CR, surrogates, U+FFFE/F.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True, order=True)
@@ -27,6 +31,8 @@ class Handle:
 
     Handles compare case-insensitively by construction: the value is
     lowercased and a leading ``@`` is stripped. ``display()`` re-adds it.
+    A handle must be writable to GEXF, so code points XML 1.0 forbids are
+    rejected.
     """
 
     value: str
@@ -35,6 +41,8 @@ class Handle:
         normalized = self.value.strip().lstrip("@").lower()
         if not normalized:
             raise ValueError("handle must be non-empty")
+        if bad := _NOT_XML.search(normalized):
+            raise ValueError(f"handle holds U+{ord(bad.group()):04X}, which XML 1.0 forbids")
         object.__setattr__(self, "value", normalized)
 
     def display(self) -> str:

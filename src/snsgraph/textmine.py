@@ -44,7 +44,7 @@ class Lexicon:
     dropped_conflicts: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentSummary:
     positive_hits: int
     negative_hits: int
@@ -98,11 +98,9 @@ def load_lexicon(pos_source: WordSource, neg_source: WordSource) -> Lexicon:
     )
 
 
-def sentiment(text: str, lexicon: Lexicon) -> SentimentSummary:
-    """Count lexicon matches in the text and score their balance."""
-    pos = 0
-    neg = 0
-    for token in tokenize(text):
+def _sentiment(tokens: list[str], lexicon: Lexicon) -> SentimentSummary:
+    pos = neg = 0
+    for token in tokens:
         if token in lexicon.positive:
             pos += 1
         elif token in lexicon.negative:
@@ -112,22 +110,31 @@ def sentiment(text: str, lexicon: Lexicon) -> SentimentSummary:
     return SentimentSummary(pos, neg, (pos - neg) / (pos + neg), neutral=False)
 
 
-def term_stats(
-    corpus: Sequence[InteractionRecord], stopwords: Iterable[str] | None = None
-) -> list[TermStats]:
-    """Per-term mention counts and normalized salience over the corpus.
+def sentiment(text: str, lexicon: Lexicon) -> SentimentSummary:
+    """Count lexicon matches in the text and score their balance."""
+    return _sentiment(tokenize(text), lexicon)
 
-    Sorted by mention count descending, ties by term. Stopwords (empty by
-    default) are excluded from the vocabulary before normalization.
-    """
+
+def text_pass(
+    corpus: Sequence[InteractionRecord], stopwords: Iterable[str] | None = None,
+    lexicon: Lexicon | None = None,
+) -> tuple[list[TermStats], list[SentimentSummary] | None]:
+    """Per-term mention counts and normalized salience, sorted by count
+    descending, ties by term, with stopwords left out; and, given a lexicon,
+    every record's :func:`sentiment`. One tokenization per record."""
     if not corpus:
         raise EmptyCorpusError("term statistics need a non-empty corpus")
     stop = {w.lower() for w in stopwords} if stopwords else set()
 
     counts: dict[str, int] = {}
     doc_freq: dict[str, int] = {}
+    sentiments = None if lexicon is None else []
     for record in corpus:
-        tokens = [t for t in tokenize(record.text) if t not in stop]
+        tokens = tokenize(record.text)
+        if lexicon is not None:
+            sentiments.append(_sentiment(tokens, lexicon))
+        if stop:
+            tokens = [t for t in tokens if t not in stop]
         for token in tokens:
             counts[token] = counts.get(token, 0) + 1
         # dict.fromkeys, not set: float normalization later sums in this
@@ -152,7 +159,14 @@ def term_stats(
         for term in counts
     ]
     stats.sort(key=lambda s: (-s.mention_count, s.term))
-    return stats
+    return stats, sentiments
+
+
+def term_stats(
+    corpus: Sequence[InteractionRecord], stopwords: Iterable[str] | None = None
+) -> list[TermStats]:
+    """The term statistics of :func:`text_pass`."""
+    return text_pass(corpus, stopwords)[0]
 
 
 def top_terms(stats: Sequence[TermStats], k: int, order: str = "count") -> list[TermStats]:

@@ -1,10 +1,14 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import snsgraph
+import snsgraph.textmine
 from snsgraph.cli import main
 from snsgraph.report import import_gexf
 from snsgraph.seeds import derive_seed
@@ -63,6 +67,8 @@ class TestExitCodes:
         ('label="@b"', "0.3", "'e0'"),
         ('label="@b"', "nan", "'e0'"),
         ('label="A"', "1.0", "nodes 'a' and 'b' both name @a"),
+        ('label="a&#1;b"', "1.0", "reference to invalid character number"),
+        ('label="a&#xD800;b"', "1.0", "reference to invalid character number"),
     ])
     def test_hostile_gexf_is_data_error(self, tmp_path, node_b, weight, culprit):
         gexf = tmp_path / "graph.gexf"
@@ -96,6 +102,22 @@ class TestExitCodes:
         assert proc.stderr.startswith(
             "error: malformed GEXF: not well-formed (invalid token): line 1, column 54"
         )
+
+    def test_invalid_allowlist_handle_is_data_error(self, tiny_corpus_path, tmp_path, capsys):
+        allow = tmp_path / "allow.txt"
+        allow.write_text("# allowlisted\n@alice\n@\n")
+        assert run(["report", "--input", str(tiny_corpus_path), "--iterations", "5",
+                    "--redact-allowlist", str(allow), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {allow}: line 3: handle must be non-empty\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_allowlist_is_data_error(self, tiny_corpus_path, tmp_path, capsys):
+        allow = tmp_path / "allow.txt"
+        allow.write_bytes(b"alice\nb\xffb\n")
+        assert run(["report", "--input", str(tiny_corpus_path), "--iterations", "5",
+                    "--redact-allowlist", str(allow), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {allow}: line 2: handle holds U+DCFF")
 
     def test_success_is_zero(self, tiny_corpus_path, tmp_path):
         assert run(["ingest", "--input", str(tiny_corpus_path),
@@ -252,6 +274,92 @@ class TestReportPipeline:
         run(args + ["--out", str(second)])
         for path in sorted(first.iterdir()):
             assert path.read_bytes() == (second / path.name).read_bytes(), path.name
+
+
+class TestHostileCodePoints:
+    ROWS = [
+        {"id": "1", "author": "alice", "text": "vote #ge2017", "hashtags": ["ge2017"],
+         "mentions": ["bob"], "timestamp": "2017-04-21T10:00:00Z"},
+        {"id": "2", "author": "alice", "text": "x", "hashtags": ["ge2017"],
+         "mentions": ["a\u0001b"], "timestamp": "2017-04-21T10:01:00Z"},
+        {"id": "3", "author": "b\ud800", "text": "x", "hashtags": ["ge2017"],
+         "mentions": ["alice"], "timestamp": "2017-04-21T10:02:00Z"},
+        {"id": "4", "author": "carol", "text": "lone \udc00", "hashtags": ["ge2017"],
+         "mentions": ["alice"], "timestamp": "2017-04-21T10:03:00Z"},
+        {"id": "5", "author": "carol", "text": "ok", "hashtags": ["ge2017"],
+         "mentions": ["bob"], "timestamp": "2017-04-21T10:04:00Z"},
+    ]
+
+    def cli(self, *args):
+        return subprocess.run([sys.executable, "-m", "snsgraph.cli", *args],
+                              capture_output=True, text=True)
+
+    def test_ingest_output_reads_back(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", self.ROWS)
+        out = tmp_path / "out"
+        proc = self.cli("ingest", "--input", str(corpus), "--out", str(out))
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        warnings = proc.stderr.splitlines()
+        assert [w.split(":")[0] for w in warnings] == ["warning"] * 3
+        assert ["line 2", "line 3", "line 4"] == [w.split(": ")[1] for w in warnings]
+        proc = self.cli("communities", "--input", str(out / "graph.gexf"), "--out", str(out))
+        assert proc.returncode == 0 and proc.stderr == ""
+
+    def test_collect_once_warns_and_writes_its_sink(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", self.ROWS)
+        config = tmp_path / "collector.json"
+        config.write_text(json.dumps({
+            "sources": [{"id": "s1", "kind": "file", "location": str(corpus)}],
+            "sink": {"path": str(tmp_path / "sink.jsonl"), "format": "json"},
+        }))
+        proc = self.cli("collect", "--config", str(config), "--once")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert "diagnostic [s1]: line 4: lone surrogate U+DC00" in proc.stderr
+        sink = (tmp_path / "sink.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["id"] for line in sink] == ["1", "5"]
+
+
+class TestTextStage:
+    @pytest.mark.parametrize("command", ["report", "text"])
+    def test_one_tokenization_per_kept_record(self, command, tiny_corpus_path, tmp_path,
+                                              monkeypatch):
+        pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
+        pos.write_text("great\n")
+        neg.write_text("bad\n")
+        calls = []
+        tokenize = snsgraph.textmine.tokenize
+        monkeypatch.setattr(snsgraph.textmine, "tokenize",
+                            lambda text: calls.append(text) or tokenize(text))
+        extra = ["--iterations", "5"] if command == "report" else []
+        assert run([command, "--input", str(tiny_corpus_path), "--topic", "ge2017",
+                    "--lexicon-pos", str(pos), "--lexicon-neg", str(neg), *extra,
+                    "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 3  # the records tagged ge2017
+
+
+class TestStartup:
+    def test_cli_import_leaves_network_modules_unloaded(self):
+        probe = ("import sys, snsgraph.cli; "
+                 "print(sorted({'urllib.request', 'email.utils'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout == "[]\n"
+
+
+class TestBenchmarkHooks:
+    def test_traced_run_finds_every_name_it_wraps(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+        spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+        traced = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(traced)
+        original = snsgraph.cli.parse_corpus
+        tracer = traced.Tracer("t")
+        try:
+            traced.instrument(tracer, snsgraph)
+            assert snsgraph.cli.parse_corpus is not original
+        finally:
+            tracer.restore()
+        assert snsgraph.cli.parse_corpus is original
 
 
 class TestSeedDerivation:

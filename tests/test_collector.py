@@ -1,12 +1,23 @@
+"""Sources, emission, deviation alerts and the collector loop.
+
+``ref_bucketize`` below is the per-metric bucketing the one-pass
+``bucket_series`` replaced, kept verbatim apart from its ``ref_`` name and
+its sentiment scorer (the reference one of ``test_textmine``). The one pass
+must reproduce both of its series bit for bit.
+"""
+
 import http.server
 import io
 import json
 import statistics
+import subprocess
+import sys
 import threading
 from datetime import datetime, timedelta, timezone
+from typing import Iterable
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from snsgraph.collector import (
     CollectorConfig,
@@ -14,6 +25,7 @@ from snsgraph.collector import (
     OutputRecord,
     SourceSpec,
     SourceState,
+    bucket_series,
     bucketize,
     detect_deviation,
     emit,
@@ -23,10 +35,42 @@ from snsgraph.collector import (
     read_records,
     run_collector,
 )
+from snsgraph.ingest import InteractionRecord
 from snsgraph.model import Handle
-from snsgraph.textmine import Lexicon
+from snsgraph.textmine import Lexicon, text_pass
 
 from conftest import BASE_TS, make_record, write_jsonl
+from test_textmine import LEXICONS, TEXTS, ref_sentiment
+
+
+def ref_bucketize(
+    records: Iterable[OutputRecord | InteractionRecord],
+    config: DeviationConfig,
+    lexicon: Lexicon | None = None,
+) -> list[tuple[datetime, float]]:
+    if config.metric == "mean_sentiment" and lexicon is None:
+        raise ValueError("mean_sentiment bucketing needs a lexicon")
+    width = timedelta(seconds=config.bucket_seconds)
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    sums: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    for item in records:
+        payload = item.payload if isinstance(item, OutputRecord) else item
+        bucket = int((payload.timestamp - epoch) // width)
+        counts[bucket] = counts.get(bucket, 0) + 1
+        if config.metric == "mean_sentiment":
+            sums[bucket] = sums.get(bucket, 0.0) + ref_sentiment(payload.text, lexicon).score
+    if not counts:
+        return []
+    series = []
+    for b in range(min(counts), max(counts) + 1):
+        ts = epoch + b * width
+        if config.metric == "volume":
+            series.append((ts, float(counts.get(b, 0))))
+        else:
+            n = counts.get(b, 0)
+            series.append((ts, (sums.get(b, 0.0) / n) if n else 0.0))
+    return series
 
 NOW = datetime(2020, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 now_fn = lambda: NOW
@@ -320,6 +364,44 @@ class TestBucketize:
 
     def test_empty_records(self):
         assert bucketize([], DeviationConfig()) == []
+
+
+def series_bits(series):
+    return [(ts, ts.utcoffset(), v.hex()) for ts, v in series]
+
+
+# Seconds from BASE_TS, some in one bucket, some far apart, some before the
+# epoch-aligned bucket edge; a few are written in a +01:00 offset.
+OFFSETS = st.sampled_from([0, 1, 59, 60, 61, 119, 3600, 7261, -1, -3601])
+ZONES = st.sampled_from([timezone.utc, timezone(timedelta(hours=1))])
+
+
+class TestBucketSeriesAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(OFFSETS, ZONES, TEXTS, st.booleans()), max_size=15),
+           LEXICONS.filter(lambda lex: lex is not None),
+           st.sampled_from([1.0, 30.0, 60.0, 90.5, 3600.0]))
+    def test_both_series_bit_for_bit(self, rows, lexicon, width):
+        records = []
+        for i, (offset, zone, text, wrapped) in enumerate(rows):
+            ts = (BASE_TS + timedelta(seconds=offset)).astimezone(zone)
+            record = InteractionRecord(str(i), Handle("a"), text, ts)
+            records.append(OutputRecord("s", NOW, record) if wrapped else record)
+        volume_config = DeviationConfig(metric="volume", bucket_seconds=width)
+        mean_config = DeviationConfig(metric="mean_sentiment", bucket_seconds=width)
+        want_volume = series_bits(ref_bucketize(records, volume_config))
+        want_mean = series_bits(ref_bucketize(records, mean_config, lexicon))
+        assert series_bits(bucketize(records, volume_config)) == want_volume
+        assert series_bits(bucketize(records, mean_config, lexicon)) == want_mean
+
+        volume, mean = bucket_series(records, width)
+        assert series_bits(volume) == want_volume and mean is None
+        if records:
+            payloads = [r.payload if isinstance(r, OutputRecord) else r for r in records]
+            scores = [s.score for s in text_pass(payloads, None, lexicon)[1]]
+            volume, mean = bucket_series(records, width, scores)
+            assert series_bits(volume) == want_volume
+            assert series_bits(mean) == want_mean
 
 
 class TestRunCollector:

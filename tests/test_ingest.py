@@ -1,12 +1,24 @@
+"""Corpus parsing, topic filtering and graph building.
+
+``ref_record_from_dict`` and ``ref_parse_corpus`` below are the parser the
+interning one replaced, kept verbatim apart from their ``ref_`` names. The
+interning parser must give equal records and equal diagnostics.
+"""
+
 import io
 import json
 import random
+from pathlib import Path
+from typing import IO, Union
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import snsgraph.ingest
 from snsgraph.errors import EmptyCorpusError
 from snsgraph.ingest import (
+    InteractionRecord,
+    ParseDiagnostic,
     TopicFilter,
     build_graph,
     filter_topic,
@@ -18,6 +30,178 @@ from snsgraph.ingest import (
 from snsgraph.model import Handle, InteractionKind
 
 from conftest import make_record, write_jsonl
+
+
+# --- reference parser -----------------------------------------------------------
+
+def _ref_normalize_tag(tag) -> str:
+    return str(tag).strip().lstrip("#").lower()
+
+
+def ref_record_from_dict(obj: dict) -> InteractionRecord:
+    """Build a record from one decoded JSON object. Raises on bad shape."""
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    for key in ("id", "author", "timestamp"):
+        if key not in obj or obj[key] is None:
+            raise ValueError(f"missing required field {key!r}")
+    rid = str(obj["id"])
+    author = Handle(str(obj["author"]))
+    text = str(obj.get("text", "") or "")
+    ts = parse_rfc3339(str(obj["timestamp"]))
+    hashtags = tuple(_ref_normalize_tag(t) for t in obj.get("hashtags") or []
+                     if _ref_normalize_tag(t))
+    reply_raw = obj.get("in_reply_to")
+    in_reply_to = Handle(str(reply_raw)) if reply_raw else None
+    mentions = tuple(Handle(str(m)) for m in obj.get("mentions") or [])
+    follows = tuple(Handle(str(f)) for f in obj.get("follows") or [])
+    return InteractionRecord(
+        id=rid,
+        author=author,
+        text=text,
+        timestamp=ts,
+        hashtags=hashtags,
+        in_reply_to=in_reply_to,
+        mentions=mentions,
+        follows=follows,
+    )
+
+
+def ref_parse_corpus(
+    source: Union[str, Path, IO[str]], format: str = "json-lines"
+) -> tuple[list[InteractionRecord], list[ParseDiagnostic]]:
+    if format != "json-lines":
+        raise ValueError(f"unsupported corpus format: {format!r}")
+    if isinstance(source, (str, Path)):
+        # Undecodable bytes become lone surrogates, caught per line below.
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            return ref_parse_corpus(fh, format=format)
+
+    records: list[InteractionRecord] = []
+    diagnostics: list[ParseDiagnostic] = []
+    for line_no, line in enumerate(source, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            if not stripped.isascii():
+                stripped.encode("utf-8")
+            obj = json.loads(stripped)
+            records.append(ref_record_from_dict(obj))
+        except UnicodeEncodeError as exc:
+            diagnostics.append(ParseDiagnostic(line_no, f"not UTF-8 at column {exc.start + 1}"))
+        except (json.JSONDecodeError, ValueError, TypeError) as exc:
+            diagnostics.append(ParseDiagnostic(line_no, str(exc)))
+    if not records:
+        raise EmptyCorpusError("corpus contains no well-formed records")
+    return records, diagnostics
+
+
+# Raw values chosen to collide after normalization, to fail, or both; the
+# reference accepts code points the new Handle rejects, so none appear here.
+HANDLES = ["alice", "@Alice", "ALICE", " alice ", "bob", "@bob", "@", "", "  ", 7, 7.0,
+           True, ["x"], {"k": 1}, "caf\u00e9"]
+STAMPS = ["2017-04-21T10:00:00Z", "2017-04-21T10:00:00z", "2017-04-21T11:00:00+01:00",
+          "2017-04-21T10:00:00", " 2017-04-21T10:01:00Z ", "2017-13-01T00:00:00Z",
+          "not a time", "", 12, ["2017"]]
+TAGS = ["GE2017", "#ge2017", " ge2017 ", "#", " ", "", "Brexit", 7, None, ["t"]]
+FIELD_VALUES = {
+    "id": st.one_of(st.sampled_from(["1", "2", "r1"]), st.integers(0, 3)),
+    "author": st.one_of(st.sampled_from(HANDLES), st.none()),
+    "text": st.one_of(st.text(max_size=12), st.none(), st.integers(0, 2)),
+    "hashtags": st.one_of(st.lists(st.sampled_from(TAGS), max_size=4), st.none(),
+                          st.sampled_from(["ge2017", 5])),
+    "in_reply_to": st.one_of(st.none(), st.sampled_from(HANDLES)),
+    "mentions": st.one_of(st.lists(st.sampled_from(HANDLES), max_size=3), st.none(),
+                          st.just(3)),
+    "follows": st.lists(st.sampled_from(HANDLES), max_size=2),
+    "timestamp": st.one_of(st.sampled_from(STAMPS), st.none()),
+}
+REQUIRED = ("id", "author", "timestamp")
+WHOLE = st.fixed_dictionaries(
+    {k: v for k, v in FIELD_VALUES.items() if k in REQUIRED},
+    optional={k: v for k, v in FIELD_VALUES.items() if k not in REQUIRED},
+).map(json.dumps)
+LINES = st.one_of(
+    WHOLE, WHOLE, WHOLE,
+    st.fixed_dictionaries({}, optional=FIELD_VALUES).map(json.dumps),
+    st.sampled_from(["{not json", "[1, 2]", '"record"', "null", "", "   ", "{}"]),
+)
+
+
+def parsed_or_error(parse, text):
+    try:
+        return parse(io.StringIO(text))
+    except EmptyCorpusError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(LINES, max_size=12), st.booleans())
+    def test_equal_records_and_diagnostics(self, lines, one_good):
+        # Most random lines fail; one good line makes the diagnostics count.
+        text = "".join(line + "\n" for line in lines + [json.dumps(GOOD_LINE)] * one_good)
+        assert parsed_or_error(parse_corpus, text) == parsed_or_error(ref_parse_corpus, text)
+
+    def test_every_failing_line_reported(self):
+        # A value that fails to parse is not interned: each line naming it
+        # gets its own diagnostic, as the reference gives.
+        rows = [GOOD_LINE, dict(GOOD_LINE, author="@"), dict(GOOD_LINE, timestamp="bad"),
+                dict(GOOD_LINE, author="@"), dict(GOOD_LINE, timestamp="bad")]
+        text = "".join(json.dumps(r) + "\n" for r in rows)
+        got = parse_corpus(io.StringIO(text))
+        assert got == ref_parse_corpus(io.StringIO(text))
+        assert [d.line_no for d in got[1]] == [2, 3, 4, 5]
+
+    def test_records_naming_one_handle_share_one_object(self):
+        rows = [dict(GOOD_LINE, id="1", author="Alice", mentions=["bob"]),
+                dict(GOOD_LINE, id="2", author="Alice", mentions=["bob"], in_reply_to="Alice"),
+                dict(GOOD_LINE, id="3", author="bob", follows=["Alice", "@alice"])]
+        (a, b, c), _ = parse_corpus(as_stream(rows))
+        assert a.author is b.author is b.in_reply_to is c.follows[0]
+        assert a.mentions[0] is b.mentions[0] is c.author
+        assert c.follows[1] == c.follows[0]  # another raw string, an equal handle
+        assert a.timestamp is b.timestamp is c.timestamp
+        assert a.hashtags[0] is b.hashtags[0]
+
+
+class TestHostileCodePoints:
+    @pytest.mark.parametrize("raw", ["a\u0001b", "a\ud800b", "\udfffa", "a\ufffe", "x\uffff"])
+    def test_handle_outside_xml_is_a_diagnostic(self, raw):
+        line = json.dumps(dict(GOOD_LINE, id="2", mentions=[raw]))
+        records, diags = parse_corpus(as_stream([GOOD_LINE, line]))
+        assert [r.id for r in records] == ["1"]
+        assert [d.line_no for d in diags] == [2]
+        assert "XML 1.0 forbids" in diags[0].reason
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", "r\ud800"), ("text", "hi \udc80 there"), ("hashtags", ["ge\ud83d"]),
+    ])
+    def test_lone_surrogate_in_a_string_field_is_a_diagnostic(self, field, value):
+        line = json.dumps({**GOOD_LINE, "id": "2", field: value})
+        assert "\\u" in line
+        records, diags = parse_corpus(as_stream([GOOD_LINE, line]))
+        assert [r.id for r in records] == ["1"]
+        assert [d.line_no for d in diags] == [2]
+        assert "lone surrogate" in diags[0].reason
+
+    def test_surrogate_pair_and_tab_are_kept(self):
+        line = json.dumps(dict(GOOD_LINE, text="\U0001f600\tok", author="a\tb"))
+        (record,), diags = parse_corpus(as_stream([line]))
+        assert diags == [] and record.text == "\U0001f600\tok"
+        assert record.author.value == "a\tb"
+
+    def test_lines_without_an_escape_skip_the_surrogate_check(self, monkeypatch):
+        calls = []
+
+        class Spy:
+            def search(self, text):
+                calls.append(text)
+
+        monkeypatch.setattr(snsgraph.ingest, "_SURROGATE", Spy())
+        parse_corpus(as_stream([GOOD_LINE, dict(GOOD_LINE, id="2", text="caf\u00e9")]))
+        assert len(calls) == 1  # json.dumps escapes the \u00e9 of line 2 only
 
 
 GOOD_LINE = {

@@ -1,21 +1,125 @@
+"""Tokenizing, sentiment, term statistics and the one-pass text stage.
+
+``ref_sentiment``, ``ref_term_stats`` and ``ref_text_aggregates`` below are
+the per-function code the one-pass ``text_pass`` replaced, kept verbatim
+apart from their ``ref_`` names (``ref_text_aggregates`` is the sentiment
+part of the old ``text`` subcommand). The one pass must reproduce them bit
+for bit.
+"""
+
 import io
+import json
 import math
 import random
+from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from snsgraph.cli import main
 from snsgraph.errors import EmptyCorpusError, LexiconError
+from snsgraph.ingest import InteractionRecord, write_corpus
 from snsgraph.textmine import (
     Lexicon,
+    SentimentSummary,
+    TermStats,
     load_lexicon,
     sentiment,
     term_stats,
+    text_pass,
     tokenize,
     top_terms,
 )
 
 from conftest import make_record
+
+
+# --- reference per-function code -------------------------------------------------
+
+def ref_sentiment(text: str, lexicon: Lexicon) -> SentimentSummary:
+    """Count lexicon matches in the text and score their balance."""
+    pos = 0
+    neg = 0
+    for token in tokenize(text):
+        if token in lexicon.positive:
+            pos += 1
+        elif token in lexicon.negative:
+            neg += 1
+    if pos + neg == 0:
+        return SentimentSummary(0, 0, 0.0, neutral=True)
+    return SentimentSummary(pos, neg, (pos - neg) / (pos + neg), neutral=False)
+
+
+def ref_term_stats(
+    corpus: Sequence[InteractionRecord], stopwords: Iterable[str] | None = None
+) -> list[TermStats]:
+    if not corpus:
+        raise EmptyCorpusError("term statistics need a non-empty corpus")
+    stop = {w.lower() for w in stopwords} if stopwords else set()
+
+    counts: dict[str, int] = {}
+    doc_freq: dict[str, int] = {}
+    for record in corpus:
+        tokens = [t for t in tokenize(record.text) if t not in stop]
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+        # dict.fromkeys, not set: float normalization later sums in this
+        # insertion order, which must not depend on hash randomization
+        for token in dict.fromkeys(tokens):
+            doc_freq[token] = doc_freq.get(token, 0) + 1
+
+    total_docs = len(corpus)
+    raw: dict[str, float] = {}
+    for term, df in doc_freq.items():
+        p = df / total_docs
+        raw[term] = 0.0 if p >= 1.0 else p * math.log(1.0 / p)
+    norm = sum(raw.values())
+
+    stats = [
+        TermStats(
+            term=term,
+            mention_count=counts[term],
+            doc_frequency=doc_freq[term],
+            salience=(raw[term] / norm) if norm > 0 else 0.0,
+        )
+        for term in counts
+    ]
+    stats.sort(key=lambda s: (-s.mention_count, s.term))
+    return stats
+
+
+def ref_text_aggregates(records, lexicon) -> dict:
+    summaries = [ref_sentiment(r.text, lexicon) for r in records]
+    scored = [s for s in summaries if not s.neutral]
+    overall = {
+        "records": len(records),
+        "scored_records": len(scored),
+        "positive_hits": sum(s.positive_hits for s in summaries),
+        "negative_hits": sum(s.negative_hits for s in summaries),
+        "mean_score": (
+            sum(s.score for s in scored) / len(scored) if scored else 0.0
+        ),
+    }
+    return overall
+
+
+def term_bits(stats):
+    return [(s.term, s.mention_count, s.doc_frequency, s.salience.hex()) for s in stats]
+
+
+WORDS = ["good", "great", "bad", "awful", "the", "a", "vote", "Vote", "VOTE", "rt",
+         "#GE2017", "@alice", "x_y", "caf\u00e9", "", "!!", "meh", "3"]
+TEXTS = st.lists(
+    st.tuples(st.sampled_from(WORDS), st.sampled_from([" ", ", ", "\n", "-", ""])),
+    max_size=10,
+).map(lambda parts: "".join(w + sep for w, sep in parts))
+LEXICONS = st.sampled_from([
+    None,
+    Lexicon(frozenset({"good", "great"}), frozenset({"bad", "awful"})),
+    Lexicon(frozenset({"good", "bad"}), frozenset({"bad", "awful"})),  # "bad" in both
+    Lexicon(frozenset({"vote"}), frozenset()),
+])
+STOPWORDS = st.sampled_from([None, set(), {"the", "a"}, {"THE", "Vote"}, ["rt", "3"]])
 
 
 class TestTokenize:
@@ -192,3 +296,59 @@ class TestTopTerms:
             top_terms(self._stats(), 0)
         with pytest.raises(ValueError):
             top_terms(self._stats(), 1, order="weird")
+
+
+class TestTextPassAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TEXTS, max_size=12), STOPWORDS, LEXICONS)
+    def test_terms_and_sentiments_bit_for_bit(self, texts, stopwords, lexicon):
+        corpus = [make_record(i, "a", text=t) for i, t in enumerate(texts)]
+        if not corpus:
+            with pytest.raises(EmptyCorpusError):
+                text_pass(corpus, stopwords, lexicon)
+            return
+        stats, sentiments = text_pass(corpus, stopwords, lexicon)
+        want = term_bits(ref_term_stats(corpus, stopwords))
+        assert term_bits(stats) == want
+        assert term_bits(term_stats(corpus, stopwords)) == want
+        if lexicon is None:
+            assert sentiments is None
+            return
+        ref = [ref_sentiment(r.text, lexicon) for r in corpus]
+        assert sentiments == ref
+        assert [s.score.hex() for s in sentiments] == [s.score.hex() for s in ref]
+
+    def test_text_command_aggregates(self, tmp_path):
+        texts = ["good vote", "bad bad good", "", "meh", "great awful", "GOOD!", "the"]
+        corpus = [make_record(i, "a", text=t) for i, t in enumerate(texts)]
+        write_corpus(corpus, tmp_path / "c.jsonl")
+        (tmp_path / "pos.txt").write_text("good\ngreat\n")
+        (tmp_path / "neg.txt").write_text("bad\nawful\n")
+        lexicon = load_lexicon(tmp_path / "pos.txt", tmp_path / "neg.txt")
+        assert main(["text", "--input", str(tmp_path / "c.jsonl"), "--stopwords",
+                     str(tmp_path / "pos.txt"), "--lexicon-pos", str(tmp_path / "pos.txt"),
+                     "--lexicon-neg", str(tmp_path / "neg.txt"), "--out", str(tmp_path)]) == 0
+        got = (tmp_path / "sentiment.json").read_text(encoding="utf-8")
+        assert got == json.dumps(ref_text_aggregates(corpus, lexicon), indent=2) + "\n"
+        terms = (tmp_path / "terms.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert terms == [f"{s.term},{s.mention_count},{s.salience!r}" for s in
+                         ref_term_stats(corpus, {"good", "great"})]
+
+    @given(TEXTS, LEXICONS.filter(lambda lex: lex is not None))
+    def test_sentiment_matches_reference(self, text, lexicon):
+        assert sentiment(text, lexicon) == ref_sentiment(text, lexicon)
+
+    def test_stopwords_leave_sentiment_alone(self):
+        corpus = [make_record(0, "a", text="the good the bad good")]
+        stats, (summary,) = text_pass(corpus, {"good"}, LEX)
+        assert [t.term for t in stats] == ["the", "bad"]
+        assert (summary.positive_hits, summary.negative_hits) == (2, 1)
+
+    def test_one_tokenization_per_record(self, monkeypatch):
+        import snsgraph.textmine as textmine
+
+        seen = []
+        monkeypatch.setattr(textmine, "tokenize", lambda text: seen.append(text) or tokenize(text))
+        corpus = [make_record(i, "a", text=f"good vote {i}") for i in range(5)]
+        text_pass(corpus, {"vote"}, LEX)
+        assert seen == [r.text for r in corpus]
