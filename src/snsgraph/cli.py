@@ -94,13 +94,17 @@ def _topic_from(arg: str | None) -> TopicFilter | None:
 
 def _read_handle_lines(path: str) -> frozenset[Handle]:
     handles = set()
-    # Undecodable bytes become lone surrogates, which Handle rejects.
+    # Undecodable bytes become lone surrogates, which fail to encode.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if line and not line.startswith("#"):
                 try:
+                    line.encode("utf-8")
                     handles.add(Handle(line))
+                except UnicodeEncodeError as exc:
+                    raise AnalyticsError(
+                        f"{path}: line {line_no}: not UTF-8 at column {exc.start + 1}") from None
                 except ValueError as exc:
                     raise AnalyticsError(f"{path}: line {line_no}: {exc}") from None
     return frozenset(handles)

@@ -31,6 +31,7 @@ from .errors import EmptyCorpusError, RecordParseError
 from .ingest import (
     InteractionRecord,
     format_rfc3339,
+    line_reader,
     parse_corpus,
     parse_rfc3339,
     record_from_dict,
@@ -237,9 +238,10 @@ def poll_source(
         else:  # http-json
             text = _fetch_url(spec.location)
             lines = [ln for ln in text.splitlines() if ln.strip()]
+            read = line_reader()
             for line_no, line in enumerate(lines, start=1):
                 try:
-                    records.append(record_from_dict(json.loads(line)))
+                    records.append(read(line))
                 except (json.JSONDecodeError, ValueError, TypeError) as exc:
                     diagnostics.append(
                         SourceDiagnostic(spec.id, f"line {line_no}: {exc}")
@@ -399,13 +401,11 @@ def bucket_series(
     the first and last bucket are zero-filled so silence is observable."""
     width = timedelta(seconds=bucket_seconds)
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    index: dict[datetime, int] = {}  # the bucket of each distinct timestamp
     counts: dict[int, int] = {}
     sums: dict[int, float] = {}
     for i, item in enumerate(records):
         ts = (item.payload if isinstance(item, OutputRecord) else item).timestamp
-        if (bucket := index.get(ts)) is None:
-            bucket = index[ts] = int((ts - epoch) // width)
+        bucket = int((ts - epoch) // width)
         counts[bucket] = counts.get(bucket, 0) + 1
         if scores is not None:
             sums[bucket] = sums.get(bucket, 0.0) + scores[i]

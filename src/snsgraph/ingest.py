@@ -7,9 +7,9 @@ Corpora are JSON-lines files, one interaction record per line:
      "timestamp": "2017-04-21T12:00:00Z"}
 
 ``follows`` is optional; unknown extra fields are ignored so richer crawls
-stay readable. One parse builds each distinct raw handle, timestamp and tag
-once. Malformed lines (not valid UTF-8, a handle holding a code point XML
-1.0 forbids, a string field holding a lone surrogate such as JSON's
+stay readable. One parse builds each distinct raw handle and tag once.
+Malformed lines (not valid UTF-8, a handle holding a code point XML 1.0
+forbids, a string field holding a lone surrogate such as JSON's
 ``"\\ud800"``) are skipped and reported as diagnostics, not fatal.
 """
 
@@ -113,34 +113,45 @@ def _normalize_tag(tag) -> str:
     return str(tag).strip().lstrip("#").lower()
 
 
-def record_reader() -> Callable[[dict], InteractionRecord]:
-    """A :func:`record_from_dict` that, while kept, interns raw handle ->
-    :class:`Handle`, raw timestamp -> ``datetime`` and raw tag -> normalized
-    tag. A value that fails to parse is not cached: it raises every time."""
-    handle, stamp, tag = map(lru_cache(maxsize=None), (Handle, parse_rfc3339, _normalize_tag))
-
-    def read(obj: dict) -> InteractionRecord:
-        if not isinstance(obj, dict):
-            raise ValueError("record must be a JSON object")
-        for key in ("id", "author", "timestamp"):
-            if key not in obj or obj[key] is None:
-                raise ValueError(f"missing required field {key!r}")
-        rid = str(obj["id"])
-        author = handle(str(obj["author"]))
-        text = str(obj.get("text", "") or "")
-        ts = stamp(str(obj["timestamp"]))
-        hashtags = tuple([t for t in map(tag, map(str, obj.get("hashtags") or ())) if t])
-        in_reply_to = handle(str(reply)) if (reply := obj.get("in_reply_to")) else None
-        mentions = tuple(map(handle, map(str, obj.get("mentions") or ())))
-        follows = tuple(map(handle, map(str, obj.get("follows") or ())))
-        return InteractionRecord(rid, author, text, ts, hashtags, in_reply_to, mentions, follows)
-
-    return read
+def _record(obj: dict, handle: Callable[[str], Handle],
+            tag: Callable[[str], str]) -> InteractionRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("record must be a JSON object")
+    for key in ("id", "author", "timestamp"):
+        if key not in obj or obj[key] is None:
+            raise ValueError(f"missing required field {key!r}")
+    rid = str(obj["id"])
+    author = handle(str(obj["author"]))
+    text = str(obj.get("text", "") or "")
+    ts = parse_rfc3339(str(obj["timestamp"]))
+    hashtags = tuple([t for t in map(tag, map(str, obj.get("hashtags") or ())) if t])
+    in_reply_to = handle(str(reply)) if (reply := obj.get("in_reply_to")) else None
+    mentions = tuple(map(handle, map(str, obj.get("mentions") or ())))
+    follows = tuple(map(handle, map(str, obj.get("follows") or ())))
+    return InteractionRecord(rid, author, text, ts, hashtags, in_reply_to, mentions, follows)
 
 
 def record_from_dict(obj: dict) -> InteractionRecord:
     """Build a record from one decoded JSON object. Raises on bad shape."""
-    return record_reader()(obj)
+    return _record(obj, Handle, _normalize_tag)
+
+
+def line_reader() -> Callable[[str], InteractionRecord]:
+    """A reader of JSON corpus lines that, while kept, interns raw handle ->
+    :class:`Handle` and raw tag -> normalized tag. A value that fails to
+    parse is not cached: it raises every time. A line whose ``id``, ``text``
+    or ``hashtags`` hold a lone surrogate raises ``ValueError``; only lines
+    holding a ``\\u`` escape can, so only they are searched."""
+    handle, tag = lru_cache(maxsize=None)(Handle), lru_cache(maxsize=None)(_normalize_tag)
+
+    def read(line: str) -> InteractionRecord:
+        record = _record(json.loads(line), handle, tag)
+        if "\\u" in line and (bad := _SURROGATE.search(
+                "".join((record.id, record.text, *record.hashtags)))):
+            raise ValueError(f"lone surrogate U+{ord(bad.group()):04X} in a string field")
+        return record
+
+    return read
 
 
 def record_to_dict(record: InteractionRecord) -> dict:
@@ -177,7 +188,7 @@ def parse_corpus(
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return parse_corpus(fh, format=format)
 
-    read = record_reader()
+    read = line_reader()
     records: list[InteractionRecord] = []
     diagnostics: list[ParseDiagnostic] = []
     for line_no, line in enumerate(source, start=1):
@@ -187,11 +198,7 @@ def parse_corpus(
         try:
             if not stripped.isascii():
                 stripped.encode("utf-8")
-            record = read(json.loads(stripped))
-            if "\\u" in stripped and (bad := _SURROGATE.search(
-                    "".join((record.id, record.text, *record.hashtags)))):
-                raise ValueError(f"lone surrogate U+{ord(bad.group()):04X} in a string field")
-            records.append(record)
+            records.append(read(stripped))
         except UnicodeEncodeError as exc:
             diagnostics.append(ParseDiagnostic(line_no, f"not UTF-8 at column {exc.start + 1}"))
         except (json.JSONDecodeError, ValueError, TypeError) as exc:

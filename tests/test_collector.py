@@ -205,6 +205,19 @@ class TestPollSource:
         finally:
             server.shutdown()
 
+    def test_http_json_lone_surrogate_is_diagnostic(self, tmp_path):
+        # The http-json source reads lines as parse_corpus does, so a lone
+        # surrogate (which no sink could encode) is reported, not kept.
+        rows = corpus_rows(2)
+        rows[1]["text"] = "bad \ud800 x"
+        path = write_jsonl(tmp_path / "c.jsonl", rows)
+        records, diags = poll_source(
+            SourceSpec(id="web", kind="http-json", location=path.as_uri()), now_fn=now_fn
+        )
+        assert [r.payload.id for r in records] == ["r0"]
+        assert [d.reason for d in diags] == [
+            "line 2: lone surrogate U+D800 in a string field"]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SourceSpec(id="s", kind="ftp", location="x")

@@ -162,7 +162,6 @@ class TestAgainstReference:
         assert a.author is b.author is b.in_reply_to is c.follows[0]
         assert a.mentions[0] is b.mentions[0] is c.author
         assert c.follows[1] == c.follows[0]  # another raw string, an equal handle
-        assert a.timestamp is b.timestamp is c.timestamp
         assert a.hashtags[0] is b.hashtags[0]
 
 
