@@ -10,76 +10,54 @@ interchange files.
 
 __version__ = "0.1.0"
 
-from .model import (
-    CentralityVector,
-    GraphCore,
-    GraphView,
-    Handle,
-    InteractionGraph,
-    InteractionKind,
-    Normalization,
-    Partition,
-    merge_kinds,
-    undirected_view,
-)
-from .ingest import (
-    IngestStats,
-    InteractionRecord,
-    ParseDiagnostic,
-    TopicFilter,
-    build_graph,
-    filter_topic,
-    parse_corpus,
-    write_corpus,
-)
-from .community import (
-    LouvainConfig,
-    MoveContext,
-    local_move_gain,
-    louvain,
-    louvain_trace,
-    modularity,
-)
-from .centrality import (
-    CentralityMode,
-    CentralityResult,
-    PowerIterationConfig,
-    eigenvector_centrality,
-    top_k,
-)
-from .textmine import (
-    Lexicon,
-    SentimentSummary,
-    TermStats,
-    load_lexicon,
-    sentiment,
-    term_stats,
-    tokenize,
-    top_terms,
-)
-from .layout import LayoutConfig, LayoutFrame, fa2_step, init_layout, run_layout
-from .collector import (
-    AlertEvent,
-    CollectorConfig,
-    DeviationConfig,
-    OutputRecord,
-    SourceSpec,
-    bucketize,
-    detect_deviation,
-    emit,
-    poll_source,
-    read_records,
-    run_collector,
-)
-from .report import (
-    AnalysisReport,
-    RedactionPolicy,
-    export_gexf,
-    import_gexf,
-    redact,
-    render_report,
-    report_from_json,
-)
-from .seeds import derive_seed
+# Each exported name and the module that defines it. Names and submodules
+# load on first use (PEP 562), so ``import snsgraph`` costs no stage module
+# and no numpy until a stage runs.
+_EXPORTS = {
+    "model": (
+        "CentralityVector", "GraphCore", "GraphView", "Handle", "InteractionGraph",
+        "InteractionKind", "Normalization", "Partition", "merge_kinds", "undirected_view",
+    ),
+    "ingest": (
+        "IngestStats", "InteractionRecord", "ParseDiagnostic", "TopicFilter", "build_graph",
+        "filter_topic", "parse_corpus", "write_corpus",
+    ),
+    "community": (
+        "LouvainConfig", "MoveContext", "local_move_gain", "louvain", "louvain_trace",
+        "modularity",
+    ),
+    "centrality": (
+        "CentralityMode", "CentralityResult", "PowerIterationConfig", "eigenvector_centrality",
+        "top_k",
+    ),
+    "textmine": (
+        "Lexicon", "SentimentSummary", "TermStats", "load_lexicon", "sentiment", "term_stats",
+        "text_pass", "tokenize", "top_terms",
+    ),
+    "layout": ("LayoutConfig", "LayoutFrame", "init_layout", "run_layout"),
+    "collector": (
+        "AlertEvent", "CollectorConfig", "DeviationConfig", "OutputRecord", "SourceSpec",
+        "bucket_series", "bucketize", "detect_deviation", "emit", "poll_source", "read_records",
+        "run_collector",
+    ),
+    "report": (
+        "AnalysisReport", "RedactionPolicy", "export_gexf", "import_gexf", "redact",
+        "render_report", "report_from_json",
+    ),
+    "seeds": ("derive_seed",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "errors"})
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value

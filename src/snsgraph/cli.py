@@ -20,36 +20,26 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .centrality import (
-    CentralityMode,
-    PowerIterationConfig,
-    eigenvector_centrality,
-    top_k,
-)
-from .collector import (
-    CollectorConfig,
-    DeviationConfig,
-    bucket_series,
-    bucketize,  # noqa: F401
-    detect_deviation,
-    run_collector,
-)
-from .community import LouvainConfig, louvain
 from .errors import AnalyticsError
-from .ingest import TopicFilter, build_graph, filter_topic, parse_corpus
-from .layout import LayoutConfig, run_layout
 from .model import Handle, Normalization
-from .report import (
-    AnalysisReport,
-    RedactionPolicy,
-    export_gexf,
-    import_gexf,
-    redact,
-    render_report,
-)
 from .seeds import derive_seed, global_seed_from_env
-# bucketize, sentiment and term_stats go unused here: perfbench/traced.py wraps these names
-from .textmine import load_lexicon, sentiment, term_stats, text_pass, top_terms  # noqa: F401
+
+# Stage names (``parse_corpus``, ``louvain``, ...) are not imported here: on
+# first lookup the module ``__getattr__`` takes each exported name from the
+# package, whose table imports only the defining module (PEP 562), so a
+# subcommand loads only the stages it runs; ``collect`` and ``text`` never
+# load numpy. Handlers look names up on this module (``_stage.louvain``), so
+# a name that perfbench/traced.py replaces here is the one that runs.
+_stage = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    package = sys.modules[__package__]
+    if name not in package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
+    return value
+
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -89,7 +79,7 @@ class PipelineConfig:
 def _topic_from(arg: str | None) -> TopicFilter | None:
     if not arg:
         return None
-    return TopicFilter(frozenset(t for t in arg.split(",") if t.strip()))
+    return _stage.TopicFilter(frozenset(t for t in arg.split(",") if t.strip()))
 
 
 def _read_handle_lines(path: str) -> frozenset[Handle]:
@@ -143,12 +133,12 @@ def _write_layout(out: Path, frame) -> None:
 
 
 def _load_corpus(args) -> list:
-    records, diagnostics = parse_corpus(args.input)
+    records, diagnostics = _stage.parse_corpus(args.input)
     for diag in diagnostics:
         print(f"warning: line {diag.line_no}: {diag.reason}", file=sys.stderr)
     topic = _topic_from(getattr(args, "topic", None))
     if topic is not None:
-        records = filter_topic(records, topic)
+        records = _stage.filter_topic(records, topic)
     return records
 
 
@@ -171,13 +161,13 @@ def _top_flag(flag: str, k: int) -> int:
 
 def _louvain_config(args) -> LouvainConfig:
     return _from_flags(
-        LouvainConfig, resolution=args.resolution, seed=derive_seed(args.seed, "louvain")
+        _stage.LouvainConfig, resolution=args.resolution, seed=derive_seed(args.seed, "louvain")
     )
 
 
 def _layout_config(args) -> LayoutConfig:
     return _from_flags(
-        LayoutConfig,
+        _stage.LayoutConfig,
         scaling_kr=args.scaling,
         gravity_kg=args.gravity,
         barnes_hut={"on": True, "off": False, "auto": None}[args.barnes_hut],
@@ -188,8 +178,8 @@ def _layout_config(args) -> LayoutConfig:
 
 def _power_config(args) -> PowerIterationConfig:
     return _from_flags(
-        PowerIterationConfig,
-        mode=CentralityMode(args.mode),
+        _stage.PowerIterationConfig,
+        mode=_stage.CentralityMode(args.mode),
         normalization=Normalization(args.normalize),
         teleport=args.teleport,
     )
@@ -197,9 +187,9 @@ def _power_config(args) -> PowerIterationConfig:
 
 def _graph_from_args(args):
     if args.input.endswith(".gexf"):
-        return import_gexf(args.input)
+        return _stage.import_gexf(args.input)
     records = _load_corpus(args)
-    graph, _ = build_graph(records)
+    graph, _ = _stage.build_graph(records)
     return graph
 
 
@@ -207,10 +197,10 @@ def _graph_from_args(args):
 
 def _cmd_ingest(args) -> int:
     records = _load_corpus(args)
-    graph, stats = build_graph(records)
+    graph, stats = _stage.build_graph(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    export_gexf(graph, out / "graph.gexf")
+    _stage.export_gexf(graph, out / "graph.gexf")
     with open(out / "ingest_stats.json", "w", encoding="utf-8") as fh:
         json.dump({"records": stats.records, "interactions": stats.interactions,
                    "self_loops_dropped": stats.self_loops_dropped,
@@ -224,7 +214,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_communities(args) -> int:
     config = _louvain_config(args)
     graph = _graph_from_args(args)
-    partition = louvain(graph, config)
+    partition = _stage.louvain(graph, config)
     _write_communities(Path(args.out), partition)
     print(f"Q={partition.modularity_q:.6f} communities={partition.community_count}")
     return 0
@@ -234,8 +224,8 @@ def _cmd_centrality(args) -> int:
     config = _power_config(args)
     top = _top_flag("--top", args.top)
     graph = _graph_from_args(args)
-    result = eigenvector_centrality(graph, config)
-    ranking = top_k(result.vector, top)
+    result = _stage.eigenvector_centrality(graph, config)
+    ranking = _stage.top_k(result.vector, top)
     _write_centrality(Path(args.out), ranking)
     if not result.converged:
         print(f"warning: power iteration did not converge in {result.iterations} "
@@ -252,9 +242,9 @@ def _text_stage(records, files, top: int, order: str):
         with open(files.stopwords, "r", encoding="utf-8") as fh:
             stopwords = {ln.strip().lower() for ln in fh if ln.strip()}
     if files.lexicon_pos and files.lexicon_neg:
-        lexicon = load_lexicon(files.lexicon_pos, files.lexicon_neg)
-    stats, summaries = text_pass(records, stopwords, lexicon)
-    return stats, top_terms(stats, top, order=order), summaries
+        lexicon = _stage.load_lexicon(files.lexicon_pos, files.lexicon_neg)
+    stats, summaries = _stage.text_pass(records, stopwords, lexicon)
+    return stats, _stage.top_terms(stats, top, order=order), summaries
 
 
 def _cmd_text(args) -> int:
@@ -284,15 +274,15 @@ def _cmd_text(args) -> int:
 def _cmd_layout(args) -> int:
     config = _layout_config(args)
     graph = _graph_from_args(args)
-    frame = run_layout(graph, config)
+    frame = _stage.run_layout(graph, config)
     _write_layout(Path(args.out), frame)
     print(f"iterations={frame.iteration} nodes={len(frame.positions)}")
     return 0
 
 
 def _cmd_collect(args) -> int:
-    config = CollectorConfig.load(args.config)
-    stats = run_collector(config, once=args.once)
+    config = _stage.CollectorConfig.load(args.config)
+    stats = _stage.run_collector(config, once=args.once)
     for diag in stats.diagnostics:
         kind = "retryable" if diag.retryable else "diagnostic"
         print(f"{kind} [{diag.source_id}]: {diag.reason}", file=sys.stderr)
@@ -316,10 +306,10 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
         power=_power_config(args),
         layout=_layout_config(args),
         deviation=_from_flags(
-            DeviationConfig,
+            _stage.DeviationConfig,
             window=args.deviation_window, bucket_seconds=args.bucket_seconds,
         ),
-        redaction=RedactionPolicy(allowlist=allowlist),
+        redaction=_stage.RedactionPolicy(allowlist=allowlist),
         report_format=args.format,
         top_accounts=_top_flag("--top-accounts", args.top_accounts),
         top_terms=_top_flag("--top-terms", args.top_terms),
@@ -346,26 +336,26 @@ def _pipeline_config_from_args(args) -> PipelineConfig:
 
 def run_report_pipeline(config: PipelineConfig) -> AnalysisReport:
     """Ingest -> communities -> centrality -> text -> layout -> redacted report."""
-    records, diagnostics = parse_corpus(config.input_path)
+    records, diagnostics = _stage.parse_corpus(config.input_path)
     if config.topic is not None:
-        records = filter_topic(records, config.topic)
-    graph, stats = build_graph(records)
+        records = _stage.filter_topic(records, config.topic)
+    graph, stats = _stage.build_graph(records)
 
-    partition = louvain(graph, config.louvain)
-    result = eigenvector_centrality(graph, config.power)
-    ranking = top_k(result.vector, config.top_accounts)
+    partition = _stage.louvain(graph, config.louvain)
+    result = _stage.eigenvector_centrality(graph, config.power)
+    ranking = _stage.top_k(result.vector, config.top_accounts)
     _, ranked_terms, summaries = _text_stage(records, config, config.top_terms, config.term_order)
     scores = None if summaries is None else [s.score for s in summaries]
-    volume, mean = bucket_series(records, config.deviation.bucket_seconds, scores)
+    volume, mean = _stage.bucket_series(records, config.deviation.bucket_seconds, scores)
     del summaries, scores  # per record: not kept past bucketing
-    frame = run_layout(graph, config.layout)
+    frame = _stage.run_layout(graph, config.layout)
 
-    alerts = detect_deviation(volume, config.deviation)
+    alerts = _stage.detect_deviation(volume, config.deviation)
     if mean is not None:
-        alerts += detect_deviation(mean, replace(config.deviation, metric="mean_sentiment"))
+        alerts += _stage.detect_deviation(mean, replace(config.deviation, metric="mean_sentiment"))
         alerts.sort(key=lambda a: (a.bucket, a.metric))
 
-    report = AnalysisReport(
+    report = _stage.AnalysisReport(
         record_count=len(records),
         node_count=graph.node_count,
         edge_count=graph.edge_count,
@@ -382,11 +372,11 @@ def run_report_pipeline(config: PipelineConfig) -> AnalysisReport:
             "centrality_iterations": result.iterations,
         },
     )
-    report = redact(report, config.redaction)
+    report = _stage.redact(report, config.redaction)
 
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    export_gexf(
+    _stage.export_gexf(
         graph, out / "graph.gexf",
         positions=frame, partition=partition, centrality=result.vector,
     )
@@ -396,7 +386,7 @@ def run_report_pipeline(config: PipelineConfig) -> AnalysisReport:
     _write_layout(out, frame)
     suffix = "json" if config.report_format == "json" else "txt"
     with open(out / f"report.{suffix}", "w", encoding="utf-8") as fh:
-        fh.write(render_report(report, config.report_format))
+        fh.write(_stage.render_report(report, config.report_format))
     return report
 
 

@@ -37,7 +37,7 @@ from .ingest import (
     record_from_dict,
     record_to_dict,
 )
-from .model import Handle
+from .model import _NOT_XML, Handle
 from .textmine import Lexicon, load_lexicon, sentiment
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
@@ -289,13 +289,27 @@ def _escape_newlines(serialized: str) -> str:
     return serialized.replace("\r", "&#13;").replace("\n", "&#10;")
 
 
+def _not_xml(record: OutputRecord) -> str | None:
+    """Why the record has no XML form (a code point XML 1.0 forbids), or None."""
+    payload = record.payload
+    for name, value in (("id", payload.id), ("text", payload.text),
+                        ("hashtags", "".join(payload.hashtags)), ("source_id", record.source_id)):
+        if bad := _NOT_XML.search(value):
+            return (f"record {payload.id!r}: {name} holds U+{ord(bad.group()):04X}, "
+                    "which XML 1.0 forbids")
+    return None
+
+
 def output_record_to_xml(record: OutputRecord) -> str:
     """One ``<record>`` element on a single line.
 
     List fields use ``<tag>`` child elements; ``in_reply_to`` is omitted
     when absent. Literal newlines in text content are escaped as character
-    references so the line framing of sinks survives arbitrary text.
+    references so the line framing of sinks survives arbitrary text. A
+    record holding a code point XML 1.0 forbids raises ``ValueError``.
     """
+    if reason := _not_xml(record):
+        raise ValueError(reason)
     payload = record.payload
     root = ET.Element("record")
     ET.SubElement(root, "id").text = payload.id
@@ -533,7 +547,8 @@ def run_collector(
     With ``once`` every source is polled a single time and the function
     returns; otherwise each source is re-polled on its own interval until
     ``max_cycles`` rounds have run (or forever). All sources feed one
-    serialized sink writer, so records never interleave mid-line.
+    serialized sink writer, so records never interleave mid-line. A record
+    an XML sink cannot hold is skipped, with a diagnostic.
     """
     stats = CollectorRunStats()
     states = {spec.id: SourceState() for spec in config.sources}
@@ -555,6 +570,9 @@ def run_collector(
                 records, diags = poll_source(spec, states[spec.id], now_fn=now_fn)
                 stats.diagnostics.extend(diags)
                 for record in records:
+                    if config.sink_format == "xml" and (reason := _not_xml(record)):
+                        stats.diagnostics.append(SourceDiagnostic(spec.id, reason + "; skipped"))
+                        continue
                     emit(record, config.sink_format, sink)
                     collected.append(record)
                     stats.records_emitted += 1

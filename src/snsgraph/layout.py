@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .model import GraphView, Handle, InteractionGraph, undirected_view
 _EPS_DIST = 1e-9
 _MAX_TREE_DEPTH = 48
 _MIN_SPEED_EFFICIENCY = 0.05
+_BLOCK = 65_536  # elements per exact-repulsion block
 
 
 @dataclass(frozen=True)
@@ -104,32 +105,40 @@ class _Arrays:
 def _exact_repulsion(
     pos: np.ndarray, mass: np.ndarray, kr: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact pairwise repulsion, chunked over target nodes to bound memory.
+    """Exact pairwise repulsion over blocks of target nodes.
 
     Blocks are laid out ``[j, i]`` (source j, target i) and reduced over
     axis 0, which numpy accumulates one source at a time in index order;
     a reduction along the contiguous last axis would be pairwise and drift
-    in the last bits.
+    in the last bits. So would a one-column block, so none is made. Each
+    block holds about ``_BLOCK`` elements, which keeps its four buffers in
+    cache; a target's sum does not depend on the block it falls in.
     """
     n = len(pos)
     x, y = pos[:, 0], pos[:, 1]
     fx, fy = np.empty((2, n))
-    chunk = max(1, min(n, 8_000_000 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    width = max(2, _BLOCK // max(n, 1))
+    start = 0
+    while start < n:
+        stop = n if n - start < width + 2 else start + width
         dx = x[start:stop] - x[:, None]
         dy = y[start:stop] - y[:, None]
-        dist = dx * dx + dy * dy
+        dist = dx * dx
+        factor = np.multiply(dy, dy)  # dy², then reused for the force factor
+        dist += factor
         np.sqrt(dist, out=dist)
         np.maximum(dist, _EPS_DIST, out=dist)
         dist *= dist
-        factor = kr * (mass[:, None] * mass[start:stop]) / dist
+        np.multiply(mass[:, None], mass[start:stop], out=factor)
+        factor *= kr
+        factor /= dist
         cols = np.arange(stop - start)
         factor[cols + start, cols] = 0.0
         dx *= factor
         dy *= factor
-        fx[start:stop] = dx.sum(axis=0)
-        fy[start:stop] = dy.sum(axis=0)
+        dx.sum(axis=0, out=fx[start:stop])
+        dy.sum(axis=0, out=fy[start:stop])
+        start = stop
     return fx, fy
 
 
@@ -407,15 +416,6 @@ def _state_to_frame(
         speed_efficiency=speed_efficiency,
         prev_forces={h: (float(x), float(y)) for h, (x, y) in zip(arrays.nodes, forces)},
     )
-
-
-def fa2_step(
-    graph: InteractionGraph | GraphView,
-    frame: LayoutFrame,
-    config: LayoutConfig | None = None,
-) -> LayoutFrame:
-    """One synchronous layout step: forces from the old frame, applied at once."""
-    return run_layout(graph, replace(config or LayoutConfig(), iterations=1), frame)
 
 
 def run_layout(

@@ -8,8 +8,9 @@ order, edge arrays, and the two :class:`GraphView` s every analytics stage
 reads, :func:`merge_kinds` (kinds collapsed into a weighted digraph) and
 :func:`undirected_view` (its symmetrization).
 
-Graphs are immutable after construction and safe to share across threads;
-"mutation" helpers return new values.
+Graphs are immutable after construction and safe to share across threads.
+numpy is imported only where a core is built or read, so handles and
+graphs load without it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Code points XML 1.0 forbids: C0 controls but tab/LF/CR, surrogates, U+FFFE/F.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
@@ -112,23 +114,6 @@ class InteractionGraph:
         self._total_weight = total
         self._core = None
 
-    @classmethod
-    def from_interactions(
-        cls, interactions: Iterable[tuple[Handle, Handle, InteractionKind]]
-    ) -> "InteractionGraph":
-        """Accumulate ``(source, target, kind)`` acts into weighted edges.
-
-        Self-loops are silently dropped here; callers that need to count
-        them (ingest statistics) filter before calling.
-        """
-        acc: dict[Edge, int] = {}
-        for src, dst, kind in interactions:
-            if src == dst:
-                continue
-            key = (src, dst, kind)
-            acc[key] = acc.get(key, 0) + 1
-        return cls(acc)
-
     @property
     def nodes(self) -> list[Handle]:
         return list(self._handles.values())
@@ -170,16 +155,6 @@ class InteractionGraph:
     def __repr__(self) -> str:
         return f"InteractionGraph(n={self.node_count}, m={self.edge_count}, W={self.total_weight})"
 
-    def with_node(self, handle: Handle) -> "InteractionGraph":
-        """Return a copy that also contains ``handle`` (possibly isolated)."""
-        return InteractionGraph(self.edges, extra_nodes=[*self.nodes, handle])
-
-    def without_node(self, handle: Handle) -> "InteractionGraph":
-        """Return a copy with ``handle`` and its incident edges removed."""
-        kept = {e: w for e, w in self.edges.items() if e[0] != handle and e[1] != handle}
-        extra = [h for h in self.nodes if h != handle]
-        return InteractionGraph(kept, extra_nodes=extra)
-
 
 class GraphView:
     """Handle-facing view of a graph's integer core: the kind-merged digraph
@@ -194,6 +169,8 @@ class GraphView:
     __slots__ = ("core", "handles", "src", "dst", "weights", "indptr", "total_weight")
 
     def __init__(self, core: "GraphCore", src, dst, weights, total: float):
+        import numpy as np
+
         self.core, self.handles = core, core.handles
         self.src, self.dst, self.weights = src, dst, weights
         counts = np.bincount(src, minlength=len(core.handles))
@@ -213,19 +190,9 @@ class GraphView:
 
     def degrees(self) -> np.ndarray:
         """Weighted (out-)degree of every node, in index order."""
+        import numpy as np
+
         return np.bincount(self.src, weights=self.weights, minlength=self.node_count)
-
-    def neighbors(self, u: Handle) -> dict[Handle, float]:
-        """Arc weights out of ``u`` (successors in the directed view)."""
-        i = self.core.index.get(u.value)
-        if i is None:
-            return {}
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        dst, weights = self.dst[lo:hi].tolist(), self.weights[lo:hi].tolist()
-        return {self.handles[j]: w for j, w in zip(dst, weights)}
-
-    def weight(self, u: Handle, v: Handle) -> float:
-        return self.neighbors(u).get(v, 0.0)
 
     def iter_edges(self) -> Iterator[tuple[Handle, Handle, float]]:
         """Every stored arc; the symmetric view yields each pair both ways."""
@@ -235,6 +202,8 @@ class GraphView:
 
 def _sum_by_pair(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int):
     """Merge arcs with equal ``(src, dst)``; the result is in ``(src, dst)`` order."""
+    import numpy as np
+
     if not len(src):
         return src, dst, weights
     pairs, slot = np.unique(src * n + dst, return_inverse=True)
@@ -260,6 +229,8 @@ class GraphCore:
     )
 
     def __init__(self, handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]):
+        import numpy as np
+
         values = sorted(handles)
         self.handles = [handles[v] for v in values]
         self.index = index = {v: i for i, v in enumerate(values)}

@@ -20,12 +20,10 @@ import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, TYPE_CHECKING, Iterator, Union
 from xml.parsers import expat
 
-from .collector import AlertEvent
 from .errors import GexfParseError
-from .layout import LayoutFrame
 from .model import (
     CentralityVector,
     Handle,
@@ -34,6 +32,10 @@ from .model import (
     Partition,
     ValueEdge,
 )
+
+if TYPE_CHECKING:  # annotations only: reading or writing GEXF needs neither module
+    from .collector import AlertEvent
+    from .layout import LayoutFrame
 
 _GEXF_NS = "http://www.gexf.net/1.2draft"
 _VIZ_NS = "http://www.gexf.net/1.2draft/viz"
@@ -329,9 +331,10 @@ def render_report(report: AnalysisReport, format: str = "json") -> str:
 
 def report_from_json(text: str) -> AnalysisReport:
     """Parse a JSON report back into the in-memory form (round-trip aid)."""
-    obj = json.loads(text)
+    from .collector import AlertEvent
     from .ingest import parse_rfc3339
 
+    obj = json.loads(text)
     alerts = tuple(  # the inverse of AlertEvent.to_dict
         AlertEvent(**{**a, "bucket": parse_rfc3339(a["bucket"])}) for a in obj.get("alerts", [])
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -105,6 +106,11 @@ def _sentiment(tokens: list[str], lexicon: Lexicon) -> SentimentSummary:
             pos += 1
         elif token in lexicon.negative:
             neg += 1
+    return _summary(pos, neg)
+
+
+@lru_cache(maxsize=4096)  # summaries are immutable: one object per (pos, neg) pair
+def _summary(pos: int, neg: int) -> SentimentSummary:
     if pos + neg == 0:
         return SentimentSummary(0, 0, 0.0, neutral=True)
     return SentimentSummary(pos, neg, (pos - neg) / (pos + neg), neutral=False)

@@ -39,6 +39,44 @@ def pairs_graph(pairs, kind=MENTION) -> InteractionGraph:
     return InteractionGraph(edges)
 
 
+# Graph and view helpers only tests use: graphs from raw acts, node
+# insertion/removal, and per-node reads of a GraphView's CSR arrays.
+
+def from_interactions(interactions) -> InteractionGraph:
+    """Accumulate ``(source, target, kind)`` acts into weighted edges,
+    dropping self-loops."""
+    acc = {}
+    for src, dst, kind in interactions:
+        if src != dst:
+            acc[(src, dst, kind)] = acc.get((src, dst, kind), 0) + 1
+    return InteractionGraph(acc)
+
+
+def with_node(graph: InteractionGraph, handle: Handle) -> InteractionGraph:
+    """A copy that also contains ``handle`` (possibly isolated)."""
+    return InteractionGraph(graph.edges, extra_nodes=[*graph.nodes, handle])
+
+
+def without_node(graph: InteractionGraph, handle: Handle) -> InteractionGraph:
+    """A copy with ``handle`` and its incident edges removed."""
+    kept = {e: w for e, w in graph.edges.items() if handle not in (e[0], e[1])}
+    return InteractionGraph(kept, extra_nodes=[h for h in graph.nodes if h != handle])
+
+
+def neighbors(view, u: Handle) -> dict:
+    """Arc weights out of ``u`` in a GraphView (successors when directed)."""
+    i = view.core.index.get(u.value)
+    if i is None:
+        return {}
+    lo, hi = view.indptr[i], view.indptr[i + 1]
+    return {view.handles[j]: w
+            for j, w in zip(view.dst[lo:hi].tolist(), view.weights[lo:hi].tolist())}
+
+
+def weight(view, u: Handle, v: Handle) -> float:
+    return neighbors(view, u).get(v, 0.0)
+
+
 def two_triangle_graph() -> InteractionGraph:
     """Two unit-weight triangles joined by one bridge edge (7 edges)."""
     return pairs_graph(

@@ -343,10 +343,36 @@ class TestStartup:
                               check=True)
         assert proc.stdout == "[]\n"
 
+    def test_collect_and_text_leave_numpy_unloaded(self, tiny_corpus_path, tmp_path):
+        # a fresh interpreter, as pytest has already imported every stage here
+        sink = tmp_path / "sink.jsonl"
+        config = tmp_path / "collector.json"
+        config.write_text(json.dumps({
+            "sources": [{"id": "s1", "kind": "file", "location": str(tiny_corpus_path)}],
+            "sink": {"path": str(sink), "format": "json"},
+        }))
+        probe = (
+            "import json, sys\n"
+            "from snsgraph.cli import main\n"
+            "config, sink, out = sys.argv[1:]\n"
+            "codes = [main(['collect', '--config', config, '--once']),\n"
+            "         main(['text', '--input', sink, '--out', out])]\n"
+            "lean = 'numpy' not in sys.modules\n"
+            "codes.append(main(['communities', '--input', sink, '--out', out]))\n"
+            "print(json.dumps([codes, lean, 'numpy' in sys.modules]))\n"
+        )
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", probe, str(config), str(sink), str(out)],
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], True, True]
+        assert (out / "terms.csv").is_file() and (out / "communities.csv").is_file()
+
 
 class TestBenchmarkHooks:
+    TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
     def test_traced_run_finds_every_name_it_wraps(self):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+        path = self.TRACED
         spec = importlib.util.spec_from_file_location("perfbench_traced", path)
         traced = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(traced)
@@ -358,6 +384,32 @@ class TestBenchmarkHooks:
         finally:
             tracer.restore()
         assert snsgraph.cli.parse_corpus is original
+
+    def test_fresh_process_resolves_every_wrapped_name(self):
+        # as perfbench/traced.py runs it: only `import snsgraph, snsgraph.cli`
+        # before instrumenting, so each name must resolve lazily
+        probe = (
+            "import importlib.util, json, sys\n"
+            "import snsgraph, snsgraph.cli\n"
+            "spec = importlib.util.spec_from_file_location('traced', sys.argv[1])\n"
+            "traced = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(traced)\n"
+            "names = []\n"
+            "class Tracer(traced.Tracer):\n"
+            "    def wrap(self, module, attr, *args, **kwargs):\n"
+            "        names.append((module, attr))\n"
+            "        super().wrap(module, attr, *args, **kwargs)\n"
+            "traced.instrument(Tracer('t'), snsgraph)\n"
+            "unwrapped = [f'{m.__name__}.{a}' for m, a in names\n"
+            "             if getattr(m, a).__name__ != 'wrapped']\n"
+            "unresolved = [n for n in ('undirected_view', 'init_layout')\n"
+            "              if not hasattr(snsgraph, n)]\n"
+            "print(json.dumps([len(names), unwrapped, unresolved]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, str(self.TRACED)],
+                              capture_output=True, text=True, check=True)
+        count, unwrapped, unresolved = json.loads(proc.stdout.splitlines()[-1])
+        assert count > 20 and unwrapped == [] and unresolved == []
 
 
 class TestSeedDerivation:

@@ -293,6 +293,16 @@ class TestEmission:
         with pytest.raises(ValueError):
             emit(sample_output_record(), "yaml", io.StringIO())
 
+    @pytest.mark.parametrize("text", ["a\u0001b", "bell \x07", "\ufffe"])
+    def test_xml_refuses_a_code_point_xml_forbids(self, text):
+        sink = io.StringIO()
+        with pytest.raises(ValueError, match="text holds U\\+"):
+            emit(sample_output_record(text=text), "xml", sink)
+        assert sink.getvalue() == ""
+        emit(sample_output_record(text=text), "json", sink)
+        (back,) = read_records(io.StringIO(sink.getvalue()), "json")
+        assert back.payload.text == text
+
 
 def series_of(values, start=NOW, step=60):
     return [(start + timedelta(seconds=i * step), float(v)) for i, v in enumerate(values)]
@@ -454,6 +464,31 @@ class TestRunCollector:
         assert len(sink_records) == len(rows)
         alerts = [json.loads(l) for l in (tmp_path / "alerts.jsonl").read_text().splitlines()]
         assert all(abs(a["z_score"]) >= 3.0 for a in alerts)
+
+    @pytest.mark.parametrize("sink_format", ["xml", "json"])
+    def test_xml_sink_skips_what_it_cannot_hold(self, tmp_path, sink_format):
+        rows = corpus_rows(3)
+        rows[1]["text"] = "a\u0001b"
+        rows[2]["hashtags"] = ["ok", "x\u000by"]
+        corpus = write_jsonl(tmp_path / "c.jsonl", rows)
+        config = CollectorConfig(
+            sources=[SourceSpec(id="s1", kind="file", location=str(corpus))],
+            sink_path=str(tmp_path / "sink.txt"), sink_format=sink_format,
+        )
+        stats = run_collector(config, once=True, now_fn=now_fn)
+        back = read_records(config.sink_path, sink_format)
+        if sink_format == "json":
+            assert [r.payload.id for r in back] == [r["id"] for r in rows]
+            assert stats.diagnostics == []
+            return
+        assert [r.payload.id for r in back] == [rows[0]["id"]]
+        assert stats.records_emitted == 1
+        assert [(d.source_id, d.reason, d.retryable) for d in stats.diagnostics] == [
+            ("s1", f"record {rows[1]['id']!r}: text holds U+0001, which XML 1.0 forbids; "
+                   "skipped", False),
+            ("s1", f"record {rows[2]['id']!r}: hashtags holds U+000B, which XML 1.0 forbids; "
+                   "skipped", False),
+        ]
 
     def test_sink_never_repeats_an_id(self, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", corpus_rows(3))

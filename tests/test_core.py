@@ -25,7 +25,7 @@ from snsgraph.model import (
 )
 from snsgraph.report import export_gexf, import_gexf
 
-from conftest import random_connected_graph
+from conftest import neighbors, random_connected_graph
 
 
 # --- reference derivations ----------------------------------------------------
@@ -287,7 +287,7 @@ def assert_matches_brute_force(graph):
     assert directed.total_weight == view.total_weight == graph.total_weight
     assert sum(w for (u, v), w in sym.items() if u < v) == graph.total_weight
     for u in graph.nodes:
-        assert view.neighbors(u) == {v: w for (a, v), w in sym.items() if a == u}
+        assert neighbors(view, u) == {v: w for (a, v), w in sym.items() if a == u}
 
     core = graph.core
     edges = [

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from snsgraph.layout import (
+    _BLOCK,
     _EPS_DIST,
     _MAX_TREE_DEPTH,
     LayoutConfig,
@@ -11,7 +13,6 @@ from snsgraph.layout import (
     _Arrays,
     _compute_forces,
     _QuadTree,
-    fa2_step,
     init_layout,
     repulsion_forces,
     run_layout,
@@ -19,6 +20,11 @@ from snsgraph.layout import (
 from snsgraph.model import Handle, InteractionGraph, undirected_view
 
 from conftest import dyads_layout_instance, pairs_graph, random_connected_graph, two_triangle_graph
+
+
+def fa2_step(graph, frame, config=None):
+    """One synchronous layout step: forces from the old frame, applied at once."""
+    return run_layout(graph, replace(config or LayoutConfig(), iterations=1), frame)
 
 
 # Reference kernels: the original ``np.add.at`` formulation of the layout
@@ -509,9 +515,20 @@ class TestKernelsMatchReference:
 
     def test_exact_across_a_chunk_boundary(self):
         graph = random_connected_graph(3000, 3000, seed=6)
-        assert 8_000_000 // 3000 < 3000  # the exact kernel splits its rows
+        assert _BLOCK // 3000 < 3000  # the exact kernel splits its rows
         arrays = _Arrays(undirected_view(graph), 1.0)
         pos = positions_of(init_layout(graph, 6), arrays)
+        config = LayoutConfig()
+        expected = ref_compute_forces(pos, arrays, config, False)
+        assert same_bits(_compute_forces(pos, arrays, config, False), expected)
+
+    def test_exact_without_a_one_column_block(self):
+        # fixed 66-wide blocks would leave a last block of one column,
+        # which numpy would sum pairwise instead of in source order
+        graph = random_connected_graph(991, 991, seed=7)
+        assert 991 % (_BLOCK // 991) == 1
+        arrays = _Arrays(undirected_view(graph), 1.0)
+        pos = positions_of(init_layout(graph, 7), arrays)
         config = LayoutConfig()
         expected = ref_compute_forces(pos, arrays, config, False)
         assert same_bits(_compute_forces(pos, arrays, config, False), expected)
