@@ -16,7 +16,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -53,33 +53,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class PipelineConfig:
-    """Everything the full `report` pipeline needs, built from CLI flags."""
-
-    input_path: str
-    out_dir: Path
-    topic: TopicFilter | None
-    global_seed: int
-    louvain: LouvainConfig
-    power: PowerIterationConfig
-    layout: LayoutConfig
-    deviation: DeviationConfig
-    redaction: RedactionPolicy
-    report_format: str = "json"
-    top_accounts: int = 13
-    top_terms: int = 10
-    term_order: str = "count"
-    lexicon_pos: str | None = None
-    lexicon_neg: str | None = None
-    stopwords: str | None = None
-    echo: dict = field(default_factory=dict)
-
-
 def _topic_from(arg: str | None) -> TopicFilter | None:
     if not arg:
         return None
-    return _stage.TopicFilter(frozenset(t for t in arg.split(",") if t.strip()))
+    return _from_flags(_stage.TopicFilter, tags=frozenset(t for t in arg.split(",") if t.strip()))
 
 
 def _read_handle_lines(path: str) -> frozenset[Handle]:
@@ -132,14 +109,14 @@ def _write_layout(out: Path, frame) -> None:
                [(h.display(), repr(x), repr(y)) for h, (x, y) in rows])
 
 
-def _load_corpus(args) -> list:
+def _load_corpus(args, topic: TopicFilter | None) -> tuple[list, list]:
+    """Parse ``--input``, warn once per diagnostic, keep the topic's records."""
     records, diagnostics = _stage.parse_corpus(args.input)
     for diag in diagnostics:
         print(f"warning: line {diag.line_no}: {diag.reason}", file=sys.stderr)
-    topic = _topic_from(getattr(args, "topic", None))
     if topic is not None:
         records = _stage.filter_topic(records, topic)
-    return records
+    return records, diagnostics
 
 
 class _FlagError(Exception):
@@ -186,9 +163,10 @@ def _power_config(args) -> PowerIterationConfig:
 
 
 def _graph_from_args(args):
+    topic = _topic_from(args.topic)
     if args.input.endswith(".gexf"):
         return _stage.import_gexf(args.input)
-    records = _load_corpus(args)
+    records, _ = _load_corpus(args, topic)
     graph, _ = _stage.build_graph(records)
     return graph
 
@@ -196,7 +174,7 @@ def _graph_from_args(args):
 # --- subcommand implementations ----------------------------------------------
 
 def _cmd_ingest(args) -> int:
-    records = _load_corpus(args)
+    records, _ = _load_corpus(args, _topic_from(args.topic))
     graph, stats = _stage.build_graph(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,23 +212,23 @@ def _cmd_centrality(args) -> int:
     return 0
 
 
-def _text_stage(records, files, top: int, order: str):
-    """The text stage of `text` and `report`: :func:`text_pass` and the top terms.
-    ``files`` (flags or a PipelineConfig) has stopwords/lexicon_pos/lexicon_neg."""
+def _text_stage(records, args, top: int):
+    """The text stage of `text` and `report`: :func:`text_pass` and the top terms,
+    with ``--stopwords``, ``--lexicon-pos``/``--lexicon-neg`` and ``--order``."""
     stopwords = lexicon = None
-    if files.stopwords:
-        with open(files.stopwords, "r", encoding="utf-8") as fh:
+    if args.stopwords:
+        with open(args.stopwords, "r", encoding="utf-8") as fh:
             stopwords = {ln.strip().lower() for ln in fh if ln.strip()}
-    if files.lexicon_pos and files.lexicon_neg:
-        lexicon = _stage.load_lexicon(files.lexicon_pos, files.lexicon_neg)
+    if args.lexicon_pos and args.lexicon_neg:
+        lexicon = _stage.load_lexicon(args.lexicon_pos, args.lexicon_neg)
     stats, summaries = _stage.text_pass(records, stopwords, lexicon)
-    return stats, _stage.top_terms(stats, top, order=order), summaries
+    return stats, _stage.top_terms(stats, top, order=args.order), summaries
 
 
 def _cmd_text(args) -> int:
     top = _top_flag("--top", args.top)
-    records = _load_corpus(args)
-    stats, ranked, summaries = _text_stage(records, args, top, args.order)
+    records, _ = _load_corpus(args, _topic_from(args.topic))
+    stats, ranked, summaries = _text_stage(records, args, top)
     out = Path(args.out)
     _write_terms(out, ranked)
     if summaries is not None:
@@ -291,68 +269,36 @@ def _cmd_collect(args) -> int:
     return 0
 
 
-def _pipeline_config_from_args(args) -> PipelineConfig:
+def _cmd_report(args) -> int:
+    """Ingest -> communities -> centrality -> text -> layout -> redacted report.
+    Every flag is checked before the corpus is read."""
     allowlist = (
-        _read_handle_lines(args.redact_allowlist)
-        if args.redact_allowlist
-        else frozenset()
+        _read_handle_lines(args.redact_allowlist) if args.redact_allowlist else frozenset()
     )
-    return PipelineConfig(
-        input_path=args.input,
-        out_dir=Path(args.out),
-        topic=_topic_from(args.topic),
-        global_seed=args.seed,
-        louvain=_louvain_config(args),
-        power=_power_config(args),
-        layout=_layout_config(args),
-        deviation=_from_flags(
-            _stage.DeviationConfig,
-            window=args.deviation_window, bucket_seconds=args.bucket_seconds,
-        ),
-        redaction=_stage.RedactionPolicy(allowlist=allowlist),
-        report_format=args.format,
-        top_accounts=_top_flag("--top-accounts", args.top_accounts),
-        top_terms=_top_flag("--top-terms", args.top_terms),
-        term_order=args.order,
-        lexicon_pos=args.lexicon_pos,
-        lexicon_neg=args.lexicon_neg,
-        stopwords=args.stopwords,
-        echo={
-            "seed": args.seed,
-            "derived_seeds": {
-                "louvain": derive_seed(args.seed, "louvain"),
-                "layout": derive_seed(args.seed, "layout"),
-            },
-            "topic": args.topic or None,
-            "resolution": args.resolution,
-            "centrality_mode": args.mode,
-            "normalization": args.normalize,
-            "layout_iterations": args.iterations,
-            "barnes_hut": args.barnes_hut,
-            "version": __version__,
-        },
-    )
+    topic = _topic_from(args.topic)
+    louvain_config = _louvain_config(args)
+    power_config = _power_config(args)
+    layout_config = _layout_config(args)
+    deviation = _from_flags(_stage.DeviationConfig, window=args.deviation_window,
+                            bucket_seconds=args.bucket_seconds)
+    top_accounts = _top_flag("--top-accounts", args.top_accounts)
+    top_terms = _top_flag("--top-terms", args.top_terms)
 
-
-def run_report_pipeline(config: PipelineConfig) -> AnalysisReport:
-    """Ingest -> communities -> centrality -> text -> layout -> redacted report."""
-    records, diagnostics = _stage.parse_corpus(config.input_path)
-    if config.topic is not None:
-        records = _stage.filter_topic(records, config.topic)
+    records, diagnostics = _load_corpus(args, topic)
     graph, stats = _stage.build_graph(records)
 
-    partition = _stage.louvain(graph, config.louvain)
-    result = _stage.eigenvector_centrality(graph, config.power)
-    ranking = _stage.top_k(result.vector, config.top_accounts)
-    _, ranked_terms, summaries = _text_stage(records, config, config.top_terms, config.term_order)
+    partition = _stage.louvain(graph, louvain_config)
+    result = _stage.eigenvector_centrality(graph, power_config)
+    ranking = _stage.top_k(result.vector, top_accounts)
+    _, ranked_terms, summaries = _text_stage(records, args, top_terms)
     scores = None if summaries is None else [s.score for s in summaries]
-    volume, mean = _stage.bucket_series(records, config.deviation.bucket_seconds, scores)
+    volume, mean = _stage.bucket_series(records, deviation.bucket_seconds, scores)
     del summaries, scores  # per record: not kept past bucketing
-    frame = _stage.run_layout(graph, config.layout)
+    frame = _stage.run_layout(graph, layout_config)
 
-    alerts = _stage.detect_deviation(volume, config.deviation)
+    alerts = _stage.detect_deviation(volume, deviation)
     if mean is not None:
-        alerts += _stage.detect_deviation(mean, replace(config.deviation, metric="mean_sentiment"))
+        alerts += _stage.detect_deviation(mean, replace(deviation, metric="mean_sentiment"))
         alerts.sort(key=lambda a: (a.bucket, a.metric))
 
     report = _stage.AnalysisReport(
@@ -365,45 +311,43 @@ def run_report_pipeline(config: PipelineConfig) -> AnalysisReport:
         top_terms=tuple((t.term, t.mention_count, t.salience) for t in ranked_terms),
         alerts=tuple(alerts),
         metadata={
-            **config.echo,
+            "seed": args.seed,
+            "derived_seeds": {"louvain": louvain_config.seed, "layout": layout_config.seed},
+            "topic": args.topic or None,
+            "resolution": args.resolution,
+            "centrality_mode": args.mode,
+            "normalization": args.normalize,
+            "layout_iterations": args.iterations,
+            "barnes_hut": args.barnes_hut,
+            "version": __version__,
             "parse_diagnostics": len(diagnostics),
             "self_loops_dropped": stats.self_loops_dropped,
             "centrality_converged": result.converged,
             "centrality_iterations": result.iterations,
         },
     )
-    report = _stage.redact(report, config.redaction)
+    report = _stage.redact(report, _stage.RedactionPolicy(allowlist=allowlist))
 
-    out = config.out_dir
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _stage.export_gexf(
-        graph, out / "graph.gexf",
-        positions=frame, partition=partition, centrality=result.vector,
-    )
+    _stage.export_gexf(graph, out / "graph.gexf", positions=frame, partition=partition,
+                       centrality=result.vector)
     _write_communities(out, partition)
     _write_centrality(out, ranking)
     _write_terms(out, ranked_terms)
     _write_layout(out, frame)
-    suffix = "json" if config.report_format == "json" else "txt"
+    suffix = "json" if args.format == "json" else "txt"
     with open(out / f"report.{suffix}", "w", encoding="utf-8") as fh:
-        fh.write(_stage.render_report(report, config.report_format))
-    return report
-
-
-def _cmd_report(args) -> int:
-    config = _pipeline_config_from_args(args)
-    report = run_report_pipeline(config)
-    print(
-        f"records={report.record_count} n={report.node_count} m={report.edge_count} "
-        f"Q={report.modularity_q:.6f} communities={report.community_count} "
-        f"alerts={len(report.alerts)}"
-    )
+        fh.write(_stage.render_report(report, args.format))
+    print(f"records={report.record_count} n={report.node_count} m={report.edge_count} "
+          f"Q={report.modularity_q:.6f} communities={report.community_count} "
+          f"alerts={len(report.alerts)}")
     return 0
 
 
 # --- argument wiring -----------------------------------------------------------
 
-def _add_seed(parser, default_from_env=True):
+def _add_seed(parser):
     parser.add_argument(
         "--seed", type=int, default=global_seed_from_env(0),
         help="global pipeline seed (fallback: SNSGRAPH_SEED env var, then 0)",
@@ -502,20 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except ValueError as exc:  # SNSGRAPH_SEED, the --seed default, is not an integer
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.func(args)
     except _FlagError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except AnalyticsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
+    except (AnalyticsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

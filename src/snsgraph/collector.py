@@ -27,7 +27,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence, Union
 
-from .errors import EmptyCorpusError, RecordParseError
+from .errors import AnalyticsError, EmptyCorpusError, RecordParseError
 from .ingest import (
     InteractionRecord,
     format_rfc3339,
@@ -490,6 +490,10 @@ class CollectorConfig:
     lexicon_pos: str | None = None
     lexicon_neg: str | None = None
 
+    def __post_init__(self):
+        if self.sink_format not in ("json", "xml"):
+            raise ValueError(f"unknown emission format: {self.sink_format!r}")
+
     @classmethod
     def from_dict(cls, obj: dict) -> "CollectorConfig":
         sources = [
@@ -502,7 +506,7 @@ class CollectorConfig:
             for s in obj.get("sources", [])
         ]
         if not sources:
-            raise ValueError("collector config needs at least one source")
+            raise ValueError("`sources` must list at least one source")
         sink = obj.get("sink", {})
         dev = obj.get("deviation", {})
         return cls(
@@ -523,8 +527,14 @@ class CollectorConfig:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CollectorConfig":
+        """Read a JSON config; a malformed one is an :class:`AnalyticsError` naming it."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except KeyError as exc:
+                raise AnalyticsError(f"{path}: collector config lacks key {exc}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise AnalyticsError(f"{path}: bad collector config: {exc}") from None
 
 
 @dataclass

@@ -27,4 +27,4 @@ def global_seed_from_env(default: int = 0) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None

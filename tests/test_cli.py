@@ -50,6 +50,9 @@ class TestExitCodes:
         ("text", "--top", "0"),
         ("report", "--top-accounts", "0"),
         ("report", "--top-terms", "0"),
+        ("ingest", "--topic", ","),
+        ("report", "--topic", "#"),
+        ("layout", "--topic", " "),
     ])
     def test_rejected_config_flag_is_usage_error(self, tmp_path, command, flag, value):
         # The input does not exist: the flag must fail before any input is read.
@@ -116,6 +119,40 @@ class TestExitCodes:
         assert run(["report", "--input", str(tiny_corpus_path), "--iterations", "5",
                     "--redact-allowlist", str(allow), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {allow}: line 2: not UTF-8 at column 2\n"
+
+    def test_non_integer_seed_env_is_usage_error(self):
+        proc = subprocess.run([sys.executable, "-m", "snsgraph.cli", "--version"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, SNSGRAPH_SEED="abc"))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: SNSGRAPH_SEED must be an integer, got 'abc'\n"
+
+    SOURCE = {"id": "s1", "kind": "file", "location": "c.jsonl"}
+
+    @pytest.mark.parametrize("config, culprit", [
+        ({"sources": [SOURCE], "sink": {"format": "yaml"}}, "unknown emission format"),
+        ({"sources": []}, "at least one source"),
+        ({"sources": [SOURCE], "deviation": {"window": 1}}, "window must be >= 2"),
+        ({"sources": [dict(SOURCE, kind="ftp")]}, "unknown source kind: 'ftp'"),
+        ({"sources": [{"id": "s1", "location": "c.jsonl"}]}, "lacks key 'kind'"),
+        ([1], "bad collector config"),
+        ("{not json", "bad collector config"),
+    ])
+    def test_bad_collector_config_is_data_error(self, tmp_path, config, culprit):
+        # run where the default sink `collected.jsonl` lives: it must stay untouched
+        path = tmp_path / "collector.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+        sink = tmp_path / "collected.jsonl"
+        sink.write_bytes(b"kept\n")
+        src = str(Path(snsgraph.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "snsgraph.cli", "collect", "--config", path.name, "--once"],
+            capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: collector.json: ") and culprit in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert sink.read_bytes() == b"kept\n"
 
     def test_success_is_zero(self, tiny_corpus_path, tmp_path):
         assert run(["ingest", "--input", str(tiny_corpus_path),
@@ -302,6 +339,15 @@ class TestHostileCodePoints:
         assert ["line 2", "line 3", "line 4"] == [w.split(": ")[1] for w in warnings]
         proc = self.cli("communities", "--input", str(out / "graph.gexf"), "--out", str(out))
         assert proc.returncode == 0 and proc.stderr == ""
+
+    def test_report_warns_like_ingest(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", self.ROWS)
+        ingest = self.cli("ingest", "--input", str(corpus), "--out", str(tmp_path / "a"))
+        report = self.cli("report", "--input", str(corpus), "--iterations", "5",
+                          "--out", str(tmp_path / "b"))
+        assert report.returncode == 0 and "Traceback" not in report.stderr
+        assert report.stderr.count("warning: line ") == 3
+        assert report.stderr == ingest.stderr
 
     def test_collect_once_warns_and_writes_its_sink(self, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", self.ROWS)
