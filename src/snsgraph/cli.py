@@ -59,8 +59,10 @@ def _topic_from(arg: str | None) -> TopicFilter | None:
     return _from_flags(_stage.TopicFilter, tags=frozenset(t for t in arg.split(",") if t.strip()))
 
 
-def _read_handle_lines(path: str) -> frozenset[Handle]:
-    handles = set()
+def _read_lines(path: str, parse) -> frozenset:
+    """``parse`` of each line of a side file, blank and ``#`` lines skipped; an
+    undecodable line or one ``parse`` rejects is a data error naming both."""
+    items = set()
     # Undecodable bytes become lone surrogates, which fail to encode.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -68,13 +70,13 @@ def _read_handle_lines(path: str) -> frozenset[Handle]:
             if line and not line.startswith("#"):
                 try:
                     line.encode("utf-8")
-                    handles.add(Handle(line))
+                    items.add(parse(line))
                 except UnicodeEncodeError as exc:
                     raise AnalyticsError(
                         f"{path}: line {line_no}: not UTF-8 at column {exc.start + 1}") from None
                 except ValueError as exc:
                     raise AnalyticsError(f"{path}: line {line_no}: {exc}") from None
-    return frozenset(handles)
+    return frozenset(items)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -212,23 +214,31 @@ def _cmd_centrality(args) -> int:
     return 0
 
 
-def _text_stage(records, args, top: int):
-    """The text stage of `text` and `report`: :func:`text_pass` and the top terms,
-    with ``--stopwords``, ``--lexicon-pos``/``--lexicon-neg`` and ``--order``."""
-    stopwords = lexicon = None
-    if args.stopwords:
-        with open(args.stopwords, "r", encoding="utf-8") as fh:
-            stopwords = {ln.strip().lower() for ln in fh if ln.strip()}
-    if args.lexicon_pos and args.lexicon_neg:
+def _text_inputs(args) -> tuple[frozenset[str] | None, Lexicon | None]:
+    """The side files of `text` and `report`, read before the corpus:
+    ``--stopwords``, and ``--lexicon-pos`` with ``--lexicon-neg``."""
+    if bool(args.lexicon_pos) != bool(args.lexicon_neg):
+        raise _FlagError("--lexicon-pos and --lexicon-neg must be given together")
+    stopwords = _read_lines(args.stopwords, str.lower) if args.stopwords else None
+    lexicon = None
+    if args.lexicon_pos:
         lexicon = _stage.load_lexicon(args.lexicon_pos, args.lexicon_neg)
-    stats, summaries = _stage.text_pass(records, stopwords, lexicon)
-    return stats, _stage.top_terms(stats, top, order=args.order), summaries
+    return stopwords, lexicon
+
+
+def _text_stage(records, inputs, order: str, top: int):
+    """The text stage of `text` and `report`: :func:`text_pass` over the
+    :func:`_text_inputs` and the top terms in ``--order``."""
+    stats, summaries = _stage.text_pass(records, *inputs)
+    return stats, _stage.top_terms(stats, top, order=order), summaries
 
 
 def _cmd_text(args) -> int:
     top = _top_flag("--top", args.top)
-    records, _ = _load_corpus(args, _topic_from(args.topic))
-    stats, ranked, summaries = _text_stage(records, args, top)
+    topic = _topic_from(args.topic)
+    inputs = _text_inputs(args)
+    records, _ = _load_corpus(args, topic)
+    stats, ranked, summaries = _text_stage(records, inputs, args.order, top)
     out = Path(args.out)
     _write_terms(out, ranked)
     if summaries is not None:
@@ -271,10 +281,7 @@ def _cmd_collect(args) -> int:
 
 def _cmd_report(args) -> int:
     """Ingest -> communities -> centrality -> text -> layout -> redacted report.
-    Every flag is checked before the corpus is read."""
-    allowlist = (
-        _read_handle_lines(args.redact_allowlist) if args.redact_allowlist else frozenset()
-    )
+    Every flag is checked, and every side file read, before the corpus is read."""
     topic = _topic_from(args.topic)
     louvain_config = _louvain_config(args)
     power_config = _power_config(args)
@@ -283,6 +290,10 @@ def _cmd_report(args) -> int:
                             bucket_seconds=args.bucket_seconds)
     top_accounts = _top_flag("--top-accounts", args.top_accounts)
     top_terms = _top_flag("--top-terms", args.top_terms)
+    text_inputs = _text_inputs(args)
+    allowlist = (
+        _read_lines(args.redact_allowlist, Handle) if args.redact_allowlist else frozenset()
+    )
 
     records, diagnostics = _load_corpus(args, topic)
     graph, stats = _stage.build_graph(records)
@@ -290,7 +301,7 @@ def _cmd_report(args) -> int:
     partition = _stage.louvain(graph, louvain_config)
     result = _stage.eigenvector_centrality(graph, power_config)
     ranking = _stage.top_k(result.vector, top_accounts)
-    _, ranked_terms, summaries = _text_stage(records, args, top_terms)
+    _, ranked_terms, summaries = _text_stage(records, text_inputs, args.order, top_terms)
     scores = None if summaries is None else [s.score for s in summaries]
     volume, mean = _stage.bucket_series(records, deviation.bucket_seconds, scores)
     del summaries, scores  # per record: not kept past bucketing

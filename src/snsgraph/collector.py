@@ -16,6 +16,7 @@ divides cleanly.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import statistics
@@ -30,11 +31,11 @@ from typing import IO, Callable, Iterable, Sequence, Union
 from .errors import AnalyticsError, EmptyCorpusError, RecordParseError
 from .ingest import (
     InteractionRecord,
+    _normalize_tag,
     format_rfc3339,
-    line_reader,
     parse_corpus,
     parse_rfc3339,
-    record_from_dict,
+    record_reader,
     record_to_dict,
 )
 from .model import _NOT_XML, Handle
@@ -187,21 +188,17 @@ def _feed_records(text: str, fallback_ts: datetime) -> list[InteractionRecord]:
                     ts = parse_rfc3339(raw_ts)
                 except ValueError:
                     pass
-        tags = [
-            c.text.strip().lstrip("#").lower()
-            for c in item.iter()
-            if _local_name(c.tag) == "category" and c.text and c.text.strip()
-        ]
-        tags += [t.lower() for t in _HASHTAG_RE.findall(text_joined)]
+        tags = [c.text for c in item.iter() if _local_name(c.tag) == "category" and c.text]
+        tags = [t for t in map(_normalize_tag, tags + _HASHTAG_RE.findall(text_joined)) if t]
         records.append(InteractionRecord(rid, author, text_joined, ts, tuple(dict.fromkeys(tags))))
     return records
 
 
-def _fetch_url(location: str, timeout: float = 30.0) -> str:
+def _fetch_url(location: str, timeout: float = 30.0) -> bytes:
     import urllib.request  # imported here: CLI start-up would pay for it
 
     with urllib.request.urlopen(location, timeout=timeout) as response:
-        return response.read().decode("utf-8", errors="replace")
+        return response.read()
 
 
 def poll_source(
@@ -221,31 +218,22 @@ def poll_source(
     if state.last_fetched_at is not None and fetched_at < state.last_fetched_at:
         fetched_at = state.last_fetched_at
 
-    records: list[InteractionRecord] = []
     try:
-        if spec.kind == "file":
-            parsed, diags = parse_corpus(spec.location)
-            records = parsed
-            diagnostics.extend(
-                SourceDiagnostic(spec.id, f"line {d.line_no}: {d.reason}") for d in diags
-            )
-        elif spec.kind == "rss":
+        if spec.kind == "rss":
             if "://" in spec.location:
-                text = _fetch_url(spec.location)
+                text = _fetch_url(spec.location).decode("utf-8", errors="replace")
             else:
                 text = Path(spec.location).read_text(encoding="utf-8")
             records = _feed_records(text, fetched_at)
-        else:  # http-json
-            text = _fetch_url(spec.location)
-            lines = [ln for ln in text.splitlines() if ln.strip()]
-            read = line_reader()
-            for line_no, line in enumerate(lines, start=1):
-                try:
-                    records.append(read(line))
-                except (json.JSONDecodeError, ValueError, TypeError) as exc:
-                    diagnostics.append(
-                        SourceDiagnostic(spec.id, f"line {line_no}: {exc}")
-                    )
+        else:  # file or http-json: a JSON-lines corpus, read under the same rules
+            source = spec.location
+            if spec.kind == "http-json":  # the body, decoded as open() decodes a file
+                source = io.TextIOWrapper(io.BytesIO(_fetch_url(spec.location)),
+                                          encoding="utf-8", errors="surrogateescape")
+            records, diags = parse_corpus(source)
+            diagnostics.extend(
+                SourceDiagnostic(spec.id, f"line {d.line_no}: {d.reason}") for d in diags
+            )
     except OSError as exc:  # urllib's URLError included
         diagnostics.append(
             SourceDiagnostic(spec.id, f"unreachable: {exc}", retryable=True)
@@ -273,16 +261,6 @@ def output_record_to_dict(record: OutputRecord) -> dict:
     payload["source_id"] = record.source_id
     payload["fetched_at"] = format_rfc3339(record.fetched_at)
     return payload
-
-
-def output_record_from_dict(obj: dict) -> OutputRecord:
-    if "source_id" not in obj or "fetched_at" not in obj:
-        raise RecordParseError("output record needs source_id and fetched_at")
-    return OutputRecord(
-        source_id=str(obj["source_id"]),
-        fetched_at=parse_rfc3339(str(obj["fetched_at"])),
-        payload=record_from_dict(obj),
-    )
 
 
 def _escape_newlines(serialized: str) -> str:
@@ -332,47 +310,28 @@ def output_record_to_xml(record: OutputRecord) -> str:
     return _escape_newlines(ET.tostring(root, encoding="unicode"))
 
 
-def output_record_from_xml(text: str) -> OutputRecord:
+def _xml_object(text: str) -> dict:
+    """The JSON form's object of one ``<record>`` line: the ``<tag>`` texts of
+    each list field, the text (or "") of every other child element."""
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise RecordParseError(f"bad record XML: {exc}") from exc
     if _local_name(root.tag) != "record":
         raise RecordParseError(f"expected <record>, got <{root.tag}>")
+    obj = {}
+    for elem in root:
+        if elem.tag in ("hashtags", "mentions", "follows"):
+            obj[elem.tag] = [t.text or "" for t in elem.findall("tag")]
+        else:
+            obj[elem.tag] = elem.text or ""
+    return obj
 
-    def text_of(name: str, default: str | None = None) -> str | None:
-        elem = root.find(name)
-        if elem is None:
-            return default
-        return elem.text or ""
 
-    def tag_list(name: str) -> list[str]:
-        elem = root.find(name)
-        if elem is None:
-            return []
-        return [(t.text or "") for t in elem.findall("tag")]
-
-    rid = text_of("id")
-    author = text_of("author")
-    ts = text_of("timestamp")
-    if rid is None or author is None or ts is None:
-        raise RecordParseError("record XML is missing id, author, or timestamp")
-    source_id = text_of("source_id")
-    fetched_at = text_of("fetched_at")
-    if source_id is None or fetched_at is None:
-        raise RecordParseError("record XML is missing source_id or fetched_at")
-    reply = text_of("in_reply_to")
-    payload = InteractionRecord(
-        id=rid,
-        author=Handle(author),
-        text=text_of("text", "") or "",
-        timestamp=parse_rfc3339(ts),
-        hashtags=tuple(tag_list("hashtags")),
-        in_reply_to=Handle(reply) if reply else None,
-        mentions=tuple(Handle(m) for m in tag_list("mentions")),
-        follows=tuple(Handle(f) for f in tag_list("follows")),
-    )
-    return OutputRecord(source_id, parse_rfc3339(fetched_at), payload)
+def output_record_from_xml(text: str) -> OutputRecord:
+    """One ``<record>`` line read back as :func:`read_records` reads it."""
+    (record,) = read_records([text], "xml")
+    return record
 
 
 def emit(record: OutputRecord, format: str, sink: IO[str]) -> None:
@@ -385,22 +344,36 @@ def emit(record: OutputRecord, format: str, sink: IO[str]) -> None:
         raise ValueError(f"unknown emission format: {format!r}")
 
 
-def read_records(source: Union[str, Path, IO[str]], format: str) -> list[OutputRecord]:
-    """Parse a sink written by :func:`emit` back into output records."""
+def read_records(source: Union[str, Path, Iterable[str]], format: str) -> list[OutputRecord]:
+    """Parse a sink written by :func:`emit` (a path, or its lines) back into
+    output records, under the corpus rules of :func:`parse_corpus`; an XML
+    line is read as the JSON form's object. A bad line raises
+    :class:`RecordParseError` naming its line number."""
+    if format not in ("json", "xml"):
+        raise ValueError(f"unknown emission format: {format!r}")
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        # Undecodable bytes become lone surrogates, caught per line below.
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return read_records(fh, format)
+    read = record_reader()
     out = []
-    for line in source:
+    for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
-        if format == "json":
-            out.append(output_record_from_dict(json.loads(line)))
-        elif format == "xml":
-            out.append(output_record_from_xml(line))
-        else:
-            raise ValueError(f"unknown emission format: {format!r}")
+        try:
+            line.encode("utf-8")
+            obj = json.loads(line) if format == "json" else _xml_object(line)
+            payload = read(obj, line if format == "json" else None)
+            if "source_id" not in obj or "fetched_at" not in obj:
+                raise ValueError("output record needs source_id and fetched_at")
+            out.append(OutputRecord(
+                str(obj["source_id"]), parse_rfc3339(str(obj["fetched_at"])), payload))
+        except UnicodeEncodeError as exc:
+            raise RecordParseError(
+                f"line {line_no}: not UTF-8 at column {exc.start + 1}") from None
+        except (RecordParseError, ValueError, TypeError) as exc:
+            raise RecordParseError(f"line {line_no}: {exc}") from exc
     return out
 
 
@@ -493,6 +466,9 @@ class CollectorConfig:
     def __post_init__(self):
         if self.sink_format not in ("json", "xml"):
             raise ValueError(f"unknown emission format: {self.sink_format!r}")
+        if self.deviation.metric == "mean_sentiment" and not (
+                self.lexicon_pos and self.lexicon_neg):
+            raise ValueError("the mean_sentiment metric needs a positive and a negative lexicon")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CollectorConfig":

@@ -182,20 +182,6 @@ class _WorkGraph:
     def n(self) -> int:
         return len(self.adj)
 
-    def q(self, comm: list[int], resolution: float) -> float:
-        intra: dict[int, float] = {}
-        deg: dict[int, float] = {}
-        for u, nbrs in enumerate(self.adj):
-            for v, w in nbrs.items():
-                if u < v and comm[u] == comm[v]:
-                    intra[comm[u]] = intra.get(comm[u], 0.0) + w
-            intra[comm[u]] = intra.get(comm[u], 0.0) + self.self_w[u]
-            deg[comm[u]] = deg.get(comm[u], 0.0) + self.degree[u]
-        q = 0.0
-        for c, d in deg.items():
-            q += intra.get(c, 0.0) / self.total - resolution * (d / (2.0 * self.total)) ** 2
-        return q
-
 
 def _one_level(wg: _WorkGraph, config: LouvainConfig, rng: random.Random) -> tuple[list[int], float]:
     """Phase 1: greedy local moves until a sweep gains no more than min_gain.
@@ -305,7 +291,10 @@ def louvain_trace(
         comm, level_gain = _one_level(wg, config, rng)
         wg, dense = _aggregate(wg, comm)
         membership = [dense[m] for m in membership]
-        trace.append(wg.q(list(range(wg.n)), config.resolution))
+        q = 0.0  # each super-node is its own community
+        for self_w, degree in zip(wg.self_w, wg.degree):
+            q += self_w / wg.total - config.resolution * (degree / (2.0 * wg.total)) ** 2
+        trace.append(q)
         if level_gain <= config.min_gain:
             break
 

@@ -113,43 +113,34 @@ def _normalize_tag(tag) -> str:
     return str(tag).strip().lstrip("#").lower()
 
 
-def _record(obj: dict, handle: Callable[[str], Handle],
-            tag: Callable[[str], str]) -> InteractionRecord:
-    if not isinstance(obj, dict):
-        raise ValueError("record must be a JSON object")
-    for key in ("id", "author", "timestamp"):
-        if key not in obj or obj[key] is None:
-            raise ValueError(f"missing required field {key!r}")
-    rid = str(obj["id"])
-    author = handle(str(obj["author"]))
-    text = str(obj.get("text", "") or "")
-    ts = parse_rfc3339(str(obj["timestamp"]))
-    hashtags = tuple([t for t in map(tag, map(str, obj.get("hashtags") or ())) if t])
-    in_reply_to = handle(str(reply)) if (reply := obj.get("in_reply_to")) else None
-    mentions = tuple(map(handle, map(str, obj.get("mentions") or ())))
-    follows = tuple(map(handle, map(str, obj.get("follows") or ())))
-    return InteractionRecord(rid, author, text, ts, hashtags, in_reply_to, mentions, follows)
-
-
-def record_from_dict(obj: dict) -> InteractionRecord:
-    """Build a record from one decoded JSON object. Raises on bad shape."""
-    return _record(obj, Handle, _normalize_tag)
-
-
-def line_reader() -> Callable[[str], InteractionRecord]:
-    """A reader of JSON corpus lines that, while kept, interns raw handle ->
-    :class:`Handle` and raw tag -> normalized tag. A value that fails to
-    parse is not cached: it raises every time. A line whose ``id``, ``text``
-    or ``hashtags`` hold a lone surrogate raises ``ValueError``; only lines
-    holding a ``\\u`` escape can, so only they are searched."""
+def record_reader() -> Callable[..., InteractionRecord]:
+    """The one builder of :class:`InteractionRecord` from a decoded record
+    object: a corpus or sink JSON line's, or an XML sink line's. While kept,
+    it interns raw handle -> :class:`Handle` and raw tag -> normalized tag; a
+    value that fails to parse is not cached: it raises every time. A record
+    whose ``id``, ``text`` or ``hashtags`` hold a lone surrogate raises
+    ``ValueError``. Given ``line``, the JSON text the object was decoded
+    from, only a line holding a ``\\u`` escape can, so only then is it searched."""
     handle, tag = lru_cache(maxsize=None)(Handle), lru_cache(maxsize=None)(_normalize_tag)
 
-    def read(line: str) -> InteractionRecord:
-        record = _record(json.loads(line), handle, tag)
-        if "\\u" in line and (bad := _SURROGATE.search(
-                "".join((record.id, record.text, *record.hashtags)))):
+    def read(obj, line: str | None = None) -> InteractionRecord:
+        if not isinstance(obj, dict):
+            raise ValueError("record must be a JSON object")
+        for key in ("id", "author", "timestamp"):
+            if key not in obj or obj[key] is None:
+                raise ValueError(f"missing required field {key!r}")
+        rid = str(obj["id"])
+        author = handle(str(obj["author"]))
+        text = str(obj.get("text", "") or "")
+        ts = parse_rfc3339(str(obj["timestamp"]))
+        hashtags = tuple([t for t in map(tag, map(str, obj.get("hashtags") or ())) if t])
+        in_reply_to = handle(str(reply)) if (reply := obj.get("in_reply_to")) else None
+        mentions = tuple(map(handle, map(str, obj.get("mentions") or ())))
+        follows = tuple(map(handle, map(str, obj.get("follows") or ())))
+        if (line is None or "\\u" in line) and (
+                bad := _SURROGATE.search("".join((rid, text, *hashtags)))):
             raise ValueError(f"lone surrogate U+{ord(bad.group()):04X} in a string field")
-        return record
+        return InteractionRecord(rid, author, text, ts, hashtags, in_reply_to, mentions, follows)
 
     return read
 
@@ -188,7 +179,7 @@ def parse_corpus(
         with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
             return parse_corpus(fh, format=format)
 
-    read = line_reader()
+    read = record_reader()
     records: list[InteractionRecord] = []
     diagnostics: list[ParseDiagnostic] = []
     for line_no, line in enumerate(source, start=1):
@@ -198,7 +189,7 @@ def parse_corpus(
         try:
             if not stripped.isascii():
                 stripped.encode("utf-8")
-            records.append(read(stripped))
+            records.append(read(json.loads(stripped), stripped))
         except UnicodeEncodeError as exc:
             diagnostics.append(ParseDiagnostic(line_no, f"not UTF-8 at column {exc.start + 1}"))
         except (json.JSONDecodeError, ValueError, TypeError) as exc:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from snsgraph.community import modularity
-from snsgraph.ingest import InteractionRecord
+from snsgraph.ingest import InteractionRecord, record_reader
 from snsgraph.model import Handle, InteractionGraph, InteractionKind
 
 MENTION = InteractionKind.MENTION
@@ -204,6 +204,11 @@ def make_record(rid, author, text="", hashtags=("ge2017",), in_reply_to=None,
         mentions=tuple(Handle(m) for m in mentions),
         follows=tuple(Handle(f) for f in follows),
     )
+
+
+def record_from_dict(obj: dict) -> InteractionRecord:
+    """One decoded corpus object, built by the corpus reader."""
+    return record_reader()(obj)
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import snsgraph
+import snsgraph.cli
 import snsgraph.textmine
 from snsgraph.cli import main
 from snsgraph.report import import_gexf
@@ -53,6 +54,10 @@ class TestExitCodes:
         ("ingest", "--topic", ","),
         ("report", "--topic", "#"),
         ("layout", "--topic", " "),
+        ("text", "--lexicon-pos", "positive.txt"),
+        ("text", "--lexicon-neg", "negative.txt"),
+        ("report", "--lexicon-pos", "positive.txt"),
+        ("report", "--lexicon-neg", "negative.txt"),
     ])
     def test_rejected_config_flag_is_usage_error(self, tmp_path, command, flag, value):
         # The input does not exist: the flag must fail before any input is read.
@@ -120,6 +125,33 @@ class TestExitCodes:
                     "--redact-allowlist", str(allow), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {allow}: line 2: not UTF-8 at column 2\n"
 
+    @pytest.mark.parametrize("command", ["text", "report"])
+    def test_undecodable_stopwords_is_data_error(self, command, tiny_corpus_path, tmp_path,
+                                                 capsys):
+        stop = tmp_path / "stop.txt"
+        stop.write_bytes(b"the\nb\xffb\n")
+        assert run([command, "--input", str(tiny_corpus_path), "--stopwords", str(stop),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {stop}: line 2: not UTF-8 at column 2\n"
+
+    @pytest.mark.parametrize("command", ["text", "report"])
+    @pytest.mark.parametrize("flag", ["--stopwords", "--lexicon-pos", "--lexicon-neg"])
+    def test_side_files_are_read_before_the_corpus(self, command, flag, tiny_corpus_path,
+                                                   tmp_path, monkeypatch, capsys):
+        def parse_corpus(*args):
+            raise AssertionError("the corpus was read before the side files")
+
+        monkeypatch.setattr(snsgraph.cli, "parse_corpus", parse_corpus, raising=False)
+        lexicon = tmp_path / "words.txt"
+        lexicon.write_text("good\n")
+        files = {"--stopwords": lexicon, "--lexicon-pos": lexicon, "--lexicon-neg": lexicon,
+                 flag: tmp_path / "absent.txt"}
+        args = [arg for item in files.items() for arg in map(str, item)]
+        assert run([command, "--input", str(tiny_corpus_path), *args,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "absent.txt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_non_integer_seed_env_is_usage_error(self):
         proc = subprocess.run([sys.executable, "-m", "snsgraph.cli", "--version"],
                               capture_output=True, text=True,
@@ -137,6 +169,8 @@ class TestExitCodes:
         ({"sources": [{"id": "s1", "location": "c.jsonl"}]}, "lacks key 'kind'"),
         ([1], "bad collector config"),
         ("{not json", "bad collector config"),
+        ({"sources": [SOURCE], "deviation": {"metric": "mean_sentiment"},
+          "lexicon": {"positive": "positive.txt"}}, "mean_sentiment"),
     ])
     def test_bad_collector_config_is_data_error(self, tmp_path, config, culprit):
         # run where the default sink `collected.jsonl` lives: it must stay untouched

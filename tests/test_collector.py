@@ -35,6 +35,7 @@ from snsgraph.collector import (
     read_records,
     run_collector,
 )
+from snsgraph.errors import RecordParseError
 from snsgraph.ingest import InteractionRecord
 from snsgraph.model import Handle
 from snsgraph.textmine import Lexicon, text_pass
@@ -84,6 +85,7 @@ RSS_DOC = """<?xml version="1.0"?>
     <guid>item-1</guid>
     <pubDate>Fri, 21 Apr 2017 10:00:00 GMT</pubDate>
     <category>politics</category>
+    <category>#</category>
   </item>
   <item>
     <title>Second post</title>
@@ -141,8 +143,14 @@ class TestPollSource:
         assert first.author == Handle("example_watch")
         assert first.id == "item-1"
         assert "politics" in first.hashtags and "ge2017" in first.hashtags
+        assert "" not in first.hashtags  # <category>#</category> is no tag
         assert first.timestamp == datetime(2017, 4, 21, 10, 0, tzinfo=timezone.utc)
         assert records[1].payload.timestamp == NOW  # no pubDate: fetch time
+        for fmt in ("json", "xml"):
+            sink = io.StringIO()
+            for record in records:
+                emit(record, fmt, sink)
+            assert read_records(io.StringIO(sink.getvalue()), fmt) == records
 
     def test_atom_items_mapped(self, tmp_path):
         path = tmp_path / "feed.atom"
@@ -218,6 +226,42 @@ class TestPollSource:
         assert [d.reason for d in diags] == [
             "line 2: lone surrogate U+D800 in a string field"]
 
+    def test_http_json_line_numbers_count_every_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(corpus_rows(1)[0]) + "\n\n{not json\n")
+        records, diags = poll_source(
+            SourceSpec(id="web", kind="http-json", location=path.as_uri()), now_fn=now_fn
+        )
+        assert [r.payload.id for r in records] == ["r0"]
+        assert [d.reason.split(":")[0] for d in diags] == ["line 3"]
+
+    def test_http_json_reads_its_body_as_the_file_source_reads_a_file(self, tmp_path):
+        # CRLF framing, a latin-1 byte on line 2, a raw U+2028 inside line 3's text
+        rows = corpus_rows(3)
+        rows[1]["text"] = "caf\u00e9"
+        rows[2]["text"] = "one\u2028line"
+        lines = [json.dumps(r, ensure_ascii=False) for r in rows]
+        path = tmp_path / "c.jsonl"
+        body = "".join(ln + "\r\n" for ln in lines).encode()
+        path.write_bytes(body.replace("caf\u00e9".encode(), b"caf\xe9"))
+        got = [poll_source(SourceSpec(id="s", kind=kind, location=location), now_fn=now_fn)
+               for kind, location in (("file", str(path)), ("http-json", path.as_uri()))]
+        assert got[0] == got[1]
+        records, diags = got[1]
+        assert [r.payload.text for r in records] == [rows[0]["text"], "one\u2028line"]
+        column = lines[1].index("\u00e9") + 1
+        assert [d.reason for d in diags] == [f"line 2: not UTF-8 at column {column}"]
+
+    def test_http_json_body_without_a_good_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("{not json\n\n[1]\n")
+        records, diags = poll_source(
+            SourceSpec(id="web", kind="http-json", location=path.as_uri()), now_fn=now_fn
+        )
+        assert records == []
+        assert [(d.reason, d.retryable) for d in diags] == [
+            ("corpus contains no well-formed records", False)]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             SourceSpec(id="s", kind="ftp", location="x")
@@ -292,6 +336,39 @@ class TestEmission:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit(sample_output_record(), "yaml", io.StringIO())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["#GE2017", "ge2017", " Vote ", "#", " ", "a b", "Ünï"]),
+                    max_size=5))
+    def test_both_forms_read_back_under_the_corpus_rules(self, tags):
+        record = OutputRecord("s", NOW, make_record("i", "a", hashtags=tags))
+        back = []
+        for fmt in ("json", "xml"):
+            sink = io.StringIO()
+            emit(record, fmt, sink)
+            (read,) = read_records(io.StringIO(sink.getvalue()), fmt)
+            back.append(read)
+        assert back[0] == back[1]
+        want = [t.strip().lstrip("#").lower() for t in tags]
+        assert back[0].payload.hashtags == tuple(t for t in want if t)
+
+    @pytest.mark.parametrize("fmt, bad, reason", [
+        ("json", b"{not json", "Expecting property name"),
+        ("json", b'{"id": "2", "author": "a", "timestamp": "2017-04-21T10:00:00Z"}',
+         "output record needs source_id"),
+        ("json", b'{"id": "caf\xe9"}', "not UTF-8 at column 12"),
+        ("xml", b"<record><id>2</id>", "bad record XML"),
+        ("xml", b"<record><id>2</id><author>a</author></record>",
+         "missing required field 'timestamp'"),
+        ("xml", b"<record><id>caf\xe9</id></record>", "not UTF-8 at column 16"),
+    ])
+    def test_bad_sink_line_names_its_line(self, fmt, bad, reason, tmp_path):
+        sink = io.StringIO()
+        emit(sample_output_record(), fmt, sink)
+        path = tmp_path / "sink"
+        path.write_bytes(sink.getvalue().encode() + b"\n" + bad + b"\n")
+        with pytest.raises(RecordParseError, match=f"^line 3: {reason}"):
+            read_records(path, fmt)
 
     @pytest.mark.parametrize("text", ["a\u0001b", "bell \x07", "\ufffe"])
     def test_xml_refuses_a_code_point_xml_forbids(self, text):

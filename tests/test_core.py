@@ -5,6 +5,8 @@ per-stage index builders that every stage used to derive on its own, kept
 verbatim apart from their ``ref_`` names. The core must reproduce their
 arrays element for element (compared via ``tobytes``, so dtype and the
 sign of zero count too), and modularity must match bit for bit.
+``ref_workgraph_q`` is the per-pass modularity Louvain's trace used to take
+from its work graph; the trace must match it bit for bit.
 """
 
 import io
@@ -14,7 +16,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from snsgraph.centrality import CentralityMode, _edge_arrays
-from snsgraph.community import _WorkGraph, modularity
+from snsgraph.community import (
+    LouvainConfig,
+    _aggregate,
+    _one_level,
+    _WorkGraph,
+    louvain_trace,
+    modularity,
+)
 from snsgraph.layout import _Arrays
 from snsgraph.model import (
     Handle,
@@ -25,7 +34,7 @@ from snsgraph.model import (
 )
 from snsgraph.report import export_gexf, import_gexf
 
-from conftest import neighbors, random_connected_graph
+from conftest import karate_graph, neighbors, random_connected_graph
 
 
 # --- reference derivations ----------------------------------------------------
@@ -151,6 +160,35 @@ def ref_modularity(graph, assignment, resolution=1.0):
     for c, d in deg.items():
         q += intra.get(c, 0.0) / total - resolution * (d / (2.0 * total)) ** 2
     return q
+
+
+def ref_workgraph_q(wg, comm, resolution):
+    intra: dict[int, float] = {}
+    deg: dict[int, float] = {}
+    for u, nbrs in enumerate(wg.adj):
+        for v, w in nbrs.items():
+            if u < v and comm[u] == comm[v]:
+                intra[comm[u]] = intra.get(comm[u], 0.0) + w
+        intra[comm[u]] = intra.get(comm[u], 0.0) + wg.self_w[u]
+        deg[comm[u]] = deg.get(comm[u], 0.0) + wg.degree[u]
+    q = 0.0
+    for c, d in deg.items():
+        q += intra.get(c, 0.0) / wg.total - resolution * (d / (2.0 * wg.total)) ** 2
+    return q
+
+
+def ref_louvain_trace(graph, config):
+    """The per-pass loop of ``louvain_trace`` (one restart) with ``ref_workgraph_q``."""
+    wg = _WorkGraph.from_view(undirected_view(graph))
+    rng = random.Random(config.seed)
+    trace = []
+    for _ in range(config.max_passes):
+        comm, level_gain = _one_level(wg, config, rng)
+        wg, _ = _aggregate(wg, comm)
+        trace.append(ref_workgraph_q(wg, list(range(wg.n)), config.resolution))
+        if level_gain <= config.min_gain:
+            break
+    return trace
 
 
 def ref_view_to_workgraph(view):
@@ -343,6 +381,28 @@ def test_modularity_bit_identical_to_reference(raw, labels, rnd):
         assert modularity(graph, assignment, resolution) == ref_modularity(
             graph, assignment, resolution
         )
+
+
+def assert_trace_matches_reference(graph, config):
+    _, trace = louvain_trace(graph, config)
+    want = ref_louvain_trace(graph, config)
+    assert [q.hex() for q in trace] == [q.hex() for q in want]
+
+
+def test_louvain_trace_bit_identical_on_karate_and_a_larger_graph():
+    for graph in (karate_graph(), random_connected_graph(300, 900, seed=5)):
+        for seed in range(3):
+            for resolution in (0.5, 1.0, 2.0):
+                assert_trace_matches_reference(
+                    graph, LouvainConfig(resolution=resolution, seed=seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_maps, st.integers(0, 2**16), st.sampled_from([0.5, 1.0, 1.7]))
+def test_louvain_trace_bit_identical_to_reference(raw, seed, resolution):
+    graph = make_graph(raw, [])
+    if graph.total_weight:
+        assert_trace_matches_reference(graph, LouvainConfig(resolution=resolution, seed=seed))
 
 
 @settings(max_examples=100, deadline=None)

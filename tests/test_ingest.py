@@ -24,12 +24,11 @@ from snsgraph.ingest import (
     filter_topic,
     parse_corpus,
     parse_rfc3339,
-    record_from_dict,
     record_to_dict,
 )
 from snsgraph.model import Handle, InteractionKind
 
-from conftest import make_record, write_jsonl
+from conftest import make_record, record_from_dict, write_jsonl
 
 
 # --- reference parser -----------------------------------------------------------
