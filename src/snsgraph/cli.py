@@ -62,20 +62,15 @@ def _topic_from(arg: str | None) -> TopicFilter | None:
 def _read_lines(path: str, parse) -> frozenset:
     """``parse`` of each line of a side file, blank and ``#`` lines skipped; an
     undecodable line or one ``parse`` rejects is a data error naming both."""
+    from .ingest import text_lines, utf8  # here: importing the CLI loads no stage
+
     items = set()
-    # Undecodable bytes become lone surrogates, which fail to encode.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                try:
-                    line.encode("utf-8")
-                    items.add(parse(line))
-                except UnicodeEncodeError as exc:
-                    raise AnalyticsError(
-                        f"{path}: line {line_no}: not UTF-8 at column {exc.start + 1}") from None
-                except ValueError as exc:
-                    raise AnalyticsError(f"{path}: line {line_no}: {exc}") from None
+    for line_no, line in text_lines(path):
+        if not line.startswith("#"):
+            try:
+                items.add(parse(utf8(line)))
+            except ValueError as exc:
+                raise AnalyticsError(f"{path}: line {line_no}: {exc}") from None
     return frozenset(items)
 
 

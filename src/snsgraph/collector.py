@@ -16,7 +16,6 @@ divides cleanly.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import statistics
@@ -37,6 +36,8 @@ from .ingest import (
     parse_rfc3339,
     record_reader,
     record_to_dict,
+    text_lines,
+    utf8,
 )
 from .model import _NOT_XML, Handle
 from .textmine import Lexicon, load_lexicon, sentiment
@@ -56,6 +57,8 @@ class SourceSpec:
             raise ValueError(f"unknown source kind: {self.kind!r}")
         if not self.id:
             raise ValueError("source id must be non-empty")
+        if self.kind == "http-json" and "://" not in self.location:
+            raise ValueError(f"http-json source {self.id!r} needs a URL, got {self.location!r}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +132,9 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _feed_records(text: str, fallback_ts: datetime) -> list[InteractionRecord]:
-    """Map RSS 2.0 / Atom items to interaction records.
+def _feed_records(document: bytes, fallback_ts: datetime) -> list[InteractionRecord]:
+    """Map the items of an RSS 2.0 / Atom document, decoded as its XML
+    declaration says, to interaction records.
 
     Item text is title + " " + description/summary; the feed author (or
     feed title) becomes the authoring handle. Hashtags come from category
@@ -139,7 +143,7 @@ def _feed_records(text: str, fallback_ts: datetime) -> list[InteractionRecord]:
     """
     import email.utils  # imported here: CLI start-up would pay for it
 
-    root = ET.fromstring(text)
+    root = ET.fromstring(document)
     rootname = _local_name(root.tag)
 
     def first(elem, *names) -> str | None:
@@ -219,18 +223,13 @@ def poll_source(
         fetched_at = state.last_fetched_at
 
     try:
+        location = spec.location
         if spec.kind == "rss":
-            if "://" in spec.location:
-                text = _fetch_url(spec.location).decode("utf-8", errors="replace")
-            else:
-                text = Path(spec.location).read_text(encoding="utf-8")
-            records = _feed_records(text, fetched_at)
+            body = _fetch_url(location) if "://" in location else Path(location).read_bytes()
+            records = _feed_records(body, fetched_at)
         else:  # file or http-json: a JSON-lines corpus, read under the same rules
-            source = spec.location
-            if spec.kind == "http-json":  # the body, decoded as open() decodes a file
-                source = io.TextIOWrapper(io.BytesIO(_fetch_url(spec.location)),
-                                          encoding="utf-8", errors="surrogateescape")
-            records, diags = parse_corpus(source)
+            records, diags = parse_corpus(
+                _fetch_url(location) if spec.kind == "http-json" else location)
             diagnostics.extend(
                 SourceDiagnostic(spec.id, f"line {d.line_no}: {d.reason}") for d in diags
             )
@@ -267,46 +266,36 @@ def _escape_newlines(serialized: str) -> str:
     return serialized.replace("\r", "&#13;").replace("\n", "&#10;")
 
 
-def _not_xml(record: OutputRecord) -> str | None:
-    """Why the record has no XML form (a code point XML 1.0 forbids), or None."""
-    payload = record.payload
-    for name, value in (("id", payload.id), ("text", payload.text),
-                        ("hashtags", "".join(payload.hashtags)), ("source_id", record.source_id)):
-        if bad := _NOT_XML.search(value):
-            return (f"record {payload.id!r}: {name} holds U+{ord(bad.group()):04X}, "
-                    "which XML 1.0 forbids")
+def _not_xml(obj: dict) -> str | None:
+    """Why an :func:`output_record_to_dict` object has no XML 1.0 form, or None."""
+    for name, value in obj.items():
+        for text in value if isinstance(value, list) else (value or "",):
+            if bad := _NOT_XML.search(text):
+                return (f"record {obj['id']!r}: {name} holds U+{ord(bad.group()):04X}, "
+                        "which XML 1.0 forbids")
     return None
 
 
 def output_record_to_xml(record: OutputRecord) -> str:
-    """One ``<record>`` element on a single line.
+    """One ``<record>`` element on a single line: the fields of
+    :func:`output_record_to_dict` in order.
 
     List fields use ``<tag>`` child elements; ``in_reply_to`` is omitted
     when absent. Literal newlines in text content are escaped as character
     references so the line framing of sinks survives arbitrary text. A
     record holding a code point XML 1.0 forbids raises ``ValueError``.
     """
-    if reason := _not_xml(record):
+    obj = output_record_to_dict(record)
+    if reason := _not_xml(obj):
         raise ValueError(reason)
-    payload = record.payload
     root = ET.Element("record")
-    ET.SubElement(root, "id").text = payload.id
-    ET.SubElement(root, "author").text = payload.author.value
-    ET.SubElement(root, "text").text = payload.text
-    tags = ET.SubElement(root, "hashtags")
-    for t in payload.hashtags:
-        ET.SubElement(tags, "tag").text = t
-    if payload.in_reply_to is not None:
-        ET.SubElement(root, "in_reply_to").text = payload.in_reply_to.value
-    mentions = ET.SubElement(root, "mentions")
-    for m in payload.mentions:
-        ET.SubElement(mentions, "tag").text = m.value
-    follows = ET.SubElement(root, "follows")
-    for f in payload.follows:
-        ET.SubElement(follows, "tag").text = f.value
-    ET.SubElement(root, "timestamp").text = format_rfc3339(payload.timestamp)
-    ET.SubElement(root, "source_id").text = record.source_id
-    ET.SubElement(root, "fetched_at").text = format_rfc3339(record.fetched_at)
+    for name, value in obj.items():
+        if isinstance(value, list):
+            elem = ET.SubElement(root, name)
+            for item in value:
+                ET.SubElement(elem, "tag").text = item
+        elif value is not None:
+            ET.SubElement(root, name).text = value
     return _escape_newlines(ET.tostring(root, encoding="unicode"))
 
 
@@ -351,27 +340,16 @@ def read_records(source: Union[str, Path, Iterable[str]], format: str) -> list[O
     :class:`RecordParseError` naming its line number."""
     if format not in ("json", "xml"):
         raise ValueError(f"unknown emission format: {format!r}")
-    if isinstance(source, (str, Path)):
-        # Undecodable bytes become lone surrogates, caught per line below.
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            return read_records(fh, format)
     read = record_reader()
     out = []
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for line_no, line in text_lines(source):
         try:
-            line.encode("utf-8")
-            obj = json.loads(line) if format == "json" else _xml_object(line)
+            obj = (json.loads if format == "json" else _xml_object)(utf8(line))
             payload = read(obj, line if format == "json" else None)
             if "source_id" not in obj or "fetched_at" not in obj:
                 raise ValueError("output record needs source_id and fetched_at")
             out.append(OutputRecord(
                 str(obj["source_id"]), parse_rfc3339(str(obj["fetched_at"])), payload))
-        except UnicodeEncodeError as exc:
-            raise RecordParseError(
-                f"line {line_no}: not UTF-8 at column {exc.start + 1}") from None
         except (RecordParseError, ValueError, TypeError) as exc:
             raise RecordParseError(f"line {line_no}: {exc}") from exc
     return out
@@ -534,7 +512,7 @@ def run_collector(
     returns; otherwise each source is re-polled on its own interval until
     ``max_cycles`` rounds have run (or forever). All sources feed one
     serialized sink writer, so records never interleave mid-line. A record
-    an XML sink cannot hold is skipped, with a diagnostic.
+    the sink's form cannot hold is skipped, with a diagnostic.
     """
     stats = CollectorRunStats()
     states = {spec.id: SourceState() for spec in config.sources}
@@ -556,10 +534,11 @@ def run_collector(
                 records, diags = poll_source(spec, states[spec.id], now_fn=now_fn)
                 stats.diagnostics.extend(diags)
                 for record in records:
-                    if config.sink_format == "xml" and (reason := _not_xml(record)):
-                        stats.diagnostics.append(SourceDiagnostic(spec.id, reason + "; skipped"))
+                    try:
+                        emit(record, config.sink_format, sink)
+                    except ValueError as exc:  # a record the sink's form cannot hold
+                        stats.diagnostics.append(SourceDiagnostic(spec.id, f"{exc}; skipped"))
                         continue
-                    emit(record, config.sink_format, sink)
                     collected.append(record)
                     stats.records_emitted += 1
             sink.flush()

@@ -15,18 +15,46 @@ forbids, a string field holding a lone surrogate such as JSON's
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
-from typing import IO, Callable, Iterable, Union
+from typing import IO, Callable, Iterable, Iterator, Union
 
 from .errors import EmptyCorpusError
-from .model import Handle, InteractionGraph, InteractionKind, ValueEdge
+from .model import Handle, InteractionGraph, InteractionKind, ValueEdge, _unmark
 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # JSON's "\\ud800" decodes to one
+
+
+def text_lines(source: str | Path | bytes | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line_no, line)`` for each non-blank line of a path, a byte string or
+    text lines, stripped; ``line_no`` counts every line. The one line rule of
+    every text input: paths and bytes are read as UTF-8 split at LF, CR or
+    CRLF, an undecodable byte kept as a lone surrogate for :func:`utf8`."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            yield from text_lines(fh)
+        return
+    if isinstance(source, bytes):
+        source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", errors="surrogateescape")
+    for line_no, line in enumerate(source, start=1):
+        if line := line.strip():
+            yield line_no, line
+
+
+def utf8(line: str) -> str:
+    """``line``, unless it holds a lone surrogate (an undecodable byte read by
+    :func:`text_lines`): then ``ValueError`` naming its column."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"not UTF-8 at column {exc.start + 1}") from None
+    return line
 
 
 def parse_rfc3339(value: str) -> datetime:
@@ -75,6 +103,10 @@ class InteractionRecord:
         return acts
 
 
+def _normalize_tag(tag) -> str:
+    return _unmark(str(tag), "#")
+
+
 @dataclass(frozen=True)
 class TopicFilter:
     """Case-insensitive exact-tag topic filter (no substring matching)."""
@@ -82,7 +114,7 @@ class TopicFilter:
     tags: frozenset[str]
 
     def __post_init__(self):
-        normalized = frozenset(t.strip().lstrip("#").lower() for t in self.tags)
+        normalized = frozenset(map(_normalize_tag, self.tags))
         if not normalized or "" in normalized:
             raise ValueError("topic filter needs at least one non-empty tag")
         object.__setattr__(self, "tags", normalized)
@@ -107,10 +139,6 @@ class IngestStats:
     self_loops_dropped: int = 0
     node_count: int = 0
     edge_count: int = 0
-
-
-def _normalize_tag(tag) -> str:
-    return str(tag).strip().lstrip("#").lower()
 
 
 def record_reader() -> Callable[..., InteractionRecord]:
@@ -159,40 +187,24 @@ def record_to_dict(record: InteractionRecord) -> dict:
     }
 
 
-CorpusSource = Union[str, Path, IO[str]]
-
-
 def parse_corpus(
-    source: CorpusSource, format: str = "json-lines"
+    source: str | Path | bytes | Iterable[str],
 ) -> tuple[list[InteractionRecord], list[ParseDiagnostic]]:
-    """Read a JSON-lines corpus.
+    """Read a JSON-lines corpus: a path, a body's bytes or text lines, as
+    :func:`text_lines` reads them.
 
     Every well-formed line yields one record; malformed lines produce a
     diagnostic with the line number and reason. A corpus with zero
     well-formed records raises :class:`EmptyCorpusError`. Unreadable paths
     raise the underlying ``OSError``.
     """
-    if format != "json-lines":
-        raise ValueError(f"unsupported corpus format: {format!r}")
-    if isinstance(source, (str, Path)):
-        # Undecodable bytes become lone surrogates, caught per line below.
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            return parse_corpus(fh, format=format)
-
     read = record_reader()
     records: list[InteractionRecord] = []
     diagnostics: list[ParseDiagnostic] = []
-    for line_no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
+    for line_no, line in text_lines(source):
         try:
-            if not stripped.isascii():
-                stripped.encode("utf-8")
-            records.append(read(json.loads(stripped), stripped))
-        except UnicodeEncodeError as exc:
-            diagnostics.append(ParseDiagnostic(line_no, f"not UTF-8 at column {exc.start + 1}"))
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
+            records.append(read(json.loads(utf8(line)), line))
+        except (ValueError, TypeError) as exc:  # json.JSONDecodeError included
             diagnostics.append(ParseDiagnostic(line_no, str(exc)))
     if not records:
         raise EmptyCorpusError("corpus contains no well-formed records")

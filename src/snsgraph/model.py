@@ -25,6 +25,13 @@ if TYPE_CHECKING:
 
 # Code points XML 1.0 forbids: C0 controls but tab/LF/CR, surrogates, U+FFFE/F.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_MARKED = {mark: re.compile(rf"[{mark}\s]*") for mark in "#@"}
+
+
+def _unmark(value: str, mark: str) -> str:
+    """``value`` lowercased, less leading ``mark``/whitespace and trailing whitespace."""
+    value = value.strip()
+    return value[_MARKED[mark].match(value).end():].lower()
 
 
 @dataclass(frozen=True, order=True)
@@ -32,15 +39,15 @@ class Handle:
     """A normalized account handle.
 
     Handles compare case-insensitively by construction: the value is
-    lowercased and a leading ``@`` is stripped. ``display()`` re-adds it.
-    A handle must be writable to GEXF, so code points XML 1.0 forbids are
-    rejected.
+    lowercased and its leading run of ``@`` and whitespace is stripped.
+    ``display()`` re-adds one ``@``. A handle must be writable to GEXF, so
+    code points XML 1.0 forbids are rejected.
     """
 
     value: str
 
     def __post_init__(self):
-        normalized = self.value.strip().lstrip("@").lower()
+        normalized = _unmark(self.value, "@")
         if not normalized:
             raise ValueError("handle must be non-empty")
         if bad := _NOT_XML.search(normalized):

@@ -25,10 +25,10 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import EmptyCorpusError, LexiconError
-from .ingest import InteractionRecord
+from .ingest import InteractionRecord, text_lines
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -61,25 +61,14 @@ class TermStats:
     salience: float
 
 
-WordSource = Union[str, Path, IO[str], Iterable[str]]
+def _read_words(source: str | Path | Iterable[str]) -> set[str]:
+    # The published lexicon files are latin-1 encoded: a word holding an
+    # undecodable byte is kept, and as no token holds one, never matches.
+    return {line.lower() for _, line in text_lines(source) if not line.startswith(";")}
 
 
-def _read_words(source: WordSource) -> set[str]:
-    if isinstance(source, (str, Path)):
-        # The published lexicon files are latin-1 encoded; be permissive.
-        with open(source, "r", encoding="utf-8", errors="replace") as fh:
-            return _read_words(fh)
-    words = set()
-    for line in source:
-        word = line.strip()
-        if not word or word.startswith(";"):
-            continue
-        words.add(word.lower())
-    return words
-
-
-def load_lexicon(pos_source: WordSource, neg_source: WordSource) -> Lexicon:
-    """Load positive/negative word lists.
+def load_lexicon(pos_source, neg_source) -> Lexicon:
+    """Load positive/negative word lists, each a path or text lines.
 
     Words present in both lists are dropped from both and reported via
     ``dropped_conflicts``. An empty resulting lexicon raises

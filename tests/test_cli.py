@@ -1,4 +1,5 @@
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from snsgraph.cli import main
 from snsgraph.report import import_gexf
 from snsgraph.seeds import derive_seed
 
-from conftest import write_jsonl
+from conftest import BASE_TS, make_record, write_jsonl
 
 
 def run(args):
@@ -171,6 +172,7 @@ class TestExitCodes:
         ("{not json", "bad collector config"),
         ({"sources": [SOURCE], "deviation": {"metric": "mean_sentiment"},
           "lexicon": {"positive": "positive.txt"}}, "mean_sentiment"),
+        ({"sources": [dict(SOURCE, kind="http-json")]}, "needs a URL, got 'c.jsonl'"),
     ])
     def test_bad_collector_config_is_data_error(self, tmp_path, config, culprit):
         # run where the default sink `collected.jsonl` lives: it must stay untouched
@@ -191,6 +193,62 @@ class TestExitCodes:
     def test_success_is_zero(self, tiny_corpus_path, tmp_path):
         assert run(["ingest", "--input", str(tiny_corpus_path),
                     "--out", str(tmp_path / "out")]) == 0
+
+
+GOOD_LINE = b'{"id": "1", "author": "alice", "text": "great", "timestamp": "2017-04-21T10:00:00Z"}'
+
+
+def _sink_line(fmt: str) -> bytes:
+    from snsgraph.collector import OutputRecord, emit
+
+    sink = io.StringIO()
+    emit(OutputRecord("s", BASE_TS, make_record("1", "alice")), fmt, sink)
+    return sink.getvalue().encode()
+
+
+class TestOneLineRule:
+    """Byte 0xff on line 2 of each line-oriented input gives that input's
+    documented outcome, naming line 2 and the byte's column where it fails."""
+
+    @pytest.mark.parametrize("kind", [
+        "corpus", "http-json", "json sink", "xml sink", "stopwords", "allowlist", "lexicon"])
+    def test_undecodable_byte_on_line_2(self, kind, tiny_corpus_path, tmp_path, capsys):
+        from snsgraph.collector import SourceSpec, poll_source, read_records
+        from snsgraph.errors import RecordParseError
+        from snsgraph.ingest import ParseDiagnostic, parse_corpus
+        from snsgraph.textmine import load_lexicon, text_pass
+
+        bad_id = GOOD_LINE.replace(b'"1"', b'"\xff"')
+        first, bad = {
+            "corpus": (GOOD_LINE, bad_id),
+            "http-json": (GOOD_LINE, bad_id),
+            "json sink": (_sink_line("json"), bad_id),
+            "xml sink": (_sink_line("xml"), b"<record><id>\xff</id></record>"),
+        }.get(kind, (b"great", b"b\xffd"))
+        path = tmp_path / "input.txt"
+        path.write_bytes(first.rstrip(b"\n") + b"\n" + bad + b"\n")
+        reason = f"not UTF-8 at column {bad.index(0xFF) + 1}"
+
+        if kind == "corpus":
+            assert parse_corpus(path)[1] == [ParseDiagnostic(2, reason)]
+        elif kind == "http-json":
+            spec = SourceSpec(id="web", kind="http-json", location=path.as_uri())
+            assert [d.reason for d in poll_source(spec)[1]] == [f"line 2: {reason}"]
+        elif kind.endswith("sink"):
+            with pytest.raises(RecordParseError, match=f"^line 2: {reason}$"):
+                read_records(path, kind.split()[0])
+        elif kind == "lexicon":  # the word is kept but cannot match a token
+            neg = tmp_path / "neg.txt"
+            neg.write_text("bad\n")
+            records = parse_corpus(tiny_corpus_path)[0]
+            kept, without = load_lexicon(path, neg), load_lexicon(["great"], neg)
+            assert len(kept.positive) == 2
+            assert text_pass(records, None, kept) == text_pass(records, None, without)
+        else:
+            flag = {"stopwords": "--stopwords", "allowlist": "--redact-allowlist"}[kind]
+            assert run(["report", "--input", str(tiny_corpus_path), "--iterations", "5",
+                        flag, str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"error: {path}: line 2: {reason}\n"
 
 
 class TestStages:

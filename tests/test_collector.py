@@ -3,7 +3,9 @@
 ``ref_bucketize`` below is the per-metric bucketing the one-pass
 ``bucket_series`` replaced, kept verbatim apart from its ``ref_`` name and
 its sentiment scorer (the reference one of ``test_textmine``). The one pass
-must reproduce both of its series bit for bit.
+must reproduce both of its series bit for bit. ``ref_output_record_to_xml``
+is the element-by-element XML writer that walking ``output_record_to_dict``
+replaced, kept the same way; the walk must write the same lines.
 """
 
 import http.server
@@ -13,6 +15,7 @@ import statistics
 import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 from typing import Iterable
 
@@ -35,9 +38,10 @@ from snsgraph.collector import (
     read_records,
     run_collector,
 )
+from snsgraph.cli import main
 from snsgraph.errors import RecordParseError
-from snsgraph.ingest import InteractionRecord
-from snsgraph.model import Handle
+from snsgraph.ingest import InteractionRecord, format_rfc3339
+from snsgraph.model import _NOT_XML, Handle
 from snsgraph.textmine import Lexicon, text_pass
 
 from conftest import BASE_TS, make_record, write_jsonl
@@ -72,6 +76,47 @@ def ref_bucketize(
             n = counts.get(b, 0)
             series.append((ts, (sums.get(b, 0.0) / n) if n else 0.0))
     return series
+
+
+def _ref_escape_newlines(serialized: str) -> str:
+    return serialized.replace("\r", "&#13;").replace("\n", "&#10;")
+
+
+def ref_not_xml(record: OutputRecord) -> str | None:
+    """Why the record has no XML form (a code point XML 1.0 forbids), or None."""
+    payload = record.payload
+    for name, value in (("id", payload.id), ("text", payload.text),
+                        ("hashtags", "".join(payload.hashtags)), ("source_id", record.source_id)):
+        if bad := _NOT_XML.search(value):
+            return (f"record {payload.id!r}: {name} holds U+{ord(bad.group()):04X}, "
+                    "which XML 1.0 forbids")
+    return None
+
+
+def ref_output_record_to_xml(record: OutputRecord) -> str:
+    if reason := ref_not_xml(record):
+        raise ValueError(reason)
+    payload = record.payload
+    root = ET.Element("record")
+    ET.SubElement(root, "id").text = payload.id
+    ET.SubElement(root, "author").text = payload.author.value
+    ET.SubElement(root, "text").text = payload.text
+    tags = ET.SubElement(root, "hashtags")
+    for t in payload.hashtags:
+        ET.SubElement(tags, "tag").text = t
+    if payload.in_reply_to is not None:
+        ET.SubElement(root, "in_reply_to").text = payload.in_reply_to.value
+    mentions = ET.SubElement(root, "mentions")
+    for m in payload.mentions:
+        ET.SubElement(mentions, "tag").text = m.value
+    follows = ET.SubElement(root, "follows")
+    for f in payload.follows:
+        ET.SubElement(follows, "tag").text = f.value
+    ET.SubElement(root, "timestamp").text = format_rfc3339(payload.timestamp)
+    ET.SubElement(root, "source_id").text = record.source_id
+    ET.SubElement(root, "fetched_at").text = format_rfc3339(record.fetched_at)
+    return _ref_escape_newlines(ET.tostring(root, encoding="unicode"))
+
 
 NOW = datetime(2020, 5, 1, 12, 0, 0, tzinfo=timezone.utc)
 now_fn = lambda: NOW
@@ -266,6 +311,38 @@ class TestPollSource:
         with pytest.raises(ValueError):
             SourceSpec(id="s", kind="ftp", location="x")
 
+    def test_undeclared_non_utf8_feed_is_one_diagnostic(self, tmp_path, monkeypatch, capsys):
+        # The feed is handed to the XML parser as bytes: with no encoding
+        # declared it is UTF-8, and the lone 0xe9 is where parsing stops.
+        (tmp_path / "feed.xml").write_bytes(RSS_DOC.replace("First", "Caf\u00e9").encode("latin-1"))
+        (tmp_path / "collector.json").write_text(json.dumps({
+            "sources": [{"id": "feed", "kind": "rss", "location": "feed.xml"}]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["collect", "--config", "collector.json", "--once"]) == 0
+        assert capsys.readouterr().err == (
+            "diagnostic [feed]: not well-formed (invalid token): line 5, column 14\n")
+        assert (tmp_path / "collected.jsonl").read_bytes() == b""
+
+    LATIN_1_FEED = RSS_DOC.replace("First", "Caf\u00e9").replace(
+        '<?xml version="1.0"?>', '<?xml version="1.0" encoding="ISO-8859-1"?>').encode("latin-1")
+
+    def test_feed_is_decoded_as_it_declares(self, tmp_path):
+        path = tmp_path / "feed.xml"
+        path.write_bytes(self.LATIN_1_FEED)
+        records, diags = poll_source(SourceSpec(id="s", kind="rss", location=str(path)),
+                                     now_fn=now_fn)
+        assert diags == []
+        assert records[0].payload.text == "Caf\u00e9 post body one #GE2017"
+
+    def test_fetched_feed_reads_as_the_same_bytes_by_path(self, tmp_path):
+        path = tmp_path / "feed.xml"
+        path.write_bytes(self.LATIN_1_FEED)
+        got = [poll_source(SourceSpec(id="s", kind="rss", location=location), now_fn=now_fn)
+               for location in (str(path), path.as_uri())]
+        assert got[0] == got[1]
+        assert [r.payload.text for r in got[1][0]] == [
+            "Caf\u00e9 post body one #GE2017", "Second post body two"]
+
     def test_fetched_at_monotone_even_if_clock_steps_back(self, tmp_path):
         spec_path = write_jsonl(tmp_path / "c.jsonl", corpus_rows(1))
         later = write_jsonl(tmp_path / "c2.jsonl", [dict(corpus_rows(2)[1])])
@@ -276,6 +353,10 @@ class TestPollSource:
         spec2 = SourceSpec(id="s", kind="file", location=str(later))
         records, _ = poll_source(spec2, state, now_fn=lambda: next(clock))
         assert records[0].fetched_at == NOW  # clamped, not backdated
+
+
+HANDLES = st.text(alphabet="@ aB\u00e9\n", max_size=4).filter(
+    lambda raw: raw.strip("@ \n")).map(Handle)
 
 
 def sample_output_record(text="hello world", mentions=("bob",)):
@@ -369,6 +450,31 @@ class TestEmission:
         path.write_bytes(sink.getvalue().encode() + b"\n" + bad + b"\n")
         with pytest.raises(RecordParseError, match=f"^line 3: {reason}"):
             read_records(path, fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(
+        OutputRecord,
+        source_id=st.text(max_size=4),
+        fetched_at=st.datetimes(timezones=st.just(timezone.utc)),
+        payload=st.builds(
+            InteractionRecord,
+            id=st.text(max_size=6),
+            author=HANDLES,
+            text=st.text(max_size=12),
+            timestamp=st.datetimes(timezones=st.just(timezone.utc)),
+            hashtags=st.lists(st.text(max_size=4), max_size=3).map(tuple),
+            in_reply_to=st.none() | HANDLES,
+            mentions=st.lists(HANDLES, max_size=2).map(tuple),
+            follows=st.lists(HANDLES, max_size=2).map(tuple),
+        ),
+    ))
+    def test_xml_form_matches_the_element_by_element_writer(self, record):
+        def line_or_error(write):
+            try:
+                return write(record)
+            except ValueError as exc:
+                return str(exc)
+        assert line_or_error(output_record_to_xml) == line_or_error(ref_output_record_to_xml)
 
     @pytest.mark.parametrize("text", ["a\u0001b", "bell \x07", "\ufffe"])
     def test_xml_refuses_a_code_point_xml_forbids(self, text):

@@ -20,11 +20,15 @@ from snsgraph.ingest import (
     InteractionRecord,
     ParseDiagnostic,
     TopicFilter,
+    _normalize_tag,
     build_graph,
     filter_topic,
     parse_corpus,
     parse_rfc3339,
     record_to_dict,
+    text_lines,
+    utf8,
+    write_corpus,
 )
 from snsgraph.model import Handle, InteractionKind
 
@@ -263,6 +267,62 @@ class TestParseCorpus:
         path = write_jsonl(tmp_path / "c.jsonl", [GOOD_LINE])
         records, _ = parse_corpus(path)
         assert record_to_dict(records[0]) == record_to_dict(record_from_dict(GOOD_LINE))
+
+
+class TestTextLines:
+    BODY = b"one\r\n\n  two  \rthree" + "\u2028".encode() + b"x\nf\xffour\r\n"
+
+    def test_one_rule_for_paths_bytes_and_lines(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(self.BODY)
+        want = [(1, "one"), (3, "two"), (4, "three\u2028x"), (5, "f\udcffour")]
+        assert list(text_lines(self.BODY)) == want  # LF, CR and CRLF end a line; U+2028 does not
+        assert list(text_lines(path)) == list(text_lines(str(path))) == want
+        text_in = ["one\n", "\n", "  two  \n", "three\u2028x\n", "f\udcffour\n"]
+        assert list(text_lines(text_in)) == want
+
+    def test_utf8_names_the_column_of_an_undecodable_byte(self):
+        assert utf8("caf\u00e9") == "caf\u00e9"
+        with pytest.raises(ValueError, match="^not UTF-8 at column 2$"):
+            utf8(dict(text_lines(self.BODY))[5])
+
+
+# Raw values made of the characters the normalizations strip, and a few others.
+MARKED = st.text(alphabet="#@ \t\u3000aB\u00c9", max_size=6)
+
+
+class TestNormalizationIsIdempotent:
+    @given(MARKED)
+    def test_tag(self, raw):
+        once = _normalize_tag(raw)
+        assert _normalize_tag(once) == once
+        assert not once or TopicFilter.of(raw).tags == {once}
+
+    @given(MARKED)
+    def test_handle(self, raw):
+        try:
+            once = Handle(raw)
+        except ValueError:
+            return
+        assert Handle(once.value).value == once.value
+        assert Handle(once.display()) == once
+
+    def test_a_space_after_the_mark_is_stripped(self):
+        assert _normalize_tag(" # Brexit ") == "brexit"
+        assert Handle("@ Alice").value == "alice"
+
+    @settings(max_examples=200, deadline=None)
+    @given(MARKED, st.lists(MARKED, max_size=3), st.lists(MARKED, max_size=2))
+    def test_parse_write_parse_is_stable(self, author, hashtags, mentions):
+        line = json.dumps(dict(GOOD_LINE, author=author, hashtags=hashtags, mentions=mentions))
+        try:
+            records, _ = parse_corpus([line])
+        except EmptyCorpusError:
+            return
+        sink = io.StringIO()
+        write_corpus(records, sink)
+        again, diagnostics = parse_corpus(io.StringIO(sink.getvalue()))
+        assert again == records and diagnostics == []
 
 
 class TestTopicFilter:
