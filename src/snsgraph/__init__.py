@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # and no numpy until a stage runs.
 _EXPORTS = {
     "model": (
-        "CentralityVector", "GraphCore", "GraphView", "Handle", "InteractionGraph",
-        "InteractionKind", "Normalization", "Partition", "merge_kinds", "undirected_view",
+        "CentralityVector", "GraphView", "Handle", "InteractionGraph", "InteractionKind",
+        "Normalization", "Partition", "merge_kinds", "undirected_view",
     ),
     "ingest": (
         "IngestStats", "InteractionRecord", "ParseDiagnostic", "TopicFilter", "build_graph",

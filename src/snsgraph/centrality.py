@@ -27,6 +27,7 @@ from .model import (
     Handle,
     InteractionGraph,
     Normalization,
+    check_finite,
     merge_kinds,
     undirected_view,
 )
@@ -46,6 +47,7 @@ class PowerIterationConfig:
     teleport: float = 0.0
 
     def __post_init__(self):
+        check_finite(self)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tolerance <= 0:

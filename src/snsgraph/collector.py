@@ -39,10 +39,12 @@ from .ingest import (
     text_lines,
     utf8,
 )
-from .model import _NOT_XML, Handle
+from .model import _NOT_XML, Handle, check_finite
 from .textmine import Lexicon, load_lexicon, sentiment
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
+_WIDEST_BUCKET = timedelta.max.days * 86400.0  # seconds
+MAX_BUCKETS = 2**20  # per series: two years of 60 s buckets
 
 
 @dataclass(frozen=True)
@@ -53,10 +55,14 @@ class SourceSpec:
     poll_interval: float = 60.0  # seconds; ignored for file sources
 
     def __post_init__(self):
+        check_finite(self)
         if self.kind not in ("file", "rss", "http-json"):
             raise ValueError(f"unknown source kind: {self.kind!r}")
         if not self.id:
             raise ValueError("source id must be non-empty")
+        if bad := _NOT_XML.search(self.id):  # no sink form could name the source
+            raise ValueError(f"source id {self.id!r} holds U+{ord(bad.group()):04X}, "
+                             "which XML 1.0 forbids")
         if self.kind == "http-json" and "://" not in self.location:
             raise ValueError(f"http-json source {self.id!r} needs a URL, got {self.location!r}")
 
@@ -93,14 +99,16 @@ class DeviationConfig:
     bucket_seconds: float = 60.0
 
     def __post_init__(self):
+        check_finite(self)
         if self.metric not in ("volume", "mean_sentiment"):
             raise ValueError(f"unknown deviation metric: {self.metric!r}")
         if self.window < 2:
             raise ValueError("window must be >= 2")
         if self.z_threshold <= 0 or self.sigma_floor <= 0:
             raise ValueError("z_threshold and sigma_floor must be positive")
-        if self.bucket_seconds <= 0:
-            raise ValueError("bucket_seconds must be positive")
+        if not 1e-6 <= self.bucket_seconds <= _WIDEST_BUCKET:  # a timedelta, not 0
+            raise ValueError(f"bucket_seconds must be from 1e-06 to {_WIDEST_BUCKET:g}, "
+                             f"got {self.bucket_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -363,7 +371,8 @@ def bucket_series(
 ) -> tuple[list[tuple[datetime, float]], list[tuple[datetime, float]] | None]:
     """Record volume and, given one score per record, mean score (else ``None``)
     per fixed-width time bucket, in one pass over the records. Gaps between
-    the first and last bucket are zero-filled so silence is observable."""
+    the first and last bucket are zero-filled so silence is observable, up to
+    :data:`MAX_BUCKETS` buckets: a longer span is an :class:`AnalyticsError`."""
     width = timedelta(seconds=bucket_seconds)
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     counts: dict[int, int] = {}
@@ -375,7 +384,15 @@ def bucket_series(
         if scores is not None:
             sums[bucket] = sums.get(bucket, 0.0) + scores[i]
     buckets = range(min(counts), max(counts) + 1) if counts else range(0)
-    volume = [(epoch + b * width, float(counts.get(b, 0))) for b in buckets]
+    if len(buckets) > MAX_BUCKETS:
+        raise AnalyticsError(f"records span {len(buckets):,} buckets of {bucket_seconds:g} s, "
+                             f"more than {MAX_BUCKETS:,}; use a wider --bucket-seconds "
+                             "(deviation.bucket_seconds)")
+    try:
+        volume = [(epoch + b * width, float(counts.get(b, 0))) for b in buckets]
+    except OverflowError:
+        raise AnalyticsError(f"buckets of {bucket_seconds:g} s from the records' first to last "
+                             "leave the datetime range; use a narrower --bucket-seconds") from None
     mean = None if scores is None else [
         (ts, sums[b] / counts[b] if b in counts else 0.0) for (ts, _), b in zip(volume, buckets)]
     return volume, mean

@@ -25,7 +25,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import UndefinedModularityError
-from .model import GraphView, Handle, InteractionGraph, Partition, undirected_view
+from .model import (
+    GraphView, Handle, InteractionGraph, Partition, check_finite, undirected_view,
+)
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,7 @@ class LouvainConfig:
     restarts: int = 1  # independent seeded runs; the best-Q partition wins
 
     def __post_init__(self):
+        check_finite(self)
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
         if self.min_gain <= 0:
@@ -60,7 +63,7 @@ def modularity(
         raise UndefinedModularityError("modularity undefined on a graph without edges")
     labels: dict[int, int] = {}
     comm = np.empty(view.node_count, dtype=np.int64)
-    for i in view.core.insertion:
+    for i in view.graph.insertion:
         node = view.handles[i]
         if node not in assignment:
             raise ValueError(f"node {node.display()} has no community assignment")
@@ -140,7 +143,7 @@ def local_move_gain(node: Handle, target_community: int, context: MoveContext) -
     Matches a from-scratch modularity recomputation of the moved
     assignment; moving a node into its own community is a no-op.
     """
-    i = context.view.core.index[node.value]
+    i = context.view.graph.index[node.value]
     current = context.community[i]
     if target_community == current:
         return 0.0

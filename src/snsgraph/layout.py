@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GraphView, Handle, InteractionGraph, undirected_view
+from .model import GraphView, Handle, InteractionGraph, check_finite, undirected_view
 
 _EPS_DIST = 1e-9
 _MAX_TREE_DEPTH = 48
@@ -47,6 +47,7 @@ class LayoutConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.scaling_kr <= 0:
             raise ValueError("scaling_kr must be positive")
         if self.gravity_kg < 0 or self.edge_weight_influence < 0:

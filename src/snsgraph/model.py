@@ -2,22 +2,24 @@
 
 The interaction graph is a weighted directed multigraph over account
 handles: one weighted edge per ordered ``(source, target, kind)`` triple,
-where the weight counts discrete interactions. Each graph builds one
-integer core (:class:`GraphCore`) on first use: handles numbered in sorted
-order, edge arrays, and the two :class:`GraphView` s every analytics stage
-reads, :func:`merge_kinds` (kinds collapsed into a weighted digraph) and
-:func:`undirected_view` (its symmetrization).
+where the weight counts discrete interactions. A graph is its integer
+index, built once at construction: handles numbered in sorted order, edge
+arrays, and the two :class:`GraphView` s every analytics stage reads,
+:func:`merge_kinds` (kinds collapsed into a weighted digraph) and
+:func:`undirected_view` (its symmetrization). It keeps no other copy of
+its edges.
 
 Graphs are immutable after construction and safe to share across threads.
-numpy is imported only where a core is built or read, so handles and
-graphs load without it.
+numpy is imported only where a graph is built or read, so handles load
+without it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -26,6 +28,14 @@ if TYPE_CHECKING:
 # Code points XML 1.0 forbids: C0 controls but tab/LF/CR, surrogates, U+FFFE/F.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _MARKED = {mark: re.compile(rf"[{mark}\s]*") for mark in "#@"}
+
+
+def check_finite(config) -> None:
+    """Reject a config dataclass holding a NaN or infinite float field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def _unmark(value: str, mark: str) -> str:
@@ -74,16 +84,25 @@ ValueEdge = tuple[str, str, InteractionKind]  # an edge keyed on handle values
 
 
 class InteractionGraph:
-    """Weighted directed multigraph of account interactions.
+    """Weighted directed multigraph of account interactions, stored as its
+    integer index.
 
     ``edges`` maps ``(source, target, kind)`` to a positive integer count.
     Self-loops are rejected: reply/mention/follow acts target someone else,
-    and ingest drops (and counts) records that violate this. Internally
-    edges are keyed on handle values, so building a graph runs no
-    per-edge ``Handle`` hashing or comparison.
+    and ingest drops (and counts) records that violate this.
+
+    Handles are numbered in sorted ``value`` order (``handles[i]``, with
+    ``index`` mapping the value back); ``insertion`` lists the indices in
+    the graph's own node order. ``src``, ``dst``, ``kind`` and ``weight``
+    hold one entry per edge in ``(src, dst, kind value)`` order, kinds
+    coded so that their codes sort like their values. ``directed`` and
+    ``undirected`` are the kind-merged and symmetric views over them.
     """
 
-    __slots__ = ("_handles", "_counts", "_total_weight", "_core")
+    kinds = tuple(sorted(InteractionKind, key=lambda k: k.value))
+
+    __slots__ = ("handles", "index", "insertion", "src", "dst", "kind", "weight",
+                 "total_weight", "directed", "undirected")
 
     def __init__(self, edges: Mapping[Edge, int], extra_nodes: Iterable[Handle] = ()):
         handles: dict[str, Handle] = {}
@@ -94,77 +113,86 @@ class InteractionGraph:
             counts[(src.value, dst.value, kind)] = weight
         for h in extra_nodes:
             handles.setdefault(h.value, h)
-        self._init(handles, counts)
+        self._index(handles, counts)
 
     @classmethod
     def interned(
-        cls, handles: dict[str, Handle], counts: dict[ValueEdge, int]
+        cls, handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]
     ) -> "InteractionGraph":
-        """Build from counts keyed on handle values, taking ownership of both;
-        ``handles`` maps each value to its handle, in node order."""
+        """Build from counts keyed on handle values; ``handles`` maps each
+        value to its handle, in node order. Neither mapping is kept."""
         graph = cls.__new__(cls)
-        graph._init(handles, counts)
+        graph._index(handles, counts)
         return graph
 
-    def _init(self, handles: dict[str, Handle], counts: dict[ValueEdge, int]) -> None:
-        total = 0
-        for key, weight in counts.items():
-            if key[0] == key[1]:
-                raise ValueError(f"self-loop not allowed: @{key[0]}")
+    def _index(self, handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]) -> None:
+        import numpy as np
+
+        for (s, d, _), weight in counts.items():  # before int64 truncates 2.5 to 2
+            if s == d:
+                raise ValueError(f"self-loop not allowed: @{s}")
             if weight < 1 or weight != int(weight):
                 raise ValueError(f"edge weight must be a positive count, got {weight!r}")
-            if type(weight) is not int:
-                counts[key] = weight = int(weight)
-            total += weight
-        self._handles = handles
-        self._counts = counts
-        self._total_weight = total
-        self._core = None
+        values = sorted(handles)
+        self.handles = [handles[v] for v in values]
+        self.index = index = {v: i for i, v in enumerate(values)}
+        self.insertion = [index[v] for v in handles]
+        m = len(counts)
+        code = {k: i for i, k in enumerate(self.kinds)}
+        src = np.fromiter((index[e[0]] for e in counts), np.int64, m)
+        dst = np.fromiter((index[e[1]] for e in counts), np.int64, m)
+        kind = np.fromiter((code[e[2]] for e in counts), np.int8, m)
+        weight = np.fromiter(counts.values(), np.int64, m)
+        order = np.lexsort((kind, dst, src))
+        self.src, self.dst, self.kind, self.weight = (a[order] for a in (src, dst, kind, weight))
+        for array in (self.src, self.dst, self.kind, self.weight):
+            array.flags.writeable = False
+        self.total_weight = int(self.weight.sum())
+
+        n, total = len(values), float(self.total_weight)
+        msrc, mdst, mw = _sum_by_pair(self.src, self.dst, self.weight.astype(np.float64), n)
+        self.directed = GraphView(self, msrc, mdst, mw, total)
+        self.undirected = GraphView(
+            self,
+            *_sum_by_pair(np.concatenate([msrc, mdst]), np.concatenate([mdst, msrc]),
+                          np.concatenate([mw, mw]), n),
+            total,
+        )
 
     @property
     def nodes(self) -> list[Handle]:
-        return list(self._handles.values())
-
-    @property
-    def core(self) -> "GraphCore":
-        """The integer index, built on first use and assigned only once
-        complete: threads racing on first use build identical cores."""
-        if self._core is None:
-            self._core = GraphCore(self._handles, self._counts)
-        return self._core
+        """Nodes in the graph's own order."""
+        return [self.handles[i] for i in self.insertion]
 
     @property
     def edges(self) -> dict[Edge, int]:
-        h = self._handles
-        return {(h[s], h[d], kind): w for (s, d, kind), w in self._counts.items()}
+        h, kinds = self.handles, self.kinds
+        return {(h[s], h[d], kinds[k]): w for s, d, k, w in zip(
+            self.src.tolist(), self.dst.tolist(), self.kind.tolist(), self.weight.tolist())}
 
     @property
     def node_count(self) -> int:
-        return len(self._handles)
+        return len(self.handles)
 
     @property
     def edge_count(self) -> int:
         """Number of distinct weighted edges (the ``m`` of n-nodes/m-edges)."""
-        return len(self._counts)
-
-    @property
-    def total_weight(self) -> int:
-        return self._total_weight
+        return len(self.src)
 
     def __contains__(self, handle: Handle) -> bool:
-        return isinstance(handle, Handle) and handle.value in self._handles
+        return isinstance(handle, Handle) and handle.value in self.index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InteractionGraph):
             return NotImplemented
-        return self._counts == other._counts and self._handles.keys() == other._handles.keys()
+        return self.index.keys() == other.index.keys() and self.edges == other.edges
 
     def __repr__(self) -> str:
         return f"InteractionGraph(n={self.node_count}, m={self.edge_count}, W={self.total_weight})"
 
 
 class GraphView:
-    """Handle-facing view of a graph's integer core: the kind-merged digraph
+    """Handle-facing view of a graph's integer index: the kind-merged digraph
     (one weight per ordered pair) or its symmetrization (``weight(u, v) ==
     weight(v, u)``, summed over both directions and all kinds).
 
@@ -173,14 +201,14 @@ class GraphView:
     ``total_weight`` is the graph's in both views.
     """
 
-    __slots__ = ("core", "handles", "src", "dst", "weights", "indptr", "total_weight")
+    __slots__ = ("graph", "handles", "src", "dst", "weights", "indptr", "total_weight")
 
-    def __init__(self, core: "GraphCore", src, dst, weights, total: float):
+    def __init__(self, graph: InteractionGraph, src, dst, weights, total: float):
         import numpy as np
 
-        self.core, self.handles = core, core.handles
+        self.graph, self.handles = graph, graph.handles
         self.src, self.dst, self.weights = src, dst, weights
-        counts = np.bincount(src, minlength=len(core.handles))
+        counts = np.bincount(src, minlength=len(graph.handles))
         self.indptr = np.concatenate([[0], np.cumsum(counts)])
         self.total_weight = total
         for array in (src, dst, weights, self.indptr):  # shared by every reader
@@ -189,7 +217,7 @@ class GraphView:
     @property
     def nodes(self) -> list[Handle]:
         """Nodes in the graph's own order."""
-        return [self.handles[i] for i in self.core.insertion]
+        return self.graph.nodes
 
     @property
     def node_count(self) -> int:
@@ -217,59 +245,9 @@ def _sum_by_pair(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int):
     return pairs // n, pairs % n, np.bincount(slot, weights=weights, minlength=len(pairs))
 
 
-class GraphCore:
-    """Integer index of an :class:`InteractionGraph`, built once per graph.
-
-    Handles are numbered in sorted ``value`` order (``handles[i]``, with
-    ``index`` mapping the value back); ``insertion`` lists the indices in
-    the graph's own node order. ``src``, ``dst``, ``kind`` and ``weight``
-    hold one entry per edge in ``(src, dst, kind value)`` order, kinds
-    coded so that their codes sort like their values. ``directed`` and
-    ``undirected`` are the kind-merged and symmetric views over it.
-    """
-
-    kinds = tuple(sorted(InteractionKind, key=lambda k: k.value))
-
-    __slots__ = (
-        "handles", "index", "insertion", "src", "dst", "kind", "weight",
-        "directed", "undirected",
-    )
-
-    def __init__(self, handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]):
-        import numpy as np
-
-        values = sorted(handles)
-        self.handles = [handles[v] for v in values]
-        self.index = index = {v: i for i, v in enumerate(values)}
-        self.insertion = [index[v] for v in handles]
-        m = len(counts)
-        code = {k: i for i, k in enumerate(self.kinds)}
-        src = np.fromiter((index[e[0]] for e in counts), np.int64, m)
-        dst = np.fromiter((index[e[1]] for e in counts), np.int64, m)
-        kind = np.fromiter((code[e[2]] for e in counts), np.int8, m)
-        weight = np.fromiter(counts.values(), np.int64, m)
-        order = np.lexsort((kind, dst, src))
-        self.src, self.dst, self.kind, self.weight = (
-            src[order], dst[order], kind[order], weight[order]
-        )
-        for array in (self.src, self.dst, self.kind, self.weight):
-            array.flags.writeable = False
-
-        n = len(self.handles)
-        total = float(self.weight.sum())
-        msrc, mdst, mw = _sum_by_pair(self.src, self.dst, self.weight.astype(np.float64), n)
-        self.directed = GraphView(self, msrc, mdst, mw, total)
-        self.undirected = GraphView(
-            self,
-            *_sum_by_pair(np.concatenate([msrc, mdst]), np.concatenate([mdst, msrc]),
-                          np.concatenate([mw, mw]), n),
-            total,
-        )
-
-
 def merge_kinds(graph: InteractionGraph) -> GraphView:
     """Collapse reply/mention/follow multi-edges into one weight per ordered pair."""
-    return graph.core.directed
+    return graph.directed
 
 
 def undirected_view(graph: InteractionGraph | GraphView) -> GraphView:
@@ -277,7 +255,7 @@ def undirected_view(graph: InteractionGraph | GraphView) -> GraphView:
 
     Applying it to an already-symmetric view is the identity.
     """
-    return graph.core.undirected
+    return (graph.graph if isinstance(graph, GraphView) else graph).undirected
 
 
 class Normalization(enum.Enum):

@@ -138,9 +138,8 @@ def export_gexf(
         if missing:
             raise ValueError(f"{name} does not cover node {missing[0].display()}")
 
-    core = graph.core
-    ids = [_escape(h.value) for h in core.handles]
-    kinds = [k.value for k in core.kinds]
+    ids = [_escape(h.value) for h in graph.handles]
+    kinds = [k.value for k in graph.kinds]
     attributes = [(key, kind, text) for key, kind, text, given in (
         ("community", "integer", lambda h: partition.assignment[h], partition),
         ("eigenvector", "double", lambda h: repr(centrality.scores[h]), centrality),
@@ -158,7 +157,7 @@ def export_gexf(
     )
 
     def nodes(lo: int, hi: int) -> Iterator[str]:
-        for handle, value in zip(core.handles[lo:hi], ids[lo:hi]):
+        for handle, value in zip(graph.handles[lo:hi], ids[lo:hi]):
             inner = "".join(f'          <attvalue for="{key}" value="{text(handle)}" />\n'
                             for key, _, text in attributes)
             inner = f"        <attvalues>\n{inner}        </attvalues>\n" if inner else ""
@@ -174,13 +173,13 @@ def export_gexf(
             f'        <attvalues>\n          <attvalue for="kind" value="{kinds[k]}" />\n'
             "        </attvalues>\n      </edge>\n"
             for i, s, d, k, w in zip(range(lo, hi), *(
-                a[lo:hi].tolist() for a in (core.src, core.dst, core.kind, core.weight)))
+                a[lo:hi].tolist() for a in (graph.src, graph.dst, graph.kind, graph.weight)))
         )
 
     named = isinstance(sink, (str, Path))
     with open(sink, "w", encoding="utf-8") if named else nullcontext(sink) as fh:
         fh.write(head)  # then at most _CHUNK nodes or edges per write
-        for name, rows, count in (("nodes", nodes, len(ids)), ("edges", edges, len(core.src))):
+        for name, rows, count in (("nodes", nodes, len(ids)), ("edges", edges, graph.edge_count)):
             fh.write(f"    <{name}>\n" if count else f"    <{name} />\n")
             for lo in range(0, count, _CHUNK):
                 fh.write("".join(rows(lo, lo + _CHUNK)))

@@ -65,7 +65,7 @@ def without_node(graph: InteractionGraph, handle: Handle) -> InteractionGraph:
 
 def neighbors(view, u: Handle) -> dict:
     """Arc weights out of ``u`` in a GraphView (successors when directed)."""
-    i = view.core.index.get(u.value)
+    i = view.graph.index.get(u.value)
     if i is None:
         return {}
     lo, hi = view.indptr[i], view.indptr[i + 1]

@@ -59,6 +59,14 @@ class TestExitCodes:
         ("text", "--lexicon-neg", "negative.txt"),
         ("report", "--lexicon-pos", "positive.txt"),
         ("report", "--lexicon-neg", "negative.txt"),
+        ("report", "--resolution", "nan"),
+        ("report", "--resolution", "inf"),
+        ("report", "--scaling", "inf"),
+        ("report", "--bucket-seconds", "1e-300"),
+        ("report", "--bucket-seconds", "1e20"),
+        ("report", "--bucket-seconds", "nan"),
+        ("centrality", "--teleport", "inf"),
+        ("layout", "--gravity", "nan"),
     ])
     def test_rejected_config_flag_is_usage_error(self, tmp_path, command, flag, value):
         # The input does not exist: the flag must fail before any input is read.
@@ -173,6 +181,10 @@ class TestExitCodes:
         ({"sources": [SOURCE], "deviation": {"metric": "mean_sentiment"},
           "lexicon": {"positive": "positive.txt"}}, "mean_sentiment"),
         ({"sources": [dict(SOURCE, kind="http-json")]}, "needs a URL, got 'c.jsonl'"),
+        ({"sources": [SOURCE], "deviation": {"bucket_seconds": 1e-300}}, "bucket_seconds"),
+        ({"sources": [SOURCE], "deviation": {"z_threshold": float("nan")}},
+         "z_threshold must be finite"),
+        ({"sources": [dict(SOURCE, id="s\ud800")]}, "U+D800, which XML 1.0 forbids"),
     ])
     def test_bad_collector_config_is_data_error(self, tmp_path, config, culprit):
         # run where the default sink `collected.jsonl` lives: it must stay untouched
@@ -189,6 +201,27 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: collector.json: ") and culprit in proc.stderr
         assert proc.stderr.count("\n") == 1
         assert sink.read_bytes() == b"kept\n"
+
+    def test_one_bad_timestamp_is_data_error_not_memory(self, tmp_path):
+        # 51 records, one dated 1970: zero-filling 60 s buckets up to 2017
+        # would need far more memory than the child may map.
+        import resource
+
+        rows = [dict(id=str(i), author=f"u{i % 7}", text="hi", mentions=[f"u{(i + 1) % 7}"],
+                     timestamp=f"2017-04-21T10:{i:02d}:00Z") for i in range(50)]
+        rows.append(dict(rows[0], id="old", timestamp="1970-01-01T00:00:00Z"))
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", rows)
+        limit = 1536 * 2**20
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "snsgraph.cli", "report", "--input", str(corpus),
+             "--iterations", "5", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: records span 24,879,530 buckets of 60 s")
+        assert proc.stderr.count("\n") == 1 and "--bucket-seconds" in proc.stderr
 
     def test_success_is_zero(self, tiny_corpus_path, tmp_path):
         assert run(["ingest", "--input", str(tiny_corpus_path),

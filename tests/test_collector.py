@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snsgraph.collector import (
+    MAX_BUCKETS,
     CollectorConfig,
     DeviationConfig,
     OutputRecord,
@@ -39,7 +40,7 @@ from snsgraph.collector import (
     run_collector,
 )
 from snsgraph.cli import main
-from snsgraph.errors import RecordParseError
+from snsgraph.errors import AnalyticsError, RecordParseError
 from snsgraph.ingest import InteractionRecord, format_rfc3339
 from snsgraph.model import _NOT_XML, Handle
 from snsgraph.textmine import Lexicon, text_pass
@@ -570,6 +571,17 @@ class TestBucketize:
 
     def test_empty_records(self):
         assert bucketize([], DeviationConfig()) == []
+
+    def test_span_over_the_cap_is_refused_before_filling(self):
+        records = [make_record(0, "a"), make_record(1, "a", minute=MAX_BUCKETS)]
+        with pytest.raises(AnalyticsError, match=f"span {MAX_BUCKETS + 1:,} buckets of 60 s"):
+            bucket_series(records, 60.0)
+        assert len(bucket_series(records, 3600.0)[0]) == MAX_BUCKETS // 60 + 1
+
+    def test_bucket_outside_the_datetime_range_is_data_error(self):
+        first = InteractionRecord("0", Handle("a"), "", datetime(1, 1, 1, tzinfo=timezone.utc))
+        with pytest.raises(AnalyticsError, match="leave the datetime range"):
+            bucket_series([first], 8.6e13)
 
 
 def series_bits(series):

@@ -327,11 +327,10 @@ def assert_matches_brute_force(graph):
     for u in graph.nodes:
         assert neighbors(view, u) == {v: w for (a, v), w in sym.items() if a == u}
 
-    core = graph.core
     edges = [
-        (core.handles[s], core.handles[d], core.kinds[k], w)
-        for s, d, k, w in zip(core.src.tolist(), core.dst.tolist(),
-                              core.kind.tolist(), core.weight.tolist())
+        (graph.handles[s], graph.handles[d], graph.kinds[k], w)
+        for s, d, k, w in zip(graph.src.tolist(), graph.dst.tolist(),
+                              graph.kind.tolist(), graph.weight.tolist())
     ]
     assert edges == sorted(
         ((s, d, k, w) for (s, d, k), w in graph.edges.items()),
@@ -467,7 +466,6 @@ def test_larger_graph_matches_references():
 
 def test_views_are_built_once():
     graph = random_connected_graph(30, 40, seed=1)
-    assert graph.core is graph.core
     assert undirected_view(graph) is undirected_view(undirected_view(graph))
     assert merge_kinds(graph) is merge_kinds(graph)
     assert undirected_view(merge_kinds(graph)) is undirected_view(graph)

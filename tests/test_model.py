@@ -1,6 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
+from snsgraph.centrality import PowerIterationConfig
+from snsgraph.collector import DeviationConfig, SourceSpec
+from snsgraph.community import LouvainConfig
+from snsgraph.layout import LayoutConfig
 from snsgraph.model import (
     Handle,
     InteractionGraph,
@@ -50,6 +56,21 @@ class TestInteractionGraph:
     def test_rejects_non_positive_weight(self):
         with pytest.raises(ValueError):
             InteractionGraph({(Handle("a"), Handle("b"), MENTION): 0})
+        with pytest.raises(ValueError):  # checked before int64 would truncate it to 2
+            InteractionGraph({(Handle("a"), Handle("b"), MENTION): 2.5})
+
+    def test_equality_reads_weights_kinds_and_isolated_nodes(self):
+        a, b = Handle("a"), Handle("b")
+        g = pairs_graph([("a", "b"), ("b", "c", 3)])
+        assert InteractionGraph(g.edges, g.nodes) == g
+        assert pairs_graph([("b", "c", 3), ("a", "b")]) == g
+        one_weight = {**g.edges, (a, b, MENTION): 2}
+        one_kind = {(s, d, InteractionKind.REPLY if s == a else k): w
+                    for (s, d, k), w in g.edges.items()}
+        assert InteractionGraph(one_weight) != g
+        assert InteractionGraph(one_kind) != g
+        assert InteractionGraph(one_kind).edge_count == g.edge_count
+        assert with_node(g, Handle("zed")) != g
 
     def test_from_interactions_accumulates_and_drops_self(self):
         a, b = Handle("a"), Handle("b")
@@ -68,6 +89,19 @@ class TestInteractionGraph:
         g2 = without_node(g, Handle("b"))
         assert g2.node_count == 2
         assert g2.edge_count == 1
+
+
+@pytest.mark.parametrize("config_type, required", [
+    (LouvainConfig, {}), (LayoutConfig, {}), (PowerIterationConfig, {}), (DeviationConfig, {}),
+    (SourceSpec, {"id": "s", "kind": "file", "location": "c.jsonl"}),
+])
+def test_config_floats_must_be_finite(config_type, required):
+    floats = [f.name for f in dataclasses.fields(config_type) if isinstance(f.default, float)]
+    assert floats
+    for field in floats:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                config_type(**required, **{field: value})
 
 
 class TestPartitionAndCentralityVector:

@@ -102,9 +102,8 @@ def ref_export_gexf(
         edge_attrs, f"{{{_GEXF_NS}}}attribute", id="kind", title="kind", type="string"
     )
 
-    core = graph.core
     nodes_elem = ET.SubElement(graph_elem, f"{{{_GEXF_NS}}}nodes")
-    for handle in core.handles:
+    for handle in graph.handles:
         node = ET.SubElement(
             nodes_elem, f"{{{_GEXF_NS}}}node", id=handle.value, label=handle.display()
         )
@@ -126,10 +125,10 @@ def ref_export_gexf(
             )
 
     edges_elem = ET.SubElement(graph_elem, f"{{{_GEXF_NS}}}edges")
-    values = [h.value for h in core.handles]
-    kinds = [k.value for k in core.kinds]
+    values = [h.value for h in graph.handles]
+    kinds = [k.value for k in graph.kinds]
     ordered = zip(
-        core.src.tolist(), core.dst.tolist(), core.kind.tolist(), core.weight.tolist()
+        graph.src.tolist(), graph.dst.tolist(), graph.kind.tolist(), graph.weight.tolist()
     )
     for i, (src, dst, kind, weight) in enumerate(ordered):
         edge = ET.SubElement(
@@ -551,7 +550,6 @@ class TestStreamingMemory:
         frame = LayoutFrame({h: (i * 0.5, -i * 0.25) for i, h in enumerate(nodes)})
         partition = Partition({h: i % 7 for i, h in enumerate(nodes)}, 7, 0.0)
         centrality = CentralityVector({h: 1.0 / len(nodes) for h in nodes})
-        graph.core  # built once, outside both measurements
         kwargs = dict(positions=frame, partition=partition, centrality=centrality)
         path, ref_path = tmp_path / "new.gexf", tmp_path / "ref.gexf"
         export_peak = traced_peak(lambda: export_gexf(graph, path, **kwargs))
