@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -50,6 +50,20 @@ class LouvainConfig:
             raise ValueError("restarts must be >= 1")
 
 
+def _first_appearance(labels: Iterable[int]) -> tuple[list[int], int]:
+    """``labels`` renumbered 0, 1, ... in order of first appearance, and how many."""
+    ids: dict[int, int] = {}
+    return [ids.setdefault(c, len(ids)) for c in labels], len(ids)
+
+
+def _q(intra: Iterable[float], degree: Iterable[float], total: float, resolution: float) -> float:
+    """Q from per-community intra weights and degree sums, added in their order."""
+    q = 0.0
+    for c_intra, c_deg in zip(intra, degree):
+        q += c_intra / total - resolution * (c_deg / (2.0 * total)) ** 2
+    return q
+
+
 def modularity(
     graph: InteractionGraph | GraphView,
     assignment: Mapping[Handle, int],
@@ -61,24 +75,17 @@ def modularity(
     total = view.total_weight
     if total <= 0:
         raise UndefinedModularityError("modularity undefined on a graph without edges")
-    labels: dict[int, int] = {}
+    try:
+        labels, k = _first_appearance(assignment[node] for node in view.nodes)
+    except KeyError as exc:
+        raise ValueError(f"node {exc.args[0].display()} has no community assignment") from None
     comm = np.empty(view.node_count, dtype=np.int64)
-    for i in view.graph.insertion:
-        node = view.handles[i]
-        if node not in assignment:
-            raise ValueError(f"node {node.display()} has no community assignment")
-        comm[i] = labels.setdefault(assignment[node], len(labels))
+    comm[view.graph.insertion] = labels
 
     inside = (comm[view.src] == comm[view.dst]) & (view.src < view.dst)
-    intra = np.bincount(
-        comm[view.src[inside]], weights=view.weights[inside], minlength=len(labels)
-    )
-    deg = np.bincount(comm, weights=view.degrees(), minlength=len(labels))
-
-    q = 0.0
-    for c_intra, c_deg in zip(intra.tolist(), deg.tolist()):
-        q += c_intra / total - resolution * (c_deg / (2.0 * total)) ** 2
-    return q
+    intra = np.bincount(comm[view.src[inside]], weights=view.weights[inside], minlength=k)
+    deg = np.bincount(comm, weights=view.degrees(), minlength=k)
+    return _q(intra.tolist(), deg.tolist(), total, resolution)
 
 
 def _delta_q(
@@ -98,64 +105,6 @@ def _delta_q(
     """
     return (k_to_target - k_to_current) / total - (
         resolution * k_i * (deg_target - deg_current + k_i) / (2.0 * total * total)
-    )
-
-
-class MoveContext:
-    """Cached quantities for evaluating single-node move gains.
-
-    Holds the total weight, per-node communities and weighted degrees (in
-    node index order) and per-community degree sums for one (view,
-    assignment) pair; link weights are gathered per query from a node's row.
-    """
-
-    def __init__(
-        self,
-        graph: InteractionGraph | GraphView,
-        assignment: Mapping[Handle, int],
-        resolution: float = 1.0,
-    ):
-        self.view = undirected_view(graph)
-        self.resolution = resolution
-        self.total = self.view.total_weight
-        if self.total <= 0:
-            raise UndefinedModularityError("move gains undefined on a graph without edges")
-        self.community = [assignment[h] for h in self.view.handles]
-        self.degree = self.view.degrees().tolist()
-        self.community_degree: dict[int, float] = {}
-        for c, d in zip(self.community, self.degree):
-            self.community_degree[c] = self.community_degree.get(c, 0.0) + d
-
-    def links_to(self, i: int) -> dict[int, float]:
-        """Weight from node ``i`` to each community among its neighbors."""
-        view = self.view
-        lo, hi = view.indptr[i], view.indptr[i + 1]
-        out: dict[int, float] = {}
-        for j, w in zip(view.dst[lo:hi].tolist(), view.weights[lo:hi].tolist()):
-            c = self.community[j]
-            out[c] = out.get(c, 0.0) + w
-        return out
-
-
-def local_move_gain(node: Handle, target_community: int, context: MoveContext) -> float:
-    """Q change of moving ``node`` into ``target_community``.
-
-    Matches a from-scratch modularity recomputation of the moved
-    assignment; moving a node into its own community is a no-op.
-    """
-    i = context.view.graph.index[node.value]
-    current = context.community[i]
-    if target_community == current:
-        return 0.0
-    links = context.links_to(i)
-    return _delta_q(
-        context.total,
-        context.resolution,
-        context.degree[i],
-        links.get(target_community, 0.0),
-        links.get(current, 0.0),
-        context.community_degree[current],
-        context.community_degree.get(target_community, 0.0),
     )
 
 
@@ -185,6 +134,58 @@ class _WorkGraph:
     def n(self) -> int:
         return len(self.adj)
 
+    def links(self, node: int, comm: list[int]) -> dict[int, float]:
+        """Weight from ``node`` to each community among its neighbours: the
+        one input of every move gain, in Louvain and in :func:`local_move_gain`."""
+        out: dict[int, float] = {}
+        for nbr, w in self.adj[node].items():
+            c = comm[nbr]
+            out[c] = out.get(c, 0.0) + w
+        return out
+
+
+class MoveContext:
+    """A community assignment on a graph's Louvain work graph, for
+    evaluating single-node move gains as :func:`_one_level` does.
+
+    ``community`` holds each node's community in node index order and
+    ``community_degree`` the summed weighted degree of each community.
+    """
+
+    def __init__(
+        self,
+        graph: InteractionGraph | GraphView,
+        assignment: Mapping[Handle, int],
+        resolution: float = 1.0,
+    ):
+        view = undirected_view(graph)
+        self.wg = _WorkGraph.from_view(view)
+        if self.wg.total <= 0:
+            raise UndefinedModularityError("move gains undefined on a graph without edges")
+        self.index = view.graph.index
+        self.resolution = resolution
+        self.community = [assignment[h] for h in view.handles]
+        self.community_degree: dict[int, float] = {}
+        for c, d in zip(self.community, self.wg.degree):
+            self.community_degree[c] = self.community_degree.get(c, 0.0) + d
+
+
+def local_move_gain(node: Handle, target_community: int, context: MoveContext) -> float:
+    """Q change of moving ``node`` into ``target_community``.
+
+    Matches a from-scratch modularity recomputation of the moved
+    assignment; moving a node into its own community is a no-op.
+    """
+    i = context.index[node.value]
+    current = context.community[i]
+    if target_community == current:
+        return 0.0
+    wg, comm_deg = context.wg, context.community_degree
+    links = wg.links(i, context.community)
+    return _delta_q(wg.total, context.resolution, wg.degree[i],
+                    links.get(target_community, 0.0), links.get(current, 0.0),
+                    comm_deg[current], comm_deg.get(target_community, 0.0))
+
 
 def _one_level(wg: _WorkGraph, config: LouvainConfig, rng: random.Random) -> tuple[list[int], float]:
     """Phase 1: greedy local moves until a sweep gains no more than min_gain.
@@ -204,10 +205,7 @@ def _one_level(wg: _WorkGraph, config: LouvainConfig, rng: random.Random) -> tup
         for node in order:
             current = comm[node]
             k_i = wg.degree[node]
-            links: dict[int, float] = {}
-            for nbr, w in wg.adj[node].items():
-                c = links.get(comm[nbr], 0.0)
-                links[comm[nbr]] = c + w
+            links = wg.links(node, comm)
             k_to_current = links.get(current, 0.0)
             deg_current = comm_deg[current]
 
@@ -239,13 +237,7 @@ def _aggregate(wg: _WorkGraph, comm: list[int]) -> tuple[_WorkGraph, list[int]]:
     Labels are renumbered densely in order of first appearance over the
     node index order, which keeps the whole run deterministic.
     """
-    relabel: dict[int, int] = {}
-    for c in comm:
-        if c not in relabel:
-            relabel[c] = len(relabel)
-    dense = [relabel[c] for c in comm]
-
-    k = len(relabel)
+    dense, k = _first_appearance(comm)
     adj: list[dict[int, float]] = [{} for _ in range(k)]
     self_w = [0.0] * k
     for u, nbrs in enumerate(wg.adj):
@@ -294,26 +286,16 @@ def louvain_trace(
         comm, level_gain = _one_level(wg, config, rng)
         wg, dense = _aggregate(wg, comm)
         membership = [dense[m] for m in membership]
-        q = 0.0  # each super-node is its own community
-        for self_w, degree in zip(wg.self_w, wg.degree):
-            q += self_w / wg.total - config.resolution * (degree / (2.0 * wg.total)) ** 2
-        trace.append(q)
+        # Each super-node is its own community; its self-loop is its intra weight.
+        trace.append(_q(wg.self_w, wg.degree, wg.total, config.resolution))
         if level_gain <= config.min_gain:
             break
 
     # Dense final ids in order of first appearance over sorted handles.
-    relabel: dict[int, int] = {}
-    assignment: dict[Handle, int] = {}
-    for i, handle in enumerate(view.handles):
-        c = membership[i]
-        if c not in relabel:
-            relabel[c] = len(relabel)
-        assignment[handle] = relabel[c]
-
+    final, count = _first_appearance(membership)
+    assignment = dict(zip(view.handles, final))
     q = modularity(view, assignment, config.resolution)
-    partition = Partition(
-        assignment=assignment, community_count=len(relabel), modularity_q=q
-    )
+    partition = Partition(assignment, count, q, config.resolution)
     return partition, trace
 
 

@@ -26,6 +26,10 @@ class DegenerateSpectrumError(AnalyticsError):
     """Power iteration collapsed to the zero vector; no dominant eigenvector."""
 
 
+class LayoutDivergenceError(AnalyticsError, ArithmeticError):
+    """Layout forces grew until a coordinate was no longer finite."""
+
+
 class LexiconError(AnalyticsError):
     """A sentiment lexicon could not be loaded or is empty."""
 

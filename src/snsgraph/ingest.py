@@ -141,6 +141,16 @@ class IngestStats:
     edge_count: int = 0
 
 
+def _array(obj: dict, key: str) -> list:
+    """The list field ``key`` of a record object: absent and ``null`` read as empty."""
+    value = obj.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValueError(f"field {key!r} must be an array or null, got {type(value).__name__}")
+    return value
+
+
 def record_reader() -> Callable[..., InteractionRecord]:
     """The one builder of :class:`InteractionRecord` from a decoded record
     object: a corpus or sink JSON line's, or an XML sink line's. While kept,
@@ -161,10 +171,10 @@ def record_reader() -> Callable[..., InteractionRecord]:
         author = handle(str(obj["author"]))
         text = str(obj.get("text", "") or "")
         ts = parse_rfc3339(str(obj["timestamp"]))
-        hashtags = tuple([t for t in map(tag, map(str, obj.get("hashtags") or ())) if t])
+        hashtags = tuple([t for t in map(tag, map(str, _array(obj, "hashtags"))) if t])
         in_reply_to = handle(str(reply)) if (reply := obj.get("in_reply_to")) else None
-        mentions = tuple(map(handle, map(str, obj.get("mentions") or ())))
-        follows = tuple(map(handle, map(str, obj.get("follows") or ())))
+        mentions = tuple(map(handle, map(str, _array(obj, "mentions"))))
+        follows = tuple(map(handle, map(str, _array(obj, "follows"))))
         if (line is None or "\\u" in line) and (
                 bad := _SURROGATE.search("".join((rid, text, *hashtags)))):
             raise ValueError(f"lone surrogate U+{ord(bad.group()):04X} in a string field")

@@ -27,12 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import LayoutDivergenceError
 from .model import GraphView, Handle, InteractionGraph, check_finite, undirected_view
 
 _EPS_DIST = 1e-9
 _MAX_TREE_DEPTH = 48
 _MIN_SPEED_EFFICIENCY = 0.05
 _BLOCK = 65_536  # elements per exact-repulsion block
+_JITTER_TOLERANCE = 1.0  # ForceAtlas2's default jitter tolerance
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,6 @@ class LayoutConfig:
     edge_weight_influence: float = 1.0
     barnes_hut: bool | None = None  # None: auto, on for n > 1000
     theta: float = 1.2
-    jitter_tolerance: float = 1.0
     iterations: int = 1000
     seed: int = 0
 
@@ -54,8 +55,6 @@ class LayoutConfig:
             raise ValueError("gravity_kg and edge_weight_influence must be non-negative")
         if self.theta <= 0:
             raise ValueError("theta must be positive")
-        if self.jitter_tolerance <= 0:
-            raise ValueError("jitter_tolerance must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
 
@@ -349,7 +348,6 @@ def _apply_forces(
     old_forces: np.ndarray,
     forces: np.ndarray,
     mass: np.ndarray,
-    config: LayoutConfig,
     speed: float,
     speed_efficiency: float,
 ) -> tuple[np.ndarray, float, float]:
@@ -361,13 +359,13 @@ def _apply_forces(
     total_traction = max(float((mass * traction).sum()), 1e-30)
 
     est_jt = 0.05 * math.sqrt(n)
-    jt = config.jitter_tolerance * min(
+    jt = _JITTER_TOLERANCE * min(
         10.0, max(math.sqrt(est_jt), est_jt * total_traction / (n * n))
     )
     if total_swing / total_traction > 2.0:
         if speed_efficiency > _MIN_SPEED_EFFICIENCY:
             speed_efficiency *= 0.5
-        jt = max(jt, config.jitter_tolerance)
+        jt = max(jt, _JITTER_TOLERANCE)
 
     target_speed = jt * speed_efficiency * total_traction / total_swing
     if total_swing > jt * total_traction:
@@ -381,7 +379,7 @@ def _apply_forces(
     factor = speed / (1.0 + np.sqrt(speed * mass * swing))
     new_pos = pos + forces * factor[:, None]
     if not np.isfinite(new_pos).all():
-        raise ArithmeticError("layout produced a non-finite coordinate")
+        raise LayoutDivergenceError("layout produced a non-finite coordinate")
     return new_pos, speed, speed_efficiency
 
 
@@ -438,12 +436,11 @@ def run_layout(
     speed = frame.global_speed
     eff = frame.speed_efficiency
     forces = old_forces
-    for _ in range(config.iterations):
-        forces = _compute_forces(pos, arrays, config, barnes_hut)
-        pos, speed, eff = _apply_forces(
-            pos, old_forces, forces, arrays.mass, config, speed, eff
-        )
-        old_forces = forces
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence raises instead
+        for _ in range(config.iterations):
+            forces = _compute_forces(pos, arrays, config, barnes_hut)
+            pos, speed, eff = _apply_forces(pos, old_forces, forces, arrays.mass, speed, eff)
+            old_forces = forces
     return _state_to_frame(
         arrays, pos, forces, frame.iteration + config.iterations, speed, eff
     )

@@ -288,17 +288,16 @@ class CentralityVector:
                 if abs(top - 1.0) > _NORM_TOL:
                     raise ValueError(f"max-normalized scores must peak at 1, got {top!r}")
 
-    def score(self, handle: Handle) -> float:
-        return self.scores.get(handle, 0.0)
-
 
 @dataclass(frozen=True)
 class Partition:
-    """Node-to-community assignment with its recomputed modularity score."""
+    """Node-to-community assignment with its recomputed modularity score and
+    the resolution γ it was scored at, which bounds it to [−γ, 1]."""
 
     assignment: dict[Handle, int]
     community_count: int
     modularity_q: float
+    resolution: float = 1.0
 
     def __post_init__(self):
         used = set(self.assignment.values())
@@ -306,7 +305,7 @@ class Partition:
             raise ValueError(
                 f"community ids must be dense 0..{self.community_count - 1}, got {sorted(used)}"
             )
-        if not -1.0 - _NORM_TOL <= self.modularity_q <= 1.0 + _NORM_TOL:
+        if not -self.resolution - _NORM_TOL <= self.modularity_q <= 1.0 + _NORM_TOL:
             raise ValueError(f"modularity out of range: {self.modularity_q!r}")
 
     def community_of(self, handle: Handle) -> int:

@@ -39,16 +39,16 @@ if TYPE_CHECKING:  # annotations only: reading or writing GEXF needs neither mod
 
 _GEXF_NS = "http://www.gexf.net/1.2draft"
 _VIZ_NS = "http://www.gexf.net/1.2draft/viz"
+PLACEHOLDER = "retracted"  # what a redacted handle reads as
 
 
 @dataclass(frozen=True)
 class RedactionPolicy:
     allowlist: frozenset[Handle] = frozenset()
-    placeholder: str = "retracted"
 
     @classmethod
-    def of(cls, *handles: str, placeholder: str = "retracted") -> "RedactionPolicy":
-        return cls(frozenset(Handle(h) for h in handles), placeholder)
+    def of(cls, *handles: str) -> "RedactionPolicy":
+        return cls(frozenset(Handle(h) for h in handles))
 
     def display(self, handle_text: str) -> str:
         """Allowlisted handles keep their display form, others the placeholder.
@@ -56,15 +56,15 @@ class RedactionPolicy:
         Text equal to the placeholder stays redacted even if an account of
         that name is allowlisted — the safe direction under a collision.
         """
-        if handle_text == self.placeholder:
-            return self.placeholder
+        if handle_text == PLACEHOLDER:
+            return PLACEHOLDER
         try:
             handle = Handle(handle_text)
         except ValueError:
-            return self.placeholder
+            return PLACEHOLDER
         if handle in self.allowlist:
             return handle.display()
-        return self.placeholder
+        return PLACEHOLDER
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ def redact(report: AnalysisReport, policy: RedactionPolicy) -> AnalysisReport:
 
 _CHUNK = 1024  # nodes or edges formatted per write: bounds the writer's memory
 _DIRECTED = {"directed": True, "undirected": False}  # by an edge's type attribute
+_INT64_MAX = 2**63 - 1
 
 
 def _escape(text: str) -> str:
@@ -267,17 +268,18 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
 
     handles: dict[str, Handle] = {}
     counts: dict[ValueEdge, int] = {}
+    total = 0  # bounds every weight and per-edge sum: the graph stores int64
     for (edge_id, src_id, dst_id, raw_weight, directed), kind in zip(edges, edge_kinds):
         if src_id is None or dst_id is None:
             raise GexfParseError("GEXF edge without source/target")
         if src_id not in id_to_handle or dst_id not in id_to_handle:
             raise GexfParseError(f"GEXF edge references unknown node {src_id!r}/{dst_id!r}")
+        edge_id = f"{src_id}->{dst_id}" if edge_id is None else edge_id
         try:
             weight = round(float(raw_weight))
         except (ValueError, OverflowError):  # not a number, NaN or infinite
             weight = 0
         if weight < 1:
-            edge_id = f"{src_id}->{dst_id}" if edge_id is None else edge_id
             raise GexfParseError(f"GEXF edge {edge_id!r} "
                                  f"has weight {raw_weight!r}, not a positive count")
         src, dst = id_to_handle[src_id], id_to_handle[dst_id]
@@ -288,6 +290,10 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
             handles.setdefault(d.value, d)
             key = (s.value, d.value, kind)
             counts[key] = counts.get(key, 0) + weight
+            total += weight
+        if total > _INT64_MAX:
+            raise GexfParseError(f"GEXF edge {edge_id!r} (weight {raw_weight!r}) "
+                                 "takes the total weight past 2**63 - 1")
 
     for i in sorted(id_to_handle):
         handles.setdefault(id_to_handle[i].value, id_to_handle[i])

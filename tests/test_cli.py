@@ -79,10 +79,29 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flag, value, code", [
+        ("communities", "--resolution", "1e6", 0),  # Q lies in [-1e6, 1]
+        ("layout", "--scaling", "1e300", 2),  # the layout diverges
+        ("layout", "--gravity", "1e300", 2),
+        ("report", "--gravity", "1e300", 2),
+    ])
+    def test_finite_extreme_flag_exits_cleanly(self, tiny_corpus_path, tmp_path, command,
+                                               flag, value, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "snsgraph.cli", command, flag, value,
+             "--input", str(tiny_corpus_path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("node_b, weight, culprit", [
         ('label="@"', "2.0", "'b'"),
         ('label="@b"', "0.3", "'e0'"),
         ('label="@b"', "nan", "'e0'"),
+        ('label="@b"', "1e30", "'e0'"),
         ('label="A"', "1.0", "nodes 'a' and 'b' both name @a"),
     ])
     def test_hostile_gexf_is_data_error(self, tmp_path, node_b, weight, culprit):

@@ -1,7 +1,8 @@
 """Corpus parsing, topic filtering and graph building.
 
 ``ref_record_from_dict`` and ``ref_parse_corpus`` below are the parser the
-interning one replaced, kept verbatim apart from their ``ref_`` names. The
+interning one replaced, kept verbatim apart from their ``ref_`` names and
+``ref_array``, the later rule that a list field is an array or null. The
 interning parser must give equal records and equal diagnostics.
 """
 
@@ -41,6 +42,13 @@ def _ref_normalize_tag(tag) -> str:
     return str(tag).strip().lstrip("#").lower()
 
 
+def ref_array(obj: dict, key: str) -> list:
+    value = obj.get(key)
+    if value is not None and not isinstance(value, list):
+        raise ValueError(f"field {key!r} must be an array or null, got {type(value).__name__}")
+    return value or []
+
+
 def ref_record_from_dict(obj: dict) -> InteractionRecord:
     """Build a record from one decoded JSON object. Raises on bad shape."""
     if not isinstance(obj, dict):
@@ -52,12 +60,12 @@ def ref_record_from_dict(obj: dict) -> InteractionRecord:
     author = Handle(str(obj["author"]))
     text = str(obj.get("text", "") or "")
     ts = parse_rfc3339(str(obj["timestamp"]))
-    hashtags = tuple(_ref_normalize_tag(t) for t in obj.get("hashtags") or []
+    hashtags = tuple(_ref_normalize_tag(t) for t in ref_array(obj, "hashtags")
                      if _ref_normalize_tag(t))
     reply_raw = obj.get("in_reply_to")
     in_reply_to = Handle(str(reply_raw)) if reply_raw else None
-    mentions = tuple(Handle(str(m)) for m in obj.get("mentions") or [])
-    follows = tuple(Handle(str(f)) for f in obj.get("follows") or [])
+    mentions = tuple(Handle(str(m)) for m in ref_array(obj, "mentions"))
+    follows = tuple(Handle(str(f)) for f in ref_array(obj, "follows"))
     return InteractionRecord(
         id=rid,
         author=author,
@@ -239,6 +247,16 @@ class TestParseCorpus:
         records, diags = parse_corpus(as_stream([GOOD_LINE, bad]))
         assert len(records) == 1
         assert "author" in diags[0].reason
+
+    @pytest.mark.parametrize("field, value", [
+        ("mentions", "alice"), ("hashtags", "ge2017"), ("mentions", {"bob": 1}),
+    ])
+    def test_list_field_that_is_not_an_array_is_a_diagnostic(self, field, value):
+        line = json.dumps({**GOOD_LINE, "id": "2", field: value})
+        records, diags = parse_corpus(as_stream([GOOD_LINE, line, dict(GOOD_LINE, mentions=None)]))
+        assert [r.id for r in records] == ["1", "1"]
+        assert [d.line_no for d in diags] == [2]
+        assert repr(field) in diags[0].reason and "array" in diags[0].reason
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):

@@ -377,10 +377,16 @@ class TestGexfRoundTrip:
 
 # --- the streaming codec against the reference ---------------------------------
 
+def is_handle(text):
+    try:
+        Handle(text)
+    except ValueError:
+        return False
+    return True
+
+
 # ElementTree escapes & < > " \r \n \t in attribute values; ' and é pass through.
-HANDLE_TEXT = st.text(alphabet="aB&<>\"'\t\n\ré@ ", min_size=1, max_size=6).filter(
-    lambda s: s.strip().lstrip("@")
-)
+HANDLE_TEXT = st.text(alphabet="aB&<>\"'\t\n\ré@ ", min_size=1, max_size=6).filter(is_handle)
 # ElementTree names the locale's preferred encoding in the declaration;
 # the streaming writer always declares what it writes.
 DECLARATION = "<?xml version='1.0' encoding='utf-8'?>\n"
@@ -507,6 +513,15 @@ class TestStreamingGexf:
             (b, c, InteractionKind.FOLLOW): 1,
             (c, a, InteractionKind.MENTION): 2,
         }
+
+    def test_weight_summed_past_int64_is_parse_error(self):
+        # e1's undirected copy takes the (a, b, mention) count past 2**63 - 1
+        doc = ('<gexf><graph><nodes><node id="a"/><node id="b"/></nodes><edges>'
+               '<edge id="e0" source="a" target="b" weight="5e18"/>'
+               '<edge id="e1" source="b" target="a" weight="5e18" type="undirected"/>'
+               '</edges></graph></gexf>')
+        with pytest.raises(GexfParseError, match="'e1'"):
+            import_gexf(io.StringIO(doc))
 
     @pytest.mark.parametrize("doc, positioned", [
         ('<gexf><graph><nodes><node id="a"/><node id="b"/></nodes><edges>'
