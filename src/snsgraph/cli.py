@@ -265,7 +265,7 @@ def _cmd_layout(args) -> int:
 
 def _cmd_collect(args) -> int:
     config = _stage.CollectorConfig.load(args.config)
-    stats = _stage.run_collector(config, once=args.once)
+    stats = _stage.run_collector(config, max_cycles=1 if args.once else None)
     for diag in stats.diagnostics:
         kind = "retryable" if diag.retryable else "diagnostic"
         print(f"{kind} [{diag.source_id}]: {diag.reason}", file=sys.stderr)
@@ -367,6 +367,13 @@ def _add_layout_flags(parser):
     parser.add_argument("--scaling", type=float, default=2.0)
 
 
+def _add_text_flags(parser):
+    parser.add_argument("--lexicon-pos")
+    parser.add_argument("--lexicon-neg")
+    parser.add_argument("--stopwords")
+    parser.add_argument("--order", choices=["count", "salience"], default="count")
+
+
 def _add_centrality_flags(parser):
     parser.add_argument("--mode", choices=["incoming", "undirected"], default="incoming")
     parser.add_argument("--normalize", choices=["l1", "max"], default="l1")
@@ -407,10 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("text", help="term statistics and sentiment")
     p.add_argument("--input", required=True, help="JSON-lines corpus")
     p.add_argument("--topic", help="comma-separated topic tags")
-    p.add_argument("--lexicon-pos")
-    p.add_argument("--lexicon-neg")
-    p.add_argument("--stopwords")
-    p.add_argument("--order", choices=["count", "salience"], default="count")
+    _add_text_flags(p)
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_text)
@@ -437,10 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--top-accounts", type=int, default=13)
     p.add_argument("--top-terms", type=int, default=10)
-    p.add_argument("--order", choices=["count", "salience"], default="count")
-    p.add_argument("--lexicon-pos")
-    p.add_argument("--lexicon-neg")
-    p.add_argument("--stopwords")
+    _add_text_flags(p)
     p.add_argument("--redact-allowlist", help="file of allowlisted handles, one per line")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--deviation-window", type=int, default=20)

@@ -518,18 +518,17 @@ class CollectorRunStats:
 
 def run_collector(
     config: CollectorConfig,
-    once: bool = False,
     max_cycles: int | None = None,
     now_fn: Callable[[], datetime] = lambda: datetime.now(timezone.utc),
     sleep_fn: Callable[[float], None] = time.sleep,
 ) -> CollectorRunStats:
     """Poll sources into the sink; detect deviations over the stream.
 
-    With ``once`` every source is polled a single time and the function
-    returns; otherwise each source is re-polled on its own interval until
-    ``max_cycles`` rounds have run (or forever). All sources feed one
-    serialized sink writer, so records never interleave mid-line. A record
-    the sink's form cannot hold is skipped, with a diagnostic.
+    Each source is re-polled on its own interval until ``max_cycles``
+    rounds have run (or forever); with ``max_cycles=1`` every source is
+    polled a single time. All sources feed one serialized sink writer, so
+    records never interleave mid-line. A record the sink's form cannot
+    hold is skipped, with a diagnostic.
     """
     stats = CollectorRunStats()
     states = {spec.id: SourceState() for spec in config.sources}
@@ -559,7 +558,7 @@ def run_collector(
                     collected.append(record)
                     stats.records_emitted += 1
             sink.flush()
-            if once or (max_cycles is not None and cycle >= max_cycles):
+            if max_cycles is not None and cycle >= max_cycles:
                 break
             wait = max(min(next_due.values()) - clock, 0.0)
             sleep_fn(wait)

@@ -70,17 +70,16 @@ def modularity(
     resolution: float = 1.0,
 ) -> float:
     """Recompute Q from scratch for the given assignment, adding community
-    terms in order of first appearance over the graph's node order."""
+    terms in order of first appearance over the node index."""
     view = undirected_view(graph)
     total = view.total_weight
     if total <= 0:
         raise UndefinedModularityError("modularity undefined on a graph without edges")
     try:
-        labels, k = _first_appearance(assignment[node] for node in view.nodes)
+        labels, k = _first_appearance(assignment[node] for node in view.handles)
     except KeyError as exc:
         raise ValueError(f"node {exc.args[0].display()} has no community assignment") from None
-    comm = np.empty(view.node_count, dtype=np.int64)
-    comm[view.graph.insertion] = labels
+    comm = np.array(labels, dtype=np.int64)
 
     inside = (comm[view.src] == comm[view.dst]) & (view.src < view.dst)
     intra = np.bincount(comm[view.src[inside]], weights=view.weights[inside], minlength=k)

@@ -246,8 +246,9 @@ def build_graph(
     Each record adds author->in_reply_to (reply), author->mention (mention)
     and author->follow (follow) edges; repeated ordered pairs of the same
     kind accumulate weight. Self-interactions are dropped and counted.
-    Nodes are the endpoints of retained edges, so the result is independent
-    of record order.
+    Nodes are the endpoints of retained edges, numbered in sorted order as
+    in every graph, so the result, node order included, is independent of
+    record order.
     """
     stats = IngestStats()
     handles: dict[str, Handle] = {}

@@ -25,6 +25,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 if TYPE_CHECKING:
     import numpy as np
 
+# The graph stores counts and their total as int64.
+_INT64_MAX = 2**63 - 1
 # Code points XML 1.0 forbids: C0 controls but tab/LF/CR, surrogates, U+FFFE/F.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 _MARKED = {mark: re.compile(rf"[{mark}\s]*") for mark in "#@"}
@@ -92,16 +94,17 @@ class InteractionGraph:
     and ingest drops (and counts) records that violate this.
 
     Handles are numbered in sorted ``value`` order (``handles[i]``, with
-    ``index`` mapping the value back); ``insertion`` lists the indices in
-    the graph's own node order. ``src``, ``dst``, ``kind`` and ``weight``
-    hold one entry per edge in ``(src, dst, kind value)`` order, kinds
-    coded so that their codes sort like their values. ``directed`` and
-    ``undirected`` are the kind-merged and symmetric views over them.
+    ``index`` mapping the value back); that is the graph's one node order,
+    so graphs that compare equal read the same however they were built.
+    ``src``, ``dst``, ``kind`` and ``weight`` hold one entry per edge in
+    ``(src, dst, kind value)`` order, kinds coded so that their codes sort
+    like their values. ``directed`` and ``undirected`` are the kind-merged
+    and symmetric views over them.
     """
 
     kinds = tuple(sorted(InteractionKind, key=lambda k: k.value))
 
-    __slots__ = ("handles", "index", "insertion", "src", "dst", "kind", "weight",
+    __slots__ = ("handles", "index", "src", "dst", "kind", "weight",
                  "total_weight", "directed", "undirected")
 
     def __init__(self, edges: Mapping[Edge, int], extra_nodes: Iterable[Handle] = ()):
@@ -120,7 +123,7 @@ class InteractionGraph:
         cls, handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]
     ) -> "InteractionGraph":
         """Build from counts keyed on handle values; ``handles`` maps each
-        value to its handle, in node order. Neither mapping is kept."""
+        value to its handle. Neither mapping is kept."""
         graph = cls.__new__(cls)
         graph._index(handles, counts)
         return graph
@@ -133,10 +136,11 @@ class InteractionGraph:
                 raise ValueError(f"self-loop not allowed: @{s}")
             if weight < 1 or weight != int(weight):
                 raise ValueError(f"edge weight must be a positive count, got {weight!r}")
+        if (total := sum(counts.values())) > _INT64_MAX:
+            raise ValueError(f"total edge weight {total} exceeds 2**63 - 1")
         values = sorted(handles)
         self.handles = [handles[v] for v in values]
         self.index = index = {v: i for i, v in enumerate(values)}
-        self.insertion = [index[v] for v in handles]
         m = len(counts)
         code = {k: i for i, k in enumerate(self.kinds)}
         src = np.fromiter((index[e[0]] for e in counts), np.int64, m)
@@ -161,8 +165,8 @@ class InteractionGraph:
 
     @property
     def nodes(self) -> list[Handle]:
-        """Nodes in the graph's own order."""
-        return [self.handles[i] for i in self.insertion]
+        """Nodes in index order, as a fresh list."""
+        return list(self.handles)
 
     @property
     def edges(self) -> dict[Edge, int]:
@@ -216,8 +220,8 @@ class GraphView:
 
     @property
     def nodes(self) -> list[Handle]:
-        """Nodes in the graph's own order."""
-        return self.graph.nodes
+        """Nodes in index order, as a fresh list."""
+        return list(self.handles)
 
     @property
     def node_count(self) -> int:

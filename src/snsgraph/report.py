@@ -25,6 +25,7 @@ from xml.parsers import expat
 
 from .errors import GexfParseError
 from .model import (
+    _INT64_MAX,
     CentralityVector,
     Handle,
     InteractionGraph,
@@ -114,7 +115,6 @@ def redact(report: AnalysisReport, policy: RedactionPolicy) -> AnalysisReport:
 
 _CHUNK = 1024  # nodes or edges formatted per write: bounds the writer's memory
 _DIRECTED = {"directed": True, "undirected": False}  # by an edge's type attribute
-_INT64_MAX = 2**63 - 1
 
 
 def _escape(text: str) -> str:
@@ -135,7 +135,7 @@ def export_gexf(
     for name, mapping in (("positions", positions and positions.positions),
                           ("partition", partition and partition.assignment),
                           ("centrality", centrality and centrality.scores)):
-        missing = [h for h in graph.nodes if h not in mapping] if mapping is not None else []
+        missing = [h for h in graph.handles if h not in mapping] if mapping is not None else []
         if missing:
             raise ValueError(f"{name} does not cover node {missing[0].display()}")
 
@@ -266,7 +266,7 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
             raise GexfParseError(f"GEXF nodes {owner[handle.value]!r} and {node_id!r} "
                                  f"both name {handle.display()}")
 
-    handles: dict[str, Handle] = {}
+    handles = {h.value: h for h in id_to_handle.values()}
     counts: dict[ValueEdge, int] = {}
     total = 0  # bounds every weight and per-edge sum: the graph stores int64
     for (edge_id, src_id, dst_id, raw_weight, directed), kind in zip(edges, edge_kinds):
@@ -282,21 +282,15 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
         if weight < 1:
             raise GexfParseError(f"GEXF edge {edge_id!r} "
                                  f"has weight {raw_weight!r}, not a positive count")
-        src, dst = id_to_handle[src_id], id_to_handle[dst_id]
-        if src.value == dst.value:
+        src, dst = id_to_handle[src_id].value, id_to_handle[dst_id].value
+        if src == dst:
             continue
-        for s, d in ((src, dst),) if directed else ((src, dst), (dst, src)):
-            handles.setdefault(s.value, s)
-            handles.setdefault(d.value, d)
-            key = (s.value, d.value, kind)
+        for key in ((src, dst, kind),) if directed else ((src, dst, kind), (dst, src, kind)):
             counts[key] = counts.get(key, 0) + weight
             total += weight
         if total > _INT64_MAX:
             raise GexfParseError(f"GEXF edge {edge_id!r} (weight {raw_weight!r}) "
                                  "takes the total weight past 2**63 - 1")
-
-    for i in sorted(id_to_handle):
-        handles.setdefault(id_to_handle[i].value, id_to_handle[i])
     return InteractionGraph.interned(handles, counts)
 
 

@@ -652,7 +652,7 @@ class TestRunCollector:
                 }
             )
         )
-        stats = run_collector(CollectorConfig.load(config_path), once=True, now_fn=now_fn)
+        stats = run_collector(CollectorConfig.load(config_path), max_cycles=1, now_fn=now_fn)
         assert stats.records_emitted == len(rows)
         assert stats.alerts_emitted >= 1
         sink_records = read_records(tmp_path / "sink.jsonl", "json")
@@ -670,7 +670,7 @@ class TestRunCollector:
             sources=[SourceSpec(id="s1", kind="file", location=str(corpus))],
             sink_path=str(tmp_path / "sink.txt"), sink_format=sink_format,
         )
-        stats = run_collector(config, once=True, now_fn=now_fn)
+        stats = run_collector(config, max_cycles=1, now_fn=now_fn)
         back = read_records(config.sink_path, sink_format)
         if sink_format == "json":
             assert [r.payload.id for r in back] == [r["id"] for r in rows]

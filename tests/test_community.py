@@ -1,6 +1,8 @@
+import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snsgraph.community import (
     LouvainConfig,
@@ -11,7 +13,8 @@ from snsgraph.community import (
     modularity,
 )
 from snsgraph.errors import UndefinedModularityError
-from snsgraph.model import Handle, InteractionGraph, undirected_view
+from snsgraph.model import Handle, InteractionGraph, InteractionKind, undirected_view
+from snsgraph.report import export_gexf, import_gexf
 
 from conftest import (
     brute_force_best_q,
@@ -61,6 +64,37 @@ class TestModularity:
         # null term is (7/14)^2 = 1/4 per community, so one extra
         # resolution unit subtracts 2 * 1/4
         assert q2 == pytest.approx(q1 - 0.5, abs=1e-12)
+
+
+NODES = [Handle(f"n{i}") for i in range(12)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(NODES), st.sampled_from(NODES),
+                  st.sampled_from(list(InteractionKind))).filter(lambda e: e[0] != e[1]),
+        st.integers(min_value=1, max_value=9),
+        min_size=1, max_size=40,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_q_is_bit_equal_however_the_graph_was_built(edges, rng):
+    """Equal graphs built from one edge map in two orders, or read back
+    from their own GEXF, score any partition to the same bits."""
+    graph = InteractionGraph(edges)
+    items = list(edges.items())
+    rng.shuffle(items)
+    sink = io.StringIO()
+    export_gexf(graph, sink)
+    copies = [graph, InteractionGraph(dict(items)), import_gexf(io.StringIO(sink.getvalue()))]
+    assert copies[1] == graph and copies[2] == graph
+    assignment = {h: rng.randrange(4) for h in graph.nodes}
+    config = LouvainConfig(seed=rng.randrange(100))
+    for copy in copies[1:]:
+        assert modularity(copy, assignment).hex() == modularity(graph, assignment).hex()
+        assert (louvain(copy, config).modularity_q.hex()
+                == louvain(graph, config).modularity_q.hex())
 
 
 class TestLocalMoveGain:

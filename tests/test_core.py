@@ -453,7 +453,7 @@ def test_isolated_nodes_only():
     graph = InteractionGraph({}, extra_nodes=[Handle("b"), Handle("a")])
     assert_matches_brute_force(graph)
     assert_matches_references(graph)
-    assert undirected_view(graph).nodes == [Handle("b"), Handle("a")]
+    assert undirected_view(graph).nodes == [Handle("a"), Handle("b")]
 
 
 def test_larger_graph_matches_references():

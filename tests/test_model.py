@@ -59,6 +59,14 @@ class TestInteractionGraph:
         with pytest.raises(ValueError):  # checked before int64 would truncate it to 2
             InteractionGraph({(Handle("a"), Handle("b"), MENTION): 2.5})
 
+    def test_rejects_total_weight_past_int64(self):
+        a, b = Handle("a"), Handle("b")
+        with pytest.raises(ValueError, match="2\\*\\*63"):  # numpy's sum would wrap
+            InteractionGraph.interned({"a": a, "b": b}, {("a", "b", MENTION): 2**62,
+                                                         ("b", "a", MENTION): 2**62})
+        with pytest.raises(ValueError, match="2\\*\\*63"):  # numpy's fromiter would overflow
+            InteractionGraph({(a, b, MENTION): 2**63})
+
     def test_equality_reads_weights_kinds_and_isolated_nodes(self):
         a, b = Handle("a"), Handle("b")
         g = pairs_graph([("a", "b"), ("b", "c", 3)])
