@@ -121,8 +121,9 @@ class _FlagError(Exception):
 
 
 def _from_flags(config_type, **values):
+    """A ``config_type`` of the flags given; an unset (``None``) flag keeps its default."""
     try:
-        return config_type(**values)
+        return config_type(**{k: v for k, v in values.items() if v is not None})
     except ValueError as exc:
         raise _FlagError(exc) from None
 
@@ -153,8 +154,8 @@ def _layout_config(args) -> LayoutConfig:
 def _power_config(args) -> PowerIterationConfig:
     return _from_flags(
         _stage.PowerIterationConfig,
-        mode=_stage.CentralityMode(args.mode),
-        normalization=Normalization(args.normalize),
+        mode=args.mode and _stage.CentralityMode(args.mode),
+        normalization=args.normalize and Normalization(args.normalize),
         teleport=args.teleport,
     )
 
@@ -320,10 +321,10 @@ def _cmd_report(args) -> int:
             "seed": args.seed,
             "derived_seeds": {"louvain": louvain_config.seed, "layout": layout_config.seed},
             "topic": args.topic or None,
-            "resolution": args.resolution,
-            "centrality_mode": args.mode,
-            "normalization": args.normalize,
-            "layout_iterations": args.iterations,
+            "resolution": louvain_config.resolution,
+            "centrality_mode": power_config.mode.value,
+            "normalization": power_config.normalization.value,
+            "layout_iterations": layout_config.iterations,
             "barnes_hut": args.barnes_hut,
             "version": __version__,
             "parse_diagnostics": len(diagnostics),
@@ -361,10 +362,10 @@ def _add_seed(parser):
 
 
 def _add_layout_flags(parser):
-    parser.add_argument("--iterations", type=int, default=1000)
+    parser.add_argument("--iterations", type=int)
     parser.add_argument("--barnes-hut", choices=["on", "off", "auto"], default="auto")
-    parser.add_argument("--gravity", type=float, default=1.0)
-    parser.add_argument("--scaling", type=float, default=2.0)
+    parser.add_argument("--gravity", type=float)
+    parser.add_argument("--scaling", type=float)
 
 
 def _add_text_flags(parser):
@@ -375,9 +376,9 @@ def _add_text_flags(parser):
 
 
 def _add_centrality_flags(parser):
-    parser.add_argument("--mode", choices=["incoming", "undirected"], default="incoming")
-    parser.add_argument("--normalize", choices=["l1", "max"], default="l1")
-    parser.add_argument("--teleport", type=float, default=0.0)
+    parser.add_argument("--mode", choices=["incoming", "undirected"])
+    parser.add_argument("--normalize", choices=["l1", "max"])
+    parser.add_argument("--teleport", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("communities", help="Louvain community detection")
     p.add_argument("--input", required=True, help="graph.gexf or corpus.jsonl")
     p.add_argument("--topic", help="topic tags (corpus input only)")
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=float)
     _add_seed(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_communities)
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="full pipeline -> redacted report")
     p.add_argument("--input", required=True, help="JSON-lines corpus")
     p.add_argument("--topic", help="comma-separated topic tags")
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=float)
     _add_centrality_flags(p)
     _add_layout_flags(p)
     _add_seed(p)
@@ -444,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_text_flags(p)
     p.add_argument("--redact-allowlist", help="file of allowlisted handles, one per line")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.add_argument("--deviation-window", type=int, default=20)
-    p.add_argument("--bucket-seconds", type=float, default=60.0)
+    p.add_argument("--deviation-window", type=int)
+    p.add_argument("--bucket-seconds", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_report)
 

@@ -22,7 +22,7 @@ import statistics
 import time
 import xml.etree.ElementTree as ET
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence, Union
@@ -52,7 +52,7 @@ class SourceSpec:
     id: str
     kind: str  # file | rss | http-json
     location: str
-    poll_interval: float = 60.0  # seconds; ignored for file sources
+    poll_interval: float = 60.0  # seconds between two polls of this source
 
     def __post_init__(self):
         check_finite(self)
@@ -448,53 +448,52 @@ def detect_deviation(
 
 # --- the collector run loop --------------------------------------------------
 
+_JSON_TYPES = {"str": ((str,), "a string"), "str | None": ((str, type(None)), "a string or null"),
+               "int": ((int,), "an integer"), "float": ((int, float), "a number")}
+
+
+def _read(config_type, obj: dict, **built):
+    """A ``config_type`` of ``built`` and the JSON object ``obj`` keyed by field name.
+    A value must have its field's type (a float field takes any number, as a float);
+    a field not given keeps its default, and one with none is a ``KeyError``."""
+    for f in fields(config_type):
+        if f.name in obj and f.name not in built:
+            types, name = _JSON_TYPES[f.type]
+            if type(obj[f.name]) not in types:  # so true is no number, nor 2.9 an int
+                raise ValueError(f"{f.name} must be {name}, got {obj[f.name]!r}")
+            built[f.name] = float(obj[f.name]) if f.type == "float" else obj[f.name]
+        elif f.name not in built and f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return config_type(**built)
+
+
 @dataclass
 class CollectorConfig:
     sources: list[SourceSpec]
-    sink_path: str
+    sink_path: str = "collected.jsonl"
     sink_format: str = "json"
     alerts_path: str | None = None
     deviation: DeviationConfig = field(default_factory=DeviationConfig)
-    lexicon_pos: str | None = None
-    lexicon_neg: str | None = None
+    lexicon_positive: str | None = None
+    lexicon_negative: str | None = None
 
     def __post_init__(self):
+        if not self.sources:
+            raise ValueError("`sources` must list at least one source")
         if self.sink_format not in ("json", "xml"):
             raise ValueError(f"unknown emission format: {self.sink_format!r}")
         if self.deviation.metric == "mean_sentiment" and not (
-                self.lexicon_pos and self.lexicon_neg):
+                self.lexicon_positive and self.lexicon_negative):
             raise ValueError("the mean_sentiment metric needs a positive and a negative lexicon")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CollectorConfig":
-        sources = [
-            SourceSpec(
-                id=s["id"],
-                kind=s["kind"],
-                location=s["location"],
-                poll_interval=float(s.get("poll_interval", 60.0)),
-            )
-            for s in obj.get("sources", [])
-        ]
-        if not sources:
-            raise ValueError("`sources` must list at least one source")
-        sink = obj.get("sink", {})
-        dev = obj.get("deviation", {})
-        return cls(
-            sources=sources,
-            sink_path=sink.get("path", "collected.jsonl"),
-            sink_format=sink.get("format", "json"),
-            alerts_path=obj.get("alerts", {}).get("path"),
-            deviation=DeviationConfig(
-                metric=dev.get("metric", "volume"),
-                window=int(dev.get("window", 20)),
-                z_threshold=float(dev.get("z_threshold", 3.0)),
-                sigma_floor=float(dev.get("sigma_floor", 1e-6)),
-                bucket_seconds=float(dev.get("bucket_seconds", 60.0)),
-            ),
-            lexicon_pos=obj.get("lexicon", {}).get("positive"),
-            lexicon_neg=obj.get("lexicon", {}).get("negative"),
-        )
+        """The config of a JSON document: ``sources`` and ``deviation`` keyed by field
+        name, and each key of ``sink``, ``alerts`` and ``lexicon`` as ``<section>_<key>``."""
+        sections = {f"{name}_{key}": value for name in ("sink", "alerts", "lexicon")
+                    for key, value in obj.get(name, {}).items()}
+        return _read(cls, sections, sources=[_read(SourceSpec, s) for s in obj["sources"]],
+                     deviation=_read(DeviationConfig, obj.get("deviation", {})))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CollectorConfig":
@@ -504,7 +503,7 @@ class CollectorConfig:
                 return cls.from_dict(json.load(fh))
             except KeyError as exc:
                 raise AnalyticsError(f"{path}: collector config lacks key {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise AnalyticsError(f"{path}: bad collector config: {exc}") from None
 
 
@@ -533,8 +532,8 @@ def run_collector(
     stats = CollectorRunStats()
     states = {spec.id: SourceState() for spec in config.sources}
     lexicon = None
-    if config.lexicon_pos and config.lexicon_neg:
-        lexicon = load_lexicon(config.lexicon_pos, config.lexicon_neg)
+    if config.lexicon_positive and config.lexicon_negative:
+        lexicon = load_lexicon(config.lexicon_positive, config.lexicon_negative)
 
     collected: list[OutputRecord] = []
     next_due = {spec.id: 0.0 for spec in config.sources}

@@ -134,7 +134,7 @@ class InteractionGraph:
         for (s, d, _), weight in counts.items():  # before int64 truncates 2.5 to 2
             if s == d:
                 raise ValueError(f"self-loop not allowed: @{s}")
-            if weight < 1 or weight != int(weight):
+            if not 1 <= weight < math.inf or weight != int(weight):  # NaN, inf fail
                 raise ValueError(f"edge weight must be a positive count, got {weight!r}")
         if (total := sum(counts.values())) > _INT64_MAX:
             raise ValueError(f"total edge weight {total} exceeds 2**63 - 1")

@@ -17,6 +17,7 @@ import sys
 import threading
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from typing import Iterable
 
 import pytest
@@ -620,6 +621,25 @@ class TestBucketSeriesAgainstReference:
             volume, mean = bucket_series(records, width, scores)
             assert series_bits(volume) == want_volume
             assert series_bits(mean) == want_mean
+
+
+class TestCollectorConfig:
+    SOURCE = {"id": "s1", "kind": "file", "location": "c.jsonl"}
+
+    @pytest.mark.parametrize("sections", [
+        {},
+        {"alerts": {"path": None}, "deviation": {"bucket_seconds": 60}},
+    ])
+    def test_keys_not_given_keep_the_dataclass_defaults(self, sections):
+        config = CollectorConfig.from_dict({"sources": [self.SOURCE], **sections})
+        assert config == CollectorConfig([SourceSpec(**self.SOURCE)])
+        assert type(config.deviation.bucket_seconds) is float
+
+    def test_documented_example_holds_the_default_deviation(self):
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        section = doc.split("## Collector configuration (JSON)\n", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert CollectorConfig.from_dict(json.loads(example)).deviation == DeviationConfig()
 
 
 class TestRunCollector:

@@ -58,6 +58,9 @@ class TestInteractionGraph:
             InteractionGraph({(Handle("a"), Handle("b"), MENTION): 0})
         with pytest.raises(ValueError):  # checked before int64 would truncate it to 2
             InteractionGraph({(Handle("a"), Handle("b"), MENTION): 2.5})
+        for weight in (float("inf"), float("nan")):  # neither is a count int() can check
+            with pytest.raises(ValueError, match="positive count"):
+                InteractionGraph({(Handle("a"), Handle("b"), MENTION): weight})
 
     def test_rejects_total_weight_past_int64(self):
         a, b = Handle("a"), Handle("b")
