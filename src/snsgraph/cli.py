@@ -162,11 +162,12 @@ def _power_config(args) -> PowerIterationConfig:
 
 def _graph_from_args(args):
     topic = _topic_from(args.topic)
-    if args.input.endswith(".gexf"):
-        return _stage.import_gexf(args.input)
-    records, _ = _load_corpus(args, topic)
-    graph, _ = _stage.build_graph(records)
-    return graph
+    if not args.input.endswith(".gexf"):
+        records, _ = _load_corpus(args, topic)
+        return _stage.build_graph(records)[0]
+    if topic is not None:
+        raise _FlagError("--topic filters a corpus; a .gexf input holds no tags")
+    return _stage.import_gexf(args.input)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -211,14 +212,14 @@ def _cmd_centrality(args) -> int:
 
 
 def _text_inputs(args) -> tuple[frozenset[str] | None, Lexicon | None]:
-    """The side files of `text` and `report`, read before the corpus:
-    ``--stopwords``, and ``--lexicon-pos`` with ``--lexicon-neg``."""
+    """The side files of `text` and `report`, read before the corpus: ``--stopwords``,
+    and ``--lexicon-pos`` with ``--lexicon-neg``, warning of each word in both."""
     if bool(args.lexicon_pos) != bool(args.lexicon_neg):
         raise _FlagError("--lexicon-pos and --lexicon-neg must be given together")
     stopwords = _read_lines(args.stopwords, str.lower) if args.stopwords else None
-    lexicon = None
-    if args.lexicon_pos:
-        lexicon = _stage.load_lexicon(args.lexicon_pos, args.lexicon_neg)
+    lexicon = _stage.load_lexicon(args.lexicon_pos, args.lexicon_neg) if args.lexicon_pos else None
+    for word in lexicon.dropped_conflicts if lexicon else ():
+        print(f"warning: {word!r} is in both lexicons; dropped from both", file=sys.stderr)
     return stopwords, lexicon
 
 

@@ -37,6 +37,7 @@ from .ingest import (
     record_reader,
     record_to_dict,
     text_lines,
+    utc,
     utf8,
 )
 from .model import _NOT_XML, Handle, check_finite
@@ -58,6 +59,8 @@ class SourceSpec:
         check_finite(self)
         if self.kind not in ("file", "rss", "http-json"):
             raise ValueError(f"unknown source kind: {self.kind!r}")
+        if self.poll_interval < 0:
+            raise ValueError(f"poll_interval must be >= 0, got {self.poll_interval!r}")
         if not self.id:
             raise ValueError("source id must be non-empty")
         if bad := _NOT_XML.search(self.id):  # no sink form could name the source
@@ -183,23 +186,13 @@ def _feed_records(document: bytes, fallback_ts: datetime) -> list[InteractionRec
         rid = first(item, "guid", "id", "link")
         if rid is None:
             rid = f"{author.value}:{zlib.crc32(text_joined.encode('utf-8')):08x}"
-        ts = fallback_ts
-        raw_ts = first(item, "pubDate")
-        if raw_ts:
-            try:
-                parsed = email.utils.parsedate_to_datetime(raw_ts)
-                if parsed.tzinfo is None:
-                    parsed = parsed.replace(tzinfo=timezone.utc)
-                ts = parsed.astimezone(timezone.utc)
-            except (TypeError, ValueError):
-                pass
-        else:
-            raw_ts = first(item, "updated", "published")
-            if raw_ts:
-                try:
-                    ts = parse_rfc3339(raw_ts)
-                except ValueError:
-                    pass
+        try:  # a year past C long is an OverflowError
+            if raw_ts := first(item, "pubDate"):
+                ts = utc(email.utils.parsedate_to_datetime(raw_ts))
+            else:
+                ts = parse_rfc3339(first(item, "updated", "published") or "")
+        except (OverflowError, ValueError):  # no date, or none that reads in range
+            ts = fallback_ts
         tags = [c.text for c in item.iter() if _local_name(c.tag) == "category" and c.text]
         tags = [t for t in map(_normalize_tag, tags + _HASHTAG_RE.findall(text_joined)) if t]
         records.append(InteractionRecord(rid, author, text_joined, ts, tuple(dict.fromkeys(tags))))
@@ -246,7 +239,7 @@ def poll_source(
             SourceDiagnostic(spec.id, f"unreachable: {exc}", retryable=True)
         )
         return [], diagnostics
-    except (ET.ParseError, RecordParseError, EmptyCorpusError) as exc:
+    except (ET.ParseError, RecordParseError, EmptyCorpusError, ValueError) as exc:  # a bad URL
         diagnostics.append(SourceDiagnostic(spec.id, str(exc)))
         return [], diagnostics
 
@@ -325,12 +318,6 @@ def _xml_object(text: str) -> dict:
     return obj
 
 
-def output_record_from_xml(text: str) -> OutputRecord:
-    """One ``<record>`` line read back as :func:`read_records` reads it."""
-    (record,) = read_records([text], "xml")
-    return record
-
-
 def emit(record: OutputRecord, format: str, sink: IO[str]) -> None:
     """Write one record to the sink, one line per record."""
     if format == "json":
@@ -358,7 +345,7 @@ def read_records(source: Union[str, Path, Iterable[str]], format: str) -> list[O
                 raise ValueError("output record needs source_id and fetched_at")
             out.append(OutputRecord(
                 str(obj["source_id"]), parse_rfc3339(str(obj["fetched_at"])), payload))
-        except (RecordParseError, ValueError, TypeError) as exc:
+        except (RecordParseError, ValueError, TypeError, RecursionError) as exc:
             raise RecordParseError(f"line {line_no}: {exc}") from exc
     return out
 
@@ -449,19 +436,34 @@ def detect_deviation(
 # --- the collector run loop --------------------------------------------------
 
 _JSON_TYPES = {"str": ((str,), "a string"), "str | None": ((str, type(None)), "a string or null"),
-               "int": ((int,), "an integer"), "float": ((int, float), "a number")}
+               "int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "object": ((dict,), "a JSON object"), "array": ((list,), "an array")}
 
 
-def _read(config_type, obj: dict, **built):
-    """A ``config_type`` of ``built`` and the JSON object ``obj`` keyed by field name.
+def _json(value, name: str, json_type: str, keys: Sequence[str] | None = None):
+    """``value`` if a ``json_type`` of XML 1.0 text, keys all in ``keys``; else ``ValueError``."""
+    types, kind = _JSON_TYPES[json_type]
+    if type(value) not in types:  # so true is no number, nor 2.9 an int
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if type(value) is str and (bad := _NOT_XML.search(value)):  # open() takes no U+0000
+        raise ValueError(f"{name} holds U+{ord(bad.group()):04X}, which XML 1.0 forbids")
+    if keys is not None and (unknown := [key for key in value if key not in keys]):
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    return value
+
+
+def _read(config_type, obj, name: str = "", **built):
+    """A ``config_type`` of ``built`` and ``obj``, the JSON object ``name``, by field name.
     A value must have its field's type (a float field takes any number, as a float);
     a field not given keeps its default, and one with none is a ``KeyError``."""
+    _json(obj, name, "object", [f.name for f in fields(config_type)])
     for f in fields(config_type):
-        if f.name in obj and f.name not in built:
-            types, name = _JSON_TYPES[f.type]
-            if type(obj[f.name]) not in types:  # so true is no number, nor 2.9 an int
-                raise ValueError(f"{f.name} must be {name}, got {obj[f.name]!r}")
-            built[f.name] = float(obj[f.name]) if f.type == "float" else obj[f.name]
+        if f.name in obj:
+            _json(obj[f.name], f.name, f.type)
+            try:
+                built[f.name] = float(obj[f.name]) if f.type == "float" else obj[f.name]
+            except OverflowError:
+                raise ValueError(f"{f.name} is too large for a float") from None
         elif f.name not in built and f.default is MISSING and f.default_factory is MISSING:
             raise KeyError(f.name)
     return config_type(**built)
@@ -478,8 +480,8 @@ class CollectorConfig:
     lexicon_negative: str | None = None
 
     def __post_init__(self):
-        if not self.sources:
-            raise ValueError("`sources` must list at least one source")
+        if not self.sources or len({s.id for s in self.sources}) < len(self.sources):
+            raise ValueError("`sources` must list at least one source, each with its own id")
         if self.sink_format not in ("json", "xml"):
             raise ValueError(f"unknown emission format: {self.sink_format!r}")
         if self.deviation.metric == "mean_sentiment" and not (
@@ -487,13 +489,15 @@ class CollectorConfig:
             raise ValueError("the mean_sentiment metric needs a positive and a negative lexicon")
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "CollectorConfig":
+    def from_dict(cls, obj) -> "CollectorConfig":
         """The config of a JSON document: ``sources`` and ``deviation`` keyed by field
         name, and each key of ``sink``, ``alerts`` and ``lexicon`` as ``<section>_<key>``."""
+        _json(obj, "the config", "object", ("sources", "sink", "alerts", "deviation", "lexicon"))
+        sources = _json(obj["sources"], "sources", "array")
         sections = {f"{name}_{key}": value for name in ("sink", "alerts", "lexicon")
-                    for key, value in obj.get(name, {}).items()}
-        return _read(cls, sections, sources=[_read(SourceSpec, s) for s in obj["sources"]],
-                     deviation=_read(DeviationConfig, obj.get("deviation", {})))
+                    for key, value in _json(obj.get(name, {}), name, "object").items()}
+        return _read(cls, sections, sources=[_read(SourceSpec, s, "each source") for s in sources],
+                     deviation=_read(DeviationConfig, obj.get("deviation", {}), "deviation"))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CollectorConfig":
@@ -503,7 +507,7 @@ class CollectorConfig:
                 return cls.from_dict(json.load(fh))
             except KeyError as exc:
                 raise AnalyticsError(f"{path}: collector config lacks key {exc}") from None
-            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            except (AttributeError, TypeError, ValueError, RecursionError) as exc:
                 raise AnalyticsError(f"{path}: bad collector config: {exc}") from None
 
 
@@ -545,7 +549,7 @@ def run_collector(
             for spec in config.sources:
                 if next_due[spec.id] > clock:
                     continue
-                next_due[spec.id] = clock + max(spec.poll_interval, 0.0)
+                next_due[spec.id] = clock + spec.poll_interval
                 records, diags = poll_source(spec, states[spec.id], now_fn=now_fn)
                 stats.diagnostics.extend(diags)
                 for record in records:

@@ -58,24 +58,25 @@ def utf8(line: str) -> str:
 
 
 def parse_rfc3339(value: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime.
-
-    Python 3.10's ``fromisoformat`` rejects the ``Z`` suffix, so it is
-    rewritten to ``+00:00`` first. Naive timestamps are taken as UTC.
-    """
+    """An RFC 3339 timestamp in UTC by :func:`utc`; a ``Z`` suffix, which Python
+    3.10's ``fromisoformat`` rejects, is read as ``+00:00``."""
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    ts = datetime.fromisoformat(text)
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    return utc(datetime.fromisoformat(text))
+
+
+def utc(ts: datetime) -> datetime:
+    """The one UTC rule: ``ts`` in UTC, a naive one taken as UTC; out of range, ``ValueError``."""
+    aware = ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)
+    try:
+        return aware.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {ts.isoformat()} is out of range in UTC") from None
 
 
 def format_rfc3339(ts: datetime) -> str:
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    return utc(ts).isoformat().replace("+00:00", "Z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,7 +215,7 @@ def parse_corpus(
     for line_no, line in text_lines(source):
         try:
             records.append(read(json.loads(utf8(line)), line))
-        except (ValueError, TypeError) as exc:  # json.JSONDecodeError included
+        except (ValueError, TypeError, RecursionError) as exc:  # JSON decode errors included
             diagnostics.append(ParseDiagnostic(line_no, str(exc)))
     if not records:
         raise EmptyCorpusError("corpus contains no well-formed records")

@@ -223,6 +223,16 @@ class TestExitCodes:
         ({"sources": [SOURCE], "deviation": {"window": "20"}}, "window must be an integer"),
         ({"sources": [dict(SOURCE, poll_interval="300")]}, "poll_interval must be a number"),
         ({"sources": [dict(SOURCE, id=7)]}, "id must be a string, got 7"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded",
+                     id="nested-100k-deep"),
+        ({"sources": [SOURCE], "deviation": {"windw": 5}}, "unknown key 'windw'"),
+        ({"sources": [SOURCE], "sink": {"fromat": "xml"}}, "unknown key 'sink_fromat'"),
+        ({"sources": [SOURCE], "sinks": {"path": "s.jsonl"}}, "unknown key 'sinks'"),
+        ({"sources": [SOURCE], "deviation": []}, "deviation must be a JSON object, got []"),
+        ({"sources": [SOURCE, dict(SOURCE, location="other.jsonl")]}, "each with its own id"),
+        ({"sources": [dict(SOURCE, poll_interval=-1)]}, "poll_interval must be >= 0"),
+        ({"sources": [SOURCE], "deviation": {"bucket_seconds": 10**400}},
+         "bucket_seconds is too large for a float"),
     ])
     def test_bad_collector_config_is_data_error(self, tmp_path, config, culprit):
         # run where the default sink `collected.jsonl` lives: it must stay untouched
@@ -239,6 +249,14 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: collector.json: ") and culprit in proc.stderr
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert sink.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("command", ["communities", "centrality", "layout"])
+    def test_topic_on_a_gexf_input_is_usage_error(self, tmp_path, command, capsys):
+        # The input does not exist: the flag must fail before any input is read.
+        assert run([command, "--topic", "ge2017", "--input", str(tmp_path / "absent.gexf"),
+                    "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --topic filters a corpus; a .gexf input holds no tags\n")
 
     def test_one_bad_timestamp_is_data_error_not_memory(self, tmp_path):
         # 51 records, one dated 1970: zero-filling 60 s buckets up to 2017
@@ -542,6 +560,23 @@ class TestTextStage:
                     "--lexicon-pos", str(pos), "--lexicon-neg", str(neg), *extra,
                     "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 3  # the records tagged ge2017
+
+    @pytest.mark.parametrize("command", ["report", "text"])
+    def test_words_in_both_lexicons_are_reported(self, command, tmp_path, capsys):
+        corpus = write_jsonl(tmp_path / "c.jsonl", [
+            {"id": "1", "author": "alice", "text": "great fine bad", "mentions": ["bob"],
+             "timestamp": "2017-04-21T10:00:00Z"}, {"id": "2"}])
+        pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
+        pos.write_text("great\nfine\nok\n")
+        neg.write_text("Ok\nbad\nfine\n")
+        extra = ["--iterations", "5"] if command == "report" else []
+        assert run([command, "--input", str(corpus), "--lexicon-pos", str(pos),
+                    "--lexicon-neg", str(neg), *extra, "--out", str(tmp_path / "out")]) == 0
+        # one line per dropped word, in order, before the corpus is read
+        assert capsys.readouterr().err == (
+            "warning: 'fine' is in both lexicons; dropped from both\n"
+            "warning: 'ok' is in both lexicons; dropped from both\n"
+            "warning: line 2: missing required field 'author'\n")
 
 
 class TestStartup:

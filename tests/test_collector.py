@@ -34,7 +34,6 @@ from snsgraph.collector import (
     bucketize,
     detect_deviation,
     emit,
-    output_record_from_xml,
     output_record_to_xml,
     poll_source,
     read_records,
@@ -209,6 +208,28 @@ class TestPollSource:
         assert record.payload.author == Handle("watcher")
         assert record.payload.text == "Entry summary text"
 
+    @pytest.mark.parametrize("date, read", [
+        ("<pubDate>Fri, 21 Apr 2017 10:00:00 -0000</pubDate>", True),  # no zone: UTC
+        ("<pubDate>Sat, 22 Apr 2017 00:00:00 +1400</pubDate>", True),
+        ("<updated>2017-04-21T10:00:00</updated>", True),
+        ("<published>2017-04-21T05:00:00-05:00</published>", True),
+        ("<pubDate>Fri, 31 Dec 9999 23:59:59 -2359</pubDate>", False),  # past 9999 in UTC
+        ("<pubDate>Fri, 31 Dec 99999999999999999999 23:59:59 +0000</pubDate>", False),
+        ("<pubDate>not a date</pubDate>", False),
+        ("<updated>9999-12-31T23:59:59-23:59</updated>", False),
+        ("<published>0001-01-01T00:00:00+23:59</published>", False),
+        ("<updated>not a date</updated>", False),
+    ])
+    def test_feed_date_in_utc_or_else_the_fetch_time(self, tmp_path, date, read):
+        path = tmp_path / "feed.xml"
+        path.write_text(f"<rss><channel><item><guid>g</guid>{date}</item></channel></rss>")
+        (record,), diags = poll_source(SourceSpec(id="s", kind="rss", location=str(path)),
+                                       now_fn=now_fn)
+        assert diags == []
+        want = datetime(2017, 4, 21, 10, 0, tzinfo=timezone.utc) if read else NOW
+        assert record.payload.timestamp == want
+        assert record.payload.timestamp.tzinfo is timezone.utc
+
     def test_dedup_across_polls(self, tmp_path):
         path = write_jsonl(tmp_path / "c.jsonl", corpus_rows(2))
         spec = SourceSpec(id="s", kind="file", location=str(path))
@@ -224,6 +245,14 @@ class TestPollSource:
         records, diags = poll_source(spec, now_fn=now_fn)
         assert records == []
         assert len(diags) == 1 and diags[0].retryable
+
+    @pytest.mark.parametrize("kind", ["rss", "http-json"])
+    def test_location_urllib_cannot_parse_is_one_diagnostic(self, kind):
+        # urllib rejects the URL while parsing it, before any connection
+        records, diags = poll_source(SourceSpec(id="s", kind=kind, location="http://[::1"),
+                                     now_fn=now_fn)
+        assert records == []
+        assert [(d.reason, d.retryable) for d in diags] == [("Invalid IPv6 URL", False)]
 
     def test_malformed_feed_diagnosed(self, tmp_path):
         path = tmp_path / "broken.xml"
@@ -399,7 +428,7 @@ class TestEmission:
         record = OutputRecord("s", NOW, make_record("i", "a", mentions=()))
         xml = output_record_to_xml(record)
         assert "<mentions />" in xml or "<mentions/>" in xml
-        assert output_record_from_xml(xml) == record
+        assert read_records([xml], "xml") == [record]
 
     def test_newlines_in_text_keep_line_framing(self):
         record = sample_output_record(text="line one\nline two\rthree")
@@ -408,13 +437,13 @@ class TestEmission:
         emit(record, "xml", sink)
         lines = [l for l in sink.getvalue().splitlines() if l]
         assert len(lines) == 2
-        back = output_record_from_xml(lines[0])
+        (back,) = read_records(lines[:1], "xml")
         assert back.payload.text == "line one\nline two\rthree"
 
     def test_none_reply_roundtrips(self):
         record = OutputRecord("s", NOW, make_record("i", "a"))
         xml = output_record_to_xml(record)
-        assert output_record_from_xml(xml).payload.in_reply_to is None
+        assert read_records([xml], "xml")[0].payload.in_reply_to is None
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -444,6 +473,11 @@ class TestEmission:
         ("xml", b"<record><id>2</id><author>a</author></record>",
          "missing required field 'timestamp'"),
         ("xml", b"<record><id>caf\xe9</id></record>", "not UTF-8 at column 16"),
+        pytest.param("json", b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded",
+                     id="json-nested-100k-deep"),
+        ("json", b'{"id": "2", "author": "a", "timestamp": "2017-04-21T10:00:00Z", '
+                 b'"source_id": "s", "fetched_at": "9999-12-31T23:59:59-23:59"}',
+         "timestamp 9999-12-31T23:59:59-23:59 is out of range in UTC"),
     ])
     def test_bad_sink_line_names_its_line(self, fmt, bad, reason, tmp_path):
         sink = io.StringIO()
@@ -634,6 +668,27 @@ class TestCollectorConfig:
         config = CollectorConfig.from_dict({"sources": [self.SOURCE], **sections})
         assert config == CollectorConfig([SourceSpec(**self.SOURCE)])
         assert type(config.deviation.bucket_seconds) is float
+
+    @pytest.mark.parametrize("config, message", [
+        ({"sources": [SOURCE], "alerts": {"format": "json"}}, "unknown key 'alerts_format'"),
+        ({"sources": [dict(SOURCE, intervall=5)]}, "unknown key 'intervall'"),
+        ({"sources": [SOURCE], "lexicon": "words.txt"},
+         "lexicon must be a JSON object, got 'words.txt'"),
+        ({"sources": [SOURCE, 5]}, "each source must be a JSON object, got 5"),
+        ({"sources": SOURCE}, "sources must be an array, got {'id': 's1'"),
+        ([SOURCE], "the config must be a JSON object, got [{"),
+        ({"sources": [SOURCE], "sink": {"path": "a\u0000b"}},
+         "sink_path holds U+0000, which XML 1.0 forbids"),
+        ({"sources": [dict(SOURCE, location="c\ud800")]}, "location holds U+D800"),
+        ({"sources": [SOURCE], "deviation": {"sigma_floor": 10**400}},
+         "sigma_floor is too large for a float"),
+        ({"sources": [SOURCE, dict(SOURCE, kind="rss")]},
+         "`sources` must list at least one source, each with its own id"),
+    ])
+    def test_strict_reader_names_what_it_rejects(self, config, message):
+        with pytest.raises(ValueError) as info:
+            CollectorConfig.from_dict(config)
+        assert str(info.value).startswith(message)
 
     def test_documented_example_holds_the_default_deviation(self):
         doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()

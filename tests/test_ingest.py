@@ -6,6 +6,7 @@ interning one replaced, kept verbatim apart from their ``ref_`` names and
 interning parser must give equal records and equal diagnostics.
 """
 
+import ast
 import io
 import json
 import random
@@ -258,6 +259,19 @@ class TestParseCorpus:
         assert [d.line_no for d in diags] == [2]
         assert repr(field) in diags[0].reason and "array" in diags[0].reason
 
+    def test_out_of_range_or_deeply_nested_line_is_diagnostic(self):
+        rows = [GOOD_LINE, dict(GOOD_LINE, id="2", timestamp="9999-12-31T23:59:59-23:59"),
+                "[" * 100_000 + "]" * 100_000,
+                dict(GOOD_LINE, id="4", timestamp="0001-01-01T00:00:00+23:59"),
+                dict(GOOD_LINE, id="5", timestamp="9999-12-31T23:59:59+23:59")]
+        records, diags = parse_corpus(as_stream(rows))
+        assert [r.id for r in records] == ["1", "5"]
+        assert records[1].timestamp == parse_rfc3339("9999-12-31T00:00:59Z")
+        assert [d.line_no for d in diags] == [2, 3, 4]
+        assert diags[0].reason == "timestamp 9999-12-31T23:59:59-23:59 is out of range in UTC"
+        assert diags[1].reason.startswith("maximum recursion depth exceeded")
+        assert diags[2].reason == "timestamp 0001-01-01T00:00:00+23:59 is out of range in UTC"
+
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
             parse_corpus(io.StringIO(""))
@@ -285,6 +299,20 @@ class TestParseCorpus:
         path = write_jsonl(tmp_path / "c.jsonl", [GOOD_LINE])
         records, _ = parse_corpus(path)
         assert record_to_dict(records[0]) == record_to_dict(record_from_dict(GOOD_LINE))
+
+
+def test_astimezone_is_called_only_in_utc():
+    # One UTC rule: every outside timestamp reaches UTC through ingest.utc.
+    callers = []
+    for path in sorted(Path(snsgraph.ingest.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {id(node): f.name for f in ast.walk(tree)
+                  if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(f)}
+        callers += [(path.name, scopes.get(id(node))) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "astimezone"]
+    assert callers == [("ingest.py", "utc")]
 
 
 class TestTextLines:
