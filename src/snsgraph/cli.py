@@ -211,15 +211,21 @@ def _cmd_centrality(args) -> int:
     return 0
 
 
+def _load_lexicon(positive: str, negative: str) -> Lexicon:
+    """The lexicon of two word lists, warning on stderr of each word in both."""
+    lexicon = _stage.load_lexicon(positive, negative)
+    for word in lexicon.dropped_conflicts:
+        print(f"warning: {word!r} is in both lexicons; dropped from both", file=sys.stderr)
+    return lexicon
+
+
 def _text_inputs(args) -> tuple[frozenset[str] | None, Lexicon | None]:
     """The side files of `text` and `report`, read before the corpus: ``--stopwords``,
-    and ``--lexicon-pos`` with ``--lexicon-neg``, warning of each word in both."""
+    and ``--lexicon-pos`` with ``--lexicon-neg``."""
     if bool(args.lexicon_pos) != bool(args.lexicon_neg):
         raise _FlagError("--lexicon-pos and --lexicon-neg must be given together")
     stopwords = _read_lines(args.stopwords, str.lower) if args.stopwords else None
-    lexicon = _stage.load_lexicon(args.lexicon_pos, args.lexicon_neg) if args.lexicon_pos else None
-    for word in lexicon.dropped_conflicts if lexicon else ():
-        print(f"warning: {word!r} is in both lexicons; dropped from both", file=sys.stderr)
+    lexicon = _load_lexicon(args.lexicon_pos, args.lexicon_neg) if args.lexicon_pos else None
     return stopwords, lexicon
 
 
@@ -267,6 +273,8 @@ def _cmd_layout(args) -> int:
 
 def _cmd_collect(args) -> int:
     config = _stage.CollectorConfig.load(args.config)
+    if config.lexicon_positive and config.lexicon_negative:  # for its warnings: the run reloads it
+        _load_lexicon(config.lexicon_positive, config.lexicon_negative)
     stats = _stage.run_collector(config, max_cycles=1 if args.once else None)
     for diag in stats.diagnostics:
         kind = "retryable" if diag.retryable else "diagnostic"

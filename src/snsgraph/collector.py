@@ -16,6 +16,7 @@ divides cleanly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import statistics
@@ -46,6 +47,8 @@ from .textmine import Lexicon, load_lexicon, sentiment
 _HASHTAG_RE = re.compile(r"#(\w+)")
 _WIDEST_BUCKET = timedelta.max.days * 86400.0  # seconds
 MAX_BUCKETS = 2**20  # per series: two years of 60 s buckets
+MAX_POLL_INTERVAL = 365 * 86400.0  # seconds: one year, far inside what time.sleep can wait
+MIN_CYCLE_WAIT = 1.0  # seconds a continuous run sleeps at least between cycles, so it cannot spin
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class SourceSpec:
     id: str
     kind: str  # file | rss | http-json
     location: str
-    poll_interval: float = 60.0  # seconds between two polls of this source
+    poll_interval: float = 60.0  # seconds from the start of one poll of this source to the next
 
     def __post_init__(self):
         check_finite(self)
@@ -61,6 +64,9 @@ class SourceSpec:
             raise ValueError(f"unknown source kind: {self.kind!r}")
         if self.poll_interval < 0:
             raise ValueError(f"poll_interval must be >= 0, got {self.poll_interval!r}")
+        if self.poll_interval > MAX_POLL_INTERVAL:
+            raise ValueError(f"poll_interval must be at most {MAX_POLL_INTERVAL:,.0f} s "
+                             f"(one year), got {self.poll_interval!r}")
         if not self.id:
             raise ValueError("source id must be non-empty")
         if bad := _NOT_XML.search(self.id):  # no sink form could name the source
@@ -222,6 +228,7 @@ def poll_source(
     fetched_at = now_fn()
     if state.last_fetched_at is not None and fetched_at < state.last_fetched_at:
         fetched_at = state.last_fetched_at
+    state.last_fetched_at = fetched_at  # the poll's start, reached or not
 
     try:
         location = spec.location
@@ -250,7 +257,6 @@ def poll_source(
             continue
         state.seen_ids.add(record.id)
         out.append(OutputRecord(spec.id, fetched_at, record))
-    state.last_fetched_at = fetched_at
     return out, diagnostics
 
 
@@ -354,22 +360,22 @@ def read_records(source: Union[str, Path, Iterable[str]], format: str) -> list[O
 
 def bucket_series(
     records: Iterable[OutputRecord | InteractionRecord], bucket_seconds: float,
-    scores: Sequence[float] | None = None,
+    scores: Iterable[float] | None = None,
 ) -> tuple[list[tuple[datetime, float]], list[tuple[datetime, float]] | None]:
     """Record volume and, given one score per record, mean score (else ``None``)
-    per fixed-width time bucket, in one pass over the records. Gaps between
+    per fixed-width time bucket, in one pass over the records (and scores). Gaps between
     the first and last bucket are zero-filled so silence is observable, up to
     :data:`MAX_BUCKETS` buckets: a longer span is an :class:`AnalyticsError`."""
     width = timedelta(seconds=bucket_seconds)
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     counts: dict[int, int] = {}
     sums: dict[int, float] = {}
-    for i, item in enumerate(records):
+    for item, score in zip(records, scores if scores is not None else itertools.repeat(None)):
         ts = (item.payload if isinstance(item, OutputRecord) else item).timestamp
         bucket = int((ts - epoch) // width)
         counts[bucket] = counts.get(bucket, 0) + 1
-        if scores is not None:
-            sums[bucket] = sums.get(bucket, 0.0) + scores[i]
+        if score is not None:
+            sums[bucket] = sums.get(bucket, 0.0) + score
     buckets = range(min(counts), max(counts) + 1) if counts else range(0)
     if len(buckets) > MAX_BUCKETS:
         raise AnalyticsError(f"records span {len(buckets):,} buckets of {bucket_seconds:g} s, "
@@ -396,9 +402,10 @@ def bucketize(
         return bucket_series(records, config.bucket_seconds)[0]
     if lexicon is None:
         raise ValueError("mean_sentiment bucketing needs a lexicon")
-    payloads = [item.payload if isinstance(item, OutputRecord) else item for item in records]
-    scores = [sentiment(p.text, lexicon).score for p in payloads]
-    return bucket_series(payloads, config.bucket_seconds, scores)[1]
+    records, scored = itertools.tee(records)  # zip draws both in step: tee holds one record
+    scores = (sentiment((r.payload if isinstance(r, OutputRecord) else r).text, lexicon).score
+              for r in scored)
+    return bucket_series(records, config.bucket_seconds, scores)[1]
 
 
 def detect_deviation(
@@ -527,11 +534,12 @@ def run_collector(
 ) -> CollectorRunStats:
     """Poll sources into the sink; detect deviations over the stream.
 
-    Each source is re-polled on its own interval until ``max_cycles``
-    rounds have run (or forever); with ``max_cycles=1`` every source is
-    polled a single time. All sources feed one serialized sink writer, so
-    records never interleave mid-line. A record the sink's form cannot
-    hold is skipped, with a diagnostic.
+    Sources are polled in cycles until ``max_cycles`` have run (or forever). A
+    source is due ``poll_interval`` after its last poll started, on ``now_fn``;
+    between cycles the run sleeps until one is due, :data:`MIN_CYCLE_WAIT` at
+    least. All sources feed one serialized sink writer, so records never
+    interleave mid-line; a record the sink's form cannot hold is skipped, with
+    a diagnostic. Written records stream on into the bucket counts.
     """
     stats = CollectorRunStats()
     states = {spec.id: SourceState() for spec in config.sources}
@@ -539,17 +547,13 @@ def run_collector(
     if config.lexicon_positive and config.lexicon_negative:
         lexicon = load_lexicon(config.lexicon_positive, config.lexicon_negative)
 
-    collected: list[OutputRecord] = []
-    next_due = {spec.id: 0.0 for spec in config.sources}
-    clock = 0.0
-    cycle = 0
-    with open(config.sink_path, "w", encoding="utf-8") as sink:
-        while True:
-            cycle += 1
-            for spec in config.sources:
-                if next_due[spec.id] > clock:
-                    continue
-                next_due[spec.id] = clock + spec.poll_interval
+    def due_in(spec: SourceSpec) -> float:  # seconds; due at 0 or below
+        last = states[spec.id].last_fetched_at
+        return 0.0 if last is None else spec.poll_interval - (now_fn() - last).total_seconds()
+
+    def written(sink: IO[str]):
+        for cycle in itertools.count(1):
+            for spec in (s for s in config.sources if due_in(s) <= 0):
                 records, diags = poll_source(spec, states[spec.id], now_fn=now_fn)
                 stats.diagnostics.extend(diags)
                 for record in records:
@@ -558,17 +562,16 @@ def run_collector(
                     except ValueError as exc:  # a record the sink's form cannot hold
                         stats.diagnostics.append(SourceDiagnostic(spec.id, f"{exc}; skipped"))
                         continue
-                    collected.append(record)
                     stats.records_emitted += 1
+                    yield record
             sink.flush()
             if max_cycles is not None and cycle >= max_cycles:
-                break
-            wait = max(min(next_due.values()) - clock, 0.0)
-            sleep_fn(wait)
-            clock += wait
+                return
+            sleep_fn(max(min(map(due_in, config.sources)), MIN_CYCLE_WAIT))
 
+    with open(config.sink_path, "w", encoding="utf-8") as sink:
+        series = bucketize(written(sink), config.deviation, lexicon)
     stats.duplicates_dropped = sum(s.duplicates_dropped for s in states.values())
-    series = bucketize(collected, config.deviation, lexicon)
     alerts = detect_deviation(series, config.deviation)
     stats.alerts_emitted = len(alerts)
     if config.alerts_path:

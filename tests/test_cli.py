@@ -233,6 +233,8 @@ class TestExitCodes:
         ({"sources": [dict(SOURCE, poll_interval=-1)]}, "poll_interval must be >= 0"),
         ({"sources": [SOURCE], "deviation": {"bucket_seconds": 10**400}},
          "bucket_seconds is too large for a float"),
+        ({"sources": [dict(SOURCE, poll_interval=1e300)]}, "poll_interval must be at most"),
+        ({"sources": [dict(SOURCE, poll_interval=1e10)]}, "poll_interval must be at most"),
     ])
     def test_bad_collector_config_is_data_error(self, tmp_path, config, culprit):
         # run where the default sink `collected.jsonl` lives: it must stay untouched
@@ -561,7 +563,7 @@ class TestTextStage:
                     "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 3  # the records tagged ge2017
 
-    @pytest.mark.parametrize("command", ["report", "text"])
+    @pytest.mark.parametrize("command", ["report", "text", "collect"])
     def test_words_in_both_lexicons_are_reported(self, command, tmp_path, capsys):
         corpus = write_jsonl(tmp_path / "c.jsonl", [
             {"id": "1", "author": "alice", "text": "great fine bad", "mentions": ["bob"],
@@ -569,14 +571,25 @@ class TestTextStage:
         pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
         pos.write_text("great\nfine\nok\n")
         neg.write_text("Ok\nbad\nfine\n")
-        extra = ["--iterations", "5"] if command == "report" else []
-        assert run([command, "--input", str(corpus), "--lexicon-pos", str(pos),
-                    "--lexicon-neg", str(neg), *extra, "--out", str(tmp_path / "out")]) == 0
+        bad_line = "warning: line 2: missing required field 'author'\n"
+        if command == "collect":
+            config = tmp_path / "collector.json"
+            config.write_text(json.dumps({
+                "sources": [{"id": "s1", "kind": "file", "location": str(corpus)}],
+                "sink": {"path": str(tmp_path / "sink.jsonl")},
+                "deviation": {"metric": "mean_sentiment"},
+                "lexicon": {"positive": str(pos), "negative": str(neg)}}))
+            args = ["--config", str(config), "--once"]
+            bad_line = "diagnostic [s1]: line 2: missing required field 'author'\n"
+        else:
+            args = ["--input", str(corpus), "--lexicon-pos", str(pos), "--lexicon-neg", str(neg),
+                    *(["--iterations", "5"] if command == "report" else []),
+                    "--out", str(tmp_path / "out")]
+        assert run([command, *args]) == 0
         # one line per dropped word, in order, before the corpus is read
         assert capsys.readouterr().err == (
             "warning: 'fine' is in both lexicons; dropped from both\n"
-            "warning: 'ok' is in both lexicons; dropped from both\n"
-            "warning: line 2: missing required field 'author'\n")
+            "warning: 'ok' is in both lexicons; dropped from both\n" + bad_line)
 
 
 class TestStartup:

@@ -8,6 +8,7 @@ is the element-by-element XML writer that walking ``output_record_to_dict``
 replaced, kept the same way; the walk must write the same lines.
 """
 
+import gc
 import http.server
 import io
 import json
@@ -644,17 +645,18 @@ class TestBucketSeriesAgainstReference:
         mean_config = DeviationConfig(metric="mean_sentiment", bucket_seconds=width)
         want_volume = series_bits(ref_bucketize(records, volume_config))
         want_mean = series_bits(ref_bucketize(records, mean_config, lexicon))
-        assert series_bits(bucketize(records, volume_config)) == want_volume
-        assert series_bits(bucketize(records, mean_config, lexicon)) == want_mean
+        for once in (list, iter):  # a list, and a one-shot iterator as run_collector passes
+            assert series_bits(bucketize(once(records), volume_config)) == want_volume
+            assert series_bits(bucketize(once(records), mean_config, lexicon)) == want_mean
 
-        volume, mean = bucket_series(records, width)
-        assert series_bits(volume) == want_volume and mean is None
-        if records:
-            payloads = [r.payload if isinstance(r, OutputRecord) else r for r in records]
-            scores = [s.score for s in text_pass(payloads, None, lexicon)[1]]
-            volume, mean = bucket_series(records, width, scores)
-            assert series_bits(volume) == want_volume
-            assert series_bits(mean) == want_mean
+            volume, mean = bucket_series(once(records), width)
+            assert series_bits(volume) == want_volume and mean is None
+            if records:
+                payloads = [r.payload if isinstance(r, OutputRecord) else r for r in records]
+                scores = [s.score for s in text_pass(payloads, None, lexicon)[1]]
+                volume, mean = bucket_series(once(records), width, once(scores))
+                assert series_bits(volume) == want_volume
+                assert series_bits(mean) == want_mean
 
 
 class TestCollectorConfig:
@@ -772,3 +774,83 @@ class TestRunCollector:
         ids = [r.payload.id for r in read_records(config.sink_path, "json")]
         assert len(ids) == len(set(ids)) == 3
         assert stats.duplicates_dropped == 6
+
+
+class FakeClock:
+    """``now_fn`` and ``sleep_fn`` for run_collector: sleeping moves the clock."""
+
+    def __init__(self):
+        self.now = NOW
+        self.waits = []
+
+    def __call__(self) -> datetime:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.waits.append(seconds)
+        self.now += timedelta(seconds=seconds)
+
+
+class TestRunSchedule:
+    def test_run_holds_one_poll_of_records_not_every_record(self, tmp_path):
+        # A file source that gains 200 new ids between cycles: between two
+        # cycles the run holds the last poll's batch, not all it has emitted.
+        rows = [dict(id=f"r{i}", author="alice", text="post",
+                     timestamp=format_rfc3339(BASE_TS + timedelta(seconds=i)))
+                for i in range(1200)]
+        corpus = write_jsonl(tmp_path / "c.jsonl", rows[:200])
+        clock, live = FakeClock(), []
+
+        def sleep(seconds):
+            clock.sleep(seconds)
+            gc.collect()
+            live.append(sum(type(o) is OutputRecord and o.source_id == "grows"
+                            for o in gc.get_objects()))
+            write_jsonl(corpus, rows[:200 * (len(live) + 1)])
+
+        config = CollectorConfig([SourceSpec(id="grows", kind="file", location=str(corpus))],
+                                 sink_path=str(tmp_path / "sink.jsonl"))
+        stats = run_collector(config, max_cycles=6, now_fn=clock, sleep_fn=sleep)
+        assert stats.records_emitted == 1200
+        assert stats.duplicates_dropped == 200 * (1 + 2 + 3 + 4 + 5)
+        assert len(live) == 5 and all(count <= 200 for count in live), live
+
+    def test_poll_time_counts_toward_the_interval(self, tmp_path, monkeypatch):
+        # each poll takes 3 s of the source's 10 s interval
+        clock = FakeClock()
+
+        def slow_poll(*args, **kwargs):
+            polled = poll_source(*args, **kwargs)
+            clock.now += timedelta(seconds=3)
+            return polled
+
+        monkeypatch.setattr("snsgraph.collector.poll_source", slow_poll)
+        corpus = write_jsonl(tmp_path / "c.jsonl", corpus_rows(3))
+        config = CollectorConfig(
+            [SourceSpec(id="s", kind="file", location=str(corpus), poll_interval=10.0)],
+            sink_path=str(tmp_path / "sink.jsonl"))
+        stats = run_collector(config, max_cycles=3, now_fn=clock, sleep_fn=clock.sleep)
+        assert clock.waits == [7.0, 7.0]
+        assert stats.duplicates_dropped == 6  # polled every cycle
+
+    def test_zero_interval_sleeps_the_floor_and_never_spins(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", corpus_rows(3))
+        config = CollectorConfig(
+            [SourceSpec(id="s", kind="file", location=str(corpus), poll_interval=0.0)],
+            sink_path=str(tmp_path / "sink.jsonl"))
+        clock = FakeClock()
+        stats = run_collector(config, max_cycles=4, now_fn=clock, sleep_fn=clock.sleep)
+        assert len(clock.waits) == 3 and all(w >= 1.0 for w in clock.waits), clock.waits
+        assert stats.duplicates_dropped == 9  # still polled once per cycle
+
+    def test_unreachable_source_is_retried_once_per_interval(self, tmp_path):
+        corpus = write_jsonl(tmp_path / "c.jsonl", corpus_rows(3))
+        config = CollectorConfig(
+            [SourceSpec(id="gone", kind="file", location=str(tmp_path / "absent.jsonl"),
+                        poll_interval=10.0),
+             SourceSpec(id="here", kind="file", location=str(corpus), poll_interval=1.0)],
+            sink_path=str(tmp_path / "sink.jsonl"))
+        clock = FakeClock()
+        stats = run_collector(config, max_cycles=12, now_fn=clock, sleep_fn=clock.sleep)
+        assert clock.waits == [1.0] * 11
+        assert [(d.source_id, d.retryable) for d in stats.diagnostics] == [("gone", True)] * 2
