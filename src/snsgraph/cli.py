@@ -75,7 +75,6 @@ def _read_lines(path: str, parse) -> frozenset:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -107,7 +106,8 @@ def _write_layout(out: Path, frame) -> None:
 
 
 def _load_corpus(args, topic: TopicFilter | None) -> tuple[list, list]:
-    """Parse ``--input``, warn once per diagnostic, keep the topic's records."""
+    """Make ``--out``, parse ``--input``, warn once per diagnostic, keep the topic's records."""
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     records, diagnostics = _stage.parse_corpus(args.input)
     for diag in diagnostics:
         print(f"warning: line {diag.line_no}: {diag.reason}", file=sys.stderr)
@@ -167,6 +167,7 @@ def _graph_from_args(args):
         return _stage.build_graph(records)[0]
     if topic is not None:
         raise _FlagError("--topic filters a corpus; a .gexf input holds no tags")
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     return _stage.import_gexf(args.input)
 
 
@@ -176,7 +177,6 @@ def _cmd_ingest(args) -> int:
     records, _ = _load_corpus(args, _topic_from(args.topic))
     graph, stats = _stage.build_graph(records)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _stage.export_gexf(graph, out / "graph.gexf")
     with open(out / "ingest_stats.json", "w", encoding="utf-8") as fh:
         json.dump({"records": stats.records, "interactions": stats.interactions,
@@ -276,9 +276,6 @@ def _cmd_collect(args) -> int:
     if config.lexicon_positive and config.lexicon_negative:  # for its warnings: the run reloads it
         _load_lexicon(config.lexicon_positive, config.lexicon_negative)
     stats = _stage.run_collector(config, max_cycles=1 if args.once else None)
-    for diag in stats.diagnostics:
-        kind = "retryable" if diag.retryable else "diagnostic"
-        print(f"{kind} [{diag.source_id}]: {diag.reason}", file=sys.stderr)
     print(f"records={stats.records_emitted} duplicates={stats.duplicates_dropped} "
           f"alerts={stats.alerts_emitted}")
     return 0
@@ -345,7 +342,6 @@ def _cmd_report(args) -> int:
     report = _stage.redact(report, _stage.RedactionPolicy(allowlist=allowlist))
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _stage.export_gexf(graph, out / "graph.gexf", positions=frame, partition=partition,
                        centrality=result.vector)
     _write_communities(out, partition)

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
 import statistics
+import sys
 import time
 import xml.etree.ElementTree as ET
 import zlib
@@ -523,7 +525,6 @@ class CollectorRunStats:
     records_emitted: int = 0
     duplicates_dropped: int = 0
     alerts_emitted: int = 0
-    diagnostics: list[SourceDiagnostic] = field(default_factory=list)
 
 
 def run_collector(
@@ -539,7 +540,8 @@ def run_collector(
     between cycles the run sleeps until one is due, :data:`MIN_CYCLE_WAIT` at
     least. All sources feed one serialized sink writer, so records never
     interleave mid-line; a record the sink's form cannot hold is skipped, with
-    a diagnostic. Written records stream on into the bucket counts.
+    a diagnostic; a poll's diagnostics go to stderr as it ends. Written records
+    stream on into the bucket counts. The alerts file is opened before the sink.
     """
     stats = CollectorRunStats()
     states = {spec.id: SourceState() for spec in config.sources}
@@ -555,27 +557,28 @@ def run_collector(
         for cycle in itertools.count(1):
             for spec in (s for s in config.sources if due_in(s) <= 0):
                 records, diags = poll_source(spec, states[spec.id], now_fn=now_fn)
-                stats.diagnostics.extend(diags)
                 for record in records:
                     try:
                         emit(record, config.sink_format, sink)
                     except ValueError as exc:  # a record the sink's form cannot hold
-                        stats.diagnostics.append(SourceDiagnostic(spec.id, f"{exc}; skipped"))
+                        diags.append(SourceDiagnostic(spec.id, f"{exc}; skipped"))
                         continue
                     stats.records_emitted += 1
                     yield record
+                for diag in diags:
+                    kind = "retryable" if diag.retryable else "diagnostic"
+                    print(f"{kind} [{diag.source_id}]: {diag.reason}", file=sys.stderr)
             sink.flush()
             if max_cycles is not None and cycle >= max_cycles:
                 return
             sleep_fn(max(min(map(due_in, config.sources)), MIN_CYCLE_WAIT))
 
-    with open(config.sink_path, "w", encoding="utf-8") as sink:
-        series = bucketize(written(sink), config.deviation, lexicon)
-    stats.duplicates_dropped = sum(s.duplicates_dropped for s in states.values())
-    alerts = detect_deviation(series, config.deviation)
-    stats.alerts_emitted = len(alerts)
-    if config.alerts_path:
-        with open(config.alerts_path, "w", encoding="utf-8") as fh:
-            for alert in alerts:
-                fh.write(json.dumps(alert.to_dict()) + "\n")
+    with open(config.alerts_path or os.devnull, "w", encoding="utf-8") as alerts_out:
+        with open(config.sink_path, "w", encoding="utf-8") as sink:
+            series = bucketize(written(sink), config.deviation, lexicon)
+        stats.duplicates_dropped = sum(s.duplicates_dropped for s in states.values())
+        alerts = detect_deviation(series, config.deviation)
+        stats.alerts_emitted = len(alerts)
+        for alert in alerts:
+            alerts_out.write(json.dumps(alert.to_dict()) + "\n")
     return stats

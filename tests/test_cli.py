@@ -252,6 +252,42 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert sink.read_bytes() == b"kept\n"
 
+    def test_unusable_alerts_path_fails_before_any_poll(self, tmp_path):
+        # run where the default sink `collected.jsonl` lives: it must stay untouched
+        (tmp_path / "collector.json").write_text(json.dumps(
+            {"sources": [self.SOURCE], "alerts": {"path": "missing/alerts.jsonl"}}))
+        write_jsonl(tmp_path / "c.jsonl", [{"id": "1", "author": "alice", "text": "hi",
+                                            "timestamp": "2017-04-21T10:00:00Z"}])
+        sink = tmp_path / "collected.jsonl"
+        sink.write_bytes(b"kept\n")
+        src = str(Path(snsgraph.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "snsgraph.cli", "collect", "--config", "collector.json",
+             "--once"],
+            capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and "missing/alerts.jsonl" in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert sink.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("command, reader, suffix", [
+        ("report", "parse_corpus", ".jsonl"),
+        ("ingest", "parse_corpus", ".jsonl"),
+        ("communities", "import_gexf", ".gexf"),
+    ])
+    def test_unusable_out_fails_before_the_input_is_read(self, command, reader, suffix,
+                                                         tmp_path, monkeypatch, capsys):
+        def read(*args):
+            raise AssertionError("the input was read before --out was made")
+
+        monkeypatch.setattr(snsgraph.cli, reader, read, raising=False)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "out"
+        assert run([command, "--input", str(tmp_path / f"in{suffix}"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["communities", "centrality", "layout"])
     def test_topic_on_a_gexf_input_is_usage_error(self, tmp_path, command, capsys):
         # The input does not exist: the flag must fail before any input is read.

@@ -5,6 +5,9 @@ Each drawn case writes its input files to a fresh directory and runs
 is limited to 1.5 GB. Whatever the input, the child must exit 0, 1 or 2,
 with no ``Traceback`` and no ``MemoryError`` on stderr. The ``@example``
 cases pin inputs that once ended in a traceback.
+
+A continuous collector run is fuzzed the same way: a drawn config runs for
+a few cycles on a fake clock whose every sleep rewrites the corpus.
 """
 
 import json
@@ -228,3 +231,53 @@ def test_every_exit_is_0_1_or_2_without_a_traceback(case):
     assert proc.returncode in (0, 1, 2), proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr, proc.stderr[-2000:]
     assert "MemoryError" not in proc.stderr, proc.stderr[-2000:]
+
+
+# The child of a continuous case: `run_collector` on a fake clock, each sleep
+# replacing c.jsonl with the next corpus of corpora.json; errors end it as
+# `main` ends a command.
+CONTINUOUS = """
+import json, sys
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from snsgraph.collector import CollectorConfig, run_collector
+from snsgraph.errors import AnalyticsError
+
+corpora = json.loads(Path("corpora.json").read_text())
+now = [datetime(2017, 4, 21, tzinfo=timezone.utc)]
+
+def sleep(seconds):
+    now[0] += timedelta(seconds=seconds)
+    Path("c.jsonl").write_text(corpora.pop(0), encoding="utf-8", errors="surrogatepass")
+
+try:
+    run_collector(CollectorConfig.load("cfg.json"), max_cycles=len(corpora) + 1,
+                  now_fn=lambda: now[0], sleep_fn=sleep)
+except (AnalyticsError, OSError) as exc:
+    print(f"error: {exc}", file=sys.stderr)
+    sys.exit(2)
+"""
+
+
+@settings(max_examples=8, deadline=None)
+@given(config=configs(), rounds=st.lists(corpora(), min_size=2, max_size=4),
+       feed_date=FEED_DATES)
+def test_continuous_run_prints_only_diagnostics(config, rounds, feed_date):
+    # one cycle per corpus in `rounds`, the first read before any sleep
+    _, files = config_case(config, rounds[0], feed_date)
+    files["corpora.json"] = json.dumps(rounds[1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8", errors="surrogatepass")
+        proc = subprocess.run(
+            [sys.executable, "-c", CONTINUOUS], cwd=tmp, env=ENV,
+            capture_output=True, text=True, errors="backslashreplace", timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT)),
+        )
+    lines = proc.stderr.splitlines()
+    if proc.returncode == 2:  # a caught error, printed last
+        assert lines and lines.pop().startswith("error: "), proc.stderr[-2000:]
+    else:
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    assert all(line.startswith(("retryable [", "diagnostic [")) for line in lines), \
+        proc.stderr[-2000:]

@@ -29,6 +29,7 @@ from snsgraph.collector import (
     CollectorConfig,
     DeviationConfig,
     OutputRecord,
+    SourceDiagnostic,
     SourceSpec,
     SourceState,
     bucket_series,
@@ -738,7 +739,7 @@ class TestRunCollector:
         assert all(abs(a["z_score"]) >= 3.0 for a in alerts)
 
     @pytest.mark.parametrize("sink_format", ["xml", "json"])
-    def test_xml_sink_skips_what_it_cannot_hold(self, tmp_path, sink_format):
+    def test_xml_sink_skips_what_it_cannot_hold(self, tmp_path, sink_format, capsys):
         rows = corpus_rows(3)
         rows[1]["text"] = "a\u0001b"
         rows[2]["hashtags"] = ["ok", "x\u000by"]
@@ -751,15 +752,15 @@ class TestRunCollector:
         back = read_records(config.sink_path, sink_format)
         if sink_format == "json":
             assert [r.payload.id for r in back] == [r["id"] for r in rows]
-            assert stats.diagnostics == []
+            assert capsys.readouterr().err == ""
             return
         assert [r.payload.id for r in back] == [rows[0]["id"]]
         assert stats.records_emitted == 1
-        assert [(d.source_id, d.reason, d.retryable) for d in stats.diagnostics] == [
-            ("s1", f"record {rows[1]['id']!r}: text holds U+0001, which XML 1.0 forbids; "
-                   "skipped", False),
-            ("s1", f"record {rows[2]['id']!r}: hashtags holds U+000B, which XML 1.0 forbids; "
-                   "skipped", False),
+        assert capsys.readouterr().err.splitlines() == [
+            f"diagnostic [s1]: record {rows[1]['id']!r}: text holds U+0001, "
+            "which XML 1.0 forbids; skipped",
+            f"diagnostic [s1]: record {rows[2]['id']!r}: hashtags holds U+000B, "
+            "which XML 1.0 forbids; skipped",
         ]
 
     def test_sink_never_repeats_an_id(self, tmp_path):
@@ -843,7 +844,7 @@ class TestRunSchedule:
         assert len(clock.waits) == 3 and all(w >= 1.0 for w in clock.waits), clock.waits
         assert stats.duplicates_dropped == 9  # still polled once per cycle
 
-    def test_unreachable_source_is_retried_once_per_interval(self, tmp_path):
+    def test_unreachable_source_is_retried_once_per_interval(self, tmp_path, capsys):
         corpus = write_jsonl(tmp_path / "c.jsonl", corpus_rows(3))
         config = CollectorConfig(
             [SourceSpec(id="gone", kind="file", location=str(tmp_path / "absent.jsonl"),
@@ -851,6 +852,40 @@ class TestRunSchedule:
              SourceSpec(id="here", kind="file", location=str(corpus), poll_interval=1.0)],
             sink_path=str(tmp_path / "sink.jsonl"))
         clock = FakeClock()
-        stats = run_collector(config, max_cycles=12, now_fn=clock, sleep_fn=clock.sleep)
+        run_collector(config, max_cycles=12, now_fn=clock, sleep_fn=clock.sleep)
         assert clock.waits == [1.0] * 11
-        assert [(d.source_id, d.retryable) for d in stats.diagnostics] == [("gone", True)] * 2
+        assert [line.split(": ")[0] for line in capsys.readouterr().err.splitlines()] == [
+            "retryable [gone]"] * 2
+
+    def test_continuous_run_prints_each_diagnostic_and_holds_none(self, tmp_path, capsys):
+        # One bad line, re-read every poll, and one absent source: two
+        # diagnostics a cycle, each printed as its poll ends and then dropped.
+        # gc.freeze() parks every object made before the run where
+        # gc.get_objects() does not look, so each count scans only the run's.
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps(corpus_rows(1)[0]) + "\n{bad\n")
+        config = CollectorConfig(
+            [SourceSpec(id="bad", kind="file", location=str(corpus), poll_interval=0.0),
+             SourceSpec(id="gone", kind="file", location=str(tmp_path / "absent.jsonl"),
+                        poll_interval=0.0)],
+            sink_path=str(tmp_path / "sink.jsonl"))
+        clock, live, printed = FakeClock(), [], []
+
+        def sleep(seconds):
+            clock.sleep(seconds)
+            gc.collect()
+            live.append(sum(type(o) is SourceDiagnostic for o in gc.get_objects()))
+            printed.extend(capsys.readouterr().err.splitlines())
+            assert len(printed) == 2 * len(live)
+
+        gc.freeze()
+        try:
+            stats = run_collector(config, max_cycles=1000, now_fn=clock, sleep_fn=sleep)
+        finally:
+            gc.unfreeze()
+        printed.extend(capsys.readouterr().err.splitlines())
+        assert len(live) == 999 and max(live) <= 2, live[:10]
+        assert stats.records_emitted == 1 and stats.duplicates_dropped == 999
+        assert printed[0].startswith("diagnostic [bad]: line 2: ")
+        assert printed[1].startswith("retryable [gone]: unreachable: ")
+        assert printed == printed[:2] * 1000
