@@ -36,8 +36,8 @@ _EXPORTS = {
     ),
     "layout": ("LayoutConfig", "LayoutFrame", "init_layout", "run_layout"),
     "collector": (
-        "AlertEvent", "CollectorConfig", "DeviationConfig", "OutputRecord", "SourceSpec",
-        "bucket_series", "bucketize", "detect_deviation", "emit", "poll_source", "read_records",
+        "AlertEvent", "Buckets", "CollectorConfig", "DeviationConfig", "OutputRecord",
+        "SourceSpec", "bucketize", "detect_deviation", "emit", "poll_source", "read_records",
         "run_collector",
     ),
     "report": (

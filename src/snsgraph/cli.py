@@ -272,10 +272,15 @@ def _cmd_layout(args) -> int:
 
 
 def _cmd_collect(args) -> int:
+    import signal  # here: importing the CLI should not pay for it
     config = _stage.CollectorConfig.load(args.config)
     if config.lexicon_positive and config.lexicon_negative:  # for its warnings: the run reloads it
         _load_lexicon(config.lexicon_positive, config.lexicon_negative)
-    stats = _stage.run_collector(config, max_cycles=1 if args.once else None)
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as Ctrl-C does
+    try:
+        stats = _stage.run_collector(config, max_cycles=1 if args.once else None)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"records={stats.records_emitted} duplicates={stats.duplicates_dropped} "
           f"alerts={stats.alerts_emitted}")
     return 0
@@ -304,9 +309,11 @@ def _cmd_report(args) -> int:
     result = _stage.eigenvector_centrality(graph, power_config)
     ranking = _stage.top_k(result.vector, top_accounts)
     _, ranked_terms, summaries = _text_stage(records, text_inputs, args.order, top_terms)
-    scores = None if summaries is None else [s.score for s in summaries]
-    volume, mean = _stage.bucket_series(records, deviation.bucket_seconds, scores)
-    del summaries, scores  # per record: not kept past bucketing
+    buckets = _stage.Buckets(deviation.bucket_seconds)
+    for i, record in enumerate(records):
+        buckets.add(record, None if summaries is None else summaries[i].score)
+    volume, mean = buckets.series()
+    del summaries  # per record: not kept past bucketing
     frame = _stage.run_layout(graph, layout_config)
 
     alerts = _stage.detect_deviation(volume, deviation)

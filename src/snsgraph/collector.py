@@ -25,6 +25,7 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 import zlib
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -48,6 +49,7 @@ from .textmine import Lexicon, load_lexicon, sentiment
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
 _WIDEST_BUCKET = timedelta.max.days * 86400.0  # seconds
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MAX_BUCKETS = 2**20  # per series: two years of 60 s buckets
 MAX_POLL_INTERVAL = 365 * 86400.0  # seconds: one year, far inside what time.sleep can wait
 MIN_CYCLE_WAIT = 1.0  # seconds a continuous run sleeps at least between cycles, so it cannot spin
@@ -360,37 +362,42 @@ def read_records(source: Union[str, Path, Iterable[str]], format: str) -> list[O
 
 # --- deviation notification --------------------------------------------------
 
-def bucket_series(
-    records: Iterable[OutputRecord | InteractionRecord], bucket_seconds: float,
-    scores: Iterable[float] | None = None,
-) -> tuple[list[tuple[datetime, float]], list[tuple[datetime, float]] | None]:
-    """Record volume and, given one score per record, mean score (else ``None``)
-    per fixed-width time bucket, in one pass over the records (and scores). Gaps between
-    the first and last bucket are zero-filled so silence is observable, up to
-    :data:`MAX_BUCKETS` buckets: a longer span is an :class:`AnalyticsError`."""
-    width = timedelta(seconds=bucket_seconds)
-    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    counts: dict[int, int] = {}
-    sums: dict[int, float] = {}
-    for item, score in zip(records, scores if scores is not None else itertools.repeat(None)):
-        ts = (item.payload if isinstance(item, OutputRecord) else item).timestamp
-        bucket = int((ts - epoch) // width)
-        counts[bucket] = counts.get(bucket, 0) + 1
+class Buckets:
+    """Record volume and mean score per fixed-width time bucket, one record at a time."""
+
+    def __init__(self, bucket_seconds: float):
+        self.bucket_seconds, self.width = bucket_seconds, timedelta(seconds=bucket_seconds)
+        self.counts: dict[int, int] = {}
+        self.sums: dict[int, float] = {}  # summed in the order the records are added
+
+    def add(self, record: InteractionRecord, score: float | None = None) -> None:
+        bucket = int((record.timestamp - _EPOCH) // self.width)
+        self.counts[bucket] = self.counts.get(bucket, 0) + 1
         if score is not None:
-            sums[bucket] = sums.get(bucket, 0.0) + score
-    buckets = range(min(counts), max(counts) + 1) if counts else range(0)
-    if len(buckets) > MAX_BUCKETS:
-        raise AnalyticsError(f"records span {len(buckets):,} buckets of {bucket_seconds:g} s, "
-                             f"more than {MAX_BUCKETS:,}; use a wider --bucket-seconds "
-                             "(deviation.bucket_seconds)")
-    try:
-        volume = [(epoch + b * width, float(counts.get(b, 0))) for b in buckets]
-    except OverflowError:
-        raise AnalyticsError(f"buckets of {bucket_seconds:g} s from the records' first to last "
-                             "leave the datetime range; use a narrower --bucket-seconds") from None
-    mean = None if scores is None else [
-        (ts, sums[b] / counts[b] if b in counts else 0.0) for (ts, _), b in zip(volume, buckets)]
-    return volume, mean
+            self.sums[bucket] = self.sums.get(bucket, 0.0) + score
+
+    def series(self) -> tuple[list[tuple[datetime, float]], list[tuple[datetime, float]] | None]:
+        """Volume and, once a score was added, mean score (else ``None``) per bucket,
+        zero-filled from the first to the last so silence is observable, up to
+        :data:`MAX_BUCKETS` buckets: a longer span is an :class:`AnalyticsError`."""
+        buckets = range(min(self.counts), max(self.counts) + 1) if self.counts else range(0)
+        if len(buckets) > MAX_BUCKETS:
+            raise AnalyticsError(
+                f"records span {len(buckets):,} buckets of {self.bucket_seconds:g} s, more than "
+                f"{MAX_BUCKETS:,}; use a wider --bucket-seconds (deviation.bucket_seconds)")
+        try:
+            volume = [(_EPOCH + b * self.width, float(self.counts.get(b, 0))) for b in buckets]
+        except OverflowError:
+            raise AnalyticsError(
+                f"buckets of {self.bucket_seconds:g} s from the records' first to last leave the "
+                "datetime range; use a narrower --bucket-seconds") from None
+        return volume, [(ts, self.sums[b] / self.counts[b] if b in self.counts else 0.0)
+                        for (ts, _), b in zip(volume, buckets)] if self.sums else None
+
+
+def _score(record: InteractionRecord, config: DeviationConfig, lexicon: Lexicon | None):
+    """A record's bucket score: none for ``volume``, its lexicon score for ``mean_sentiment``."""
+    return None if config.metric == "volume" else sentiment(record.text, lexicon).score
 
 
 def bucketize(
@@ -399,15 +406,15 @@ def bucketize(
     lexicon: Lexicon | None = None,
 ) -> list[tuple[datetime, float]]:
     """Records per fixed-width time bucket (volume) or their mean lexicon
-    score (mean_sentiment, which needs a lexicon); see :func:`bucket_series`."""
-    if config.metric == "volume":
-        return bucket_series(records, config.bucket_seconds)[0]
-    if lexicon is None:
+    score (mean_sentiment, which needs a lexicon); see :class:`Buckets`."""
+    if config.metric != "volume" and lexicon is None:
         raise ValueError("mean_sentiment bucketing needs a lexicon")
-    records, scored = itertools.tee(records)  # zip draws both in step: tee holds one record
-    scores = (sentiment((r.payload if isinstance(r, OutputRecord) else r).text, lexicon).score
-              for r in scored)
-    return bucket_series(records, config.bucket_seconds, scores)[1]
+    buckets = Buckets(config.bucket_seconds)
+    for record in records:
+        payload = record.payload if isinstance(record, OutputRecord) else record
+        buckets.add(payload, _score(payload, config, lexicon))
+    volume, mean = buckets.series()
+    return volume if mean is None else mean
 
 
 def detect_deviation(
@@ -535,49 +542,50 @@ def run_collector(
 ) -> CollectorRunStats:
     """Poll sources into the sink; detect deviations over the stream.
 
-    Sources are polled in cycles until ``max_cycles`` have run (or forever). A
-    source is due ``poll_interval`` after its last poll started, on ``now_fn``;
-    between cycles the run sleeps until one is due, :data:`MIN_CYCLE_WAIT` at
-    least. All sources feed one serialized sink writer, so records never
-    interleave mid-line; a record the sink's form cannot hold is skipped, with
-    a diagnostic; a poll's diagnostics go to stderr as it ends. Written records
-    stream on into the bucket counts. The alerts file is opened before the sink.
+    Sources are polled in cycles until ``max_cycles`` have run (or forever) or a
+    ``KeyboardInterrupt`` comes; the run returns either way, and only the record
+    being handled then may be in the sink but not in the alerts. A source is due
+    ``poll_interval`` after its last poll started, on ``now_fn``; between cycles
+    the run sleeps until one is due, :data:`MIN_CYCLE_WAIT` at least. All sources
+    feed one serialized sink writer, so records never interleave mid-line; a
+    record the sink's form cannot hold is skipped, with a diagnostic; a poll's
+    diagnostics go to stderr as it ends. Written records are counted into the
+    run's :class:`Buckets`. The alerts file is opened before the sink.
     """
     stats = CollectorRunStats()
     states = {spec.id: SourceState() for spec in config.sources}
-    lexicon = None
-    if config.lexicon_positive and config.lexicon_negative:
-        lexicon = load_lexicon(config.lexicon_positive, config.lexicon_negative)
+    buckets = Buckets(config.deviation.bucket_seconds)
+    lexicon = (load_lexicon(config.lexicon_positive, config.lexicon_negative)
+               if config.lexicon_positive and config.lexicon_negative else None)
 
     def due_in(spec: SourceSpec) -> float:  # seconds; due at 0 or below
         last = states[spec.id].last_fetched_at
         return 0.0 if last is None else spec.poll_interval - (now_fn() - last).total_seconds()
 
-    def written(sink: IO[str]):
-        for cycle in itertools.count(1):
-            for spec in (s for s in config.sources if due_in(s) <= 0):
-                records, diags = poll_source(spec, states[spec.id], now_fn=now_fn)
-                for record in records:
-                    try:
-                        emit(record, config.sink_format, sink)
-                    except ValueError as exc:  # a record the sink's form cannot hold
-                        diags.append(SourceDiagnostic(spec.id, f"{exc}; skipped"))
-                        continue
-                    stats.records_emitted += 1
-                    yield record
-                for diag in diags:
-                    kind = "retryable" if diag.retryable else "diagnostic"
-                    print(f"{kind} [{diag.source_id}]: {diag.reason}", file=sys.stderr)
-            sink.flush()
-            if max_cycles is not None and cycle >= max_cycles:
-                return
-            sleep_fn(max(min(map(due_in, config.sources)), MIN_CYCLE_WAIT))
-
     with open(config.alerts_path or os.devnull, "w", encoding="utf-8") as alerts_out:
-        with open(config.sink_path, "w", encoding="utf-8") as sink:
-            series = bucketize(written(sink), config.deviation, lexicon)
+        with open(config.sink_path, "w", encoding="utf-8") as sink, suppress(KeyboardInterrupt):
+            for cycle in itertools.count(1):
+                for spec in (s for s in config.sources if due_in(s) <= 0):
+                    records, diags = poll_source(spec, states[spec.id], now_fn=now_fn)
+                    for record in records:
+                        try:
+                            emit(record, config.sink_format, sink)
+                        except ValueError as exc:  # a record the sink's form cannot hold
+                            diags.append(SourceDiagnostic(spec.id, f"{exc}; skipped"))
+                            continue
+                        stats.records_emitted += 1
+                        buckets.add(record.payload,
+                                    _score(record.payload, config.deviation, lexicon))
+                    for diag in diags:
+                        kind = "retryable" if diag.retryable else "diagnostic"
+                        print(f"{kind} [{diag.source_id}]: {diag.reason}", file=sys.stderr)
+                sink.flush()
+                if max_cycles is not None and cycle >= max_cycles:
+                    break
+                sleep_fn(max(min(map(due_in, config.sources)), MIN_CYCLE_WAIT))
         stats.duplicates_dropped = sum(s.duplicates_dropped for s in states.values())
-        alerts = detect_deviation(series, config.deviation)
+        volume, mean = buckets.series()
+        alerts = detect_deviation(volume if mean is None else mean, config.deviation)
         stats.alerts_emitted = len(alerts)
         for alert in alerts:
             alerts_out.write(json.dumps(alert.to_dict()) + "\n")

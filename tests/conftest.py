@@ -218,6 +218,20 @@ def write_jsonl(path: Path, rows: list[dict]) -> Path:
     return path
 
 
+def bursty_rows(n: int) -> list[dict]:
+    """``n`` corpus rows from BASE_TS on: a post a minute, but five in every
+    sixth minute; each says "good", but "bad" in every seventh minute. Both the
+    volume and the mean sentiment of their 60 s buckets have outliers."""
+    rows, minute = [], 0
+    while len(rows) < n:
+        for _ in range(5 if minute % 6 == 5 else 1):
+            rows.append(dict(id=f"r{len(rows)}", author=f"u{len(rows) % 7}",
+                             text="bad" if minute % 7 == 6 else "good",
+                             timestamp=(BASE_TS + timedelta(minutes=minute)).isoformat()))
+        minute += 1
+    return rows[:n]
+
+
 @pytest.fixture
 def tiny_corpus_path(tmp_path) -> Path:
     rows = [

@@ -2,8 +2,11 @@ import importlib.util
 import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,7 @@ from snsgraph.cli import main
 from snsgraph.report import import_gexf
 from snsgraph.seeds import derive_seed
 
-from conftest import BASE_TS, make_record, write_jsonl
+from conftest import BASE_TS, bursty_rows, make_record, write_jsonl
 
 
 def run(args):
@@ -447,10 +450,53 @@ class TestStages:
             "sink": {"path": str(tmp_path / "sink.xml"), "format": "xml"},
             "alerts": {"path": str(tmp_path / "alerts.jsonl")},
         }))
+        before = signal.getsignal(signal.SIGTERM)
         assert run(["collect", "--config", str(config), "--once"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before  # the run's handler is undone
         sink_lines = (tmp_path / "sink.xml").read_text().splitlines()
         assert len(sink_lines) == 4
         assert sink_lines[0].startswith("<record>")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT and SIGTERM to a child")
+class TestCollectStop:
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_stopped_continuous_run_writes_the_alerts_of_once(self, tmp_path, signum):
+        # A continuous run, stopped once its first cycle has written every
+        # record, exits 0 with its summary and the alerts `--once` writes.
+        rows = bursty_rows(300)
+        write_jsonl(tmp_path / "c.jsonl", rows)
+        for name in ("once", "stopped"):
+            (tmp_path / f"{name}.json").write_text(json.dumps({
+                "sources": [{"id": "s", "kind": "file", "location": "c.jsonl",
+                             "poll_interval": 0}],
+                "sink": {"path": f"{name}.jsonl"}, "alerts": {"path": f"{name}-alerts.jsonl"},
+                "deviation": {"window": 5, "z_threshold": 1.5}}))
+        command = [sys.executable, "-m", "snsgraph.cli", "collect", "--config"]
+        env = dict(os.environ, PYTHONPATH=str(Path(snsgraph.__file__).resolve().parents[1]))
+        once = subprocess.run([*command, "once.json", "--once"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert once.returncode == 0 and once.stderr == "", once.stderr
+        assert re.fullmatch(r"records=300 duplicates=0 alerts=[1-9]\d*\n", once.stdout)
+
+        proc = subprocess.Popen([*command, "stopped.json"], cwd=tmp_path, env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        sink, deadline = tmp_path / "stopped.jsonl", time.monotonic() + 60
+        try:
+            while proc.poll() is None and time.monotonic() < deadline and (
+                    not sink.exists() or sink.read_bytes().count(b"\n") < len(rows)):
+                time.sleep(0.01)
+            proc.send_signal(signum)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0 and "Traceback" not in err, err[-2000:]
+        assert re.fullmatch(r"records=300 duplicates=\d+ alerts=\d+\n", out), out
+        assert out.split(" alerts=")[1] == once.stdout.split(" alerts=")[1]
+        assert (tmp_path / "stopped-alerts.jsonl").read_bytes() == \
+            (tmp_path / "once-alerts.jsonl").read_bytes()
 
 
 class TestReportPipeline:

@@ -7,7 +7,8 @@ with no ``Traceback`` and no ``MemoryError`` on stderr. The ``@example``
 cases pin inputs that once ended in a traceback.
 
 A continuous collector run is fuzzed the same way: a drawn config runs for
-a few cycles on a fake clock whose every sleep rewrites the corpus.
+a few cycles on a fake clock whose every sleep rewrites the corpus, until a
+sleep with no corpus left stops it as Ctrl-C does.
 """
 
 import json
@@ -246,12 +247,14 @@ from snsgraph.errors import AnalyticsError
 corpora = json.loads(Path("corpora.json").read_text())
 now = [datetime(2017, 4, 21, tzinfo=timezone.utc)]
 
-def sleep(seconds):
+def sleep(seconds):  # Ctrl-C once every corpus is read: the run must end as max_cycles would
+    if not corpora:
+        raise KeyboardInterrupt
     now[0] += timedelta(seconds=seconds)
     Path("c.jsonl").write_text(corpora.pop(0), encoding="utf-8", errors="surrogatepass")
 
 try:
-    run_collector(CollectorConfig.load("cfg.json"), max_cycles=len(corpora) + 1,
+    run_collector(CollectorConfig.load("cfg.json"), max_cycles=None,
                   now_fn=lambda: now[0], sleep_fn=sleep)
 except (AnalyticsError, OSError) as exc:
     print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Sources, emission, deviation alerts and the collector loop.
 
-``ref_bucketize`` below is the per-metric bucketing the one-pass
-``bucket_series`` replaced, kept verbatim apart from its ``ref_`` name and
-its sentiment scorer (the reference one of ``test_textmine``). The one pass
+``ref_bucketize`` below is the per-metric bucketing that the one-pass
+``Buckets`` fold replaced, kept verbatim apart from its ``ref_`` name and
+its sentiment scorer (the reference one of ``test_textmine``). The fold
 must reproduce both of its series bit for bit. ``ref_output_record_to_xml``
 is the element-by-element XML writer that walking ``output_record_to_dict``
 replaced, kept the same way; the walk must write the same lines.
@@ -11,6 +11,7 @@ replaced, kept the same way; the walk must write the same lines.
 import gc
 import http.server
 import io
+import itertools
 import json
 import statistics
 import subprocess
@@ -26,13 +27,13 @@ from hypothesis import given, settings, strategies as st
 
 from snsgraph.collector import (
     MAX_BUCKETS,
+    Buckets,
     CollectorConfig,
     DeviationConfig,
     OutputRecord,
     SourceDiagnostic,
     SourceSpec,
     SourceState,
-    bucket_series,
     bucketize,
     detect_deviation,
     emit,
@@ -45,9 +46,9 @@ from snsgraph.cli import main
 from snsgraph.errors import AnalyticsError, RecordParseError
 from snsgraph.ingest import InteractionRecord, format_rfc3339
 from snsgraph.model import _NOT_XML, Handle
-from snsgraph.textmine import Lexicon, text_pass
+from snsgraph.textmine import Lexicon, sentiment, text_pass
 
-from conftest import BASE_TS, make_record, write_jsonl
+from conftest import BASE_TS, bursty_rows, make_record, record_from_dict, write_jsonl
 from test_textmine import LEXICONS, TEXTS, ref_sentiment
 
 
@@ -79,6 +80,14 @@ def ref_bucketize(
             n = counts.get(b, 0)
             series.append((ts, (sums.get(b, 0.0) / n) if n else 0.0))
     return series
+
+
+def fold(records, bucket_seconds: float, scores=None):
+    """The ``Buckets`` series of ``records``, each added with its score (or none)."""
+    buckets = Buckets(bucket_seconds)
+    for record, score in zip(records, itertools.repeat(None) if scores is None else scores):
+        buckets.add(record.payload if isinstance(record, OutputRecord) else record, score)
+    return buckets.series()
 
 
 def _ref_escape_newlines(serialized: str) -> str:
@@ -612,13 +621,13 @@ class TestBucketize:
     def test_span_over_the_cap_is_refused_before_filling(self):
         records = [make_record(0, "a"), make_record(1, "a", minute=MAX_BUCKETS)]
         with pytest.raises(AnalyticsError, match=f"span {MAX_BUCKETS + 1:,} buckets of 60 s"):
-            bucket_series(records, 60.0)
-        assert len(bucket_series(records, 3600.0)[0]) == MAX_BUCKETS // 60 + 1
+            fold(records, 60.0)
+        assert len(fold(records, 3600.0)[0]) == MAX_BUCKETS // 60 + 1
 
     def test_bucket_outside_the_datetime_range_is_data_error(self):
         first = InteractionRecord("0", Handle("a"), "", datetime(1, 1, 1, tzinfo=timezone.utc))
         with pytest.raises(AnalyticsError, match="leave the datetime range"):
-            bucket_series([first], 8.6e13)
+            fold([first], 8.6e13)
 
 
 def series_bits(series):
@@ -650,12 +659,12 @@ class TestBucketSeriesAgainstReference:
             assert series_bits(bucketize(once(records), volume_config)) == want_volume
             assert series_bits(bucketize(once(records), mean_config, lexicon)) == want_mean
 
-            volume, mean = bucket_series(once(records), width)
+            volume, mean = fold(once(records), width)
             assert series_bits(volume) == want_volume and mean is None
             if records:
                 payloads = [r.payload if isinstance(r, OutputRecord) else r for r in records]
                 scores = [s.score for s in text_pass(payloads, None, lexicon)[1]]
-                volume, mean = bucket_series(once(records), width, once(scores))
+                volume, mean = fold(once(records), width, once(scores))
                 assert series_bits(volume) == want_volume
                 assert series_bits(mean) == want_mean
 
@@ -889,3 +898,78 @@ class TestRunSchedule:
         assert printed[0].startswith("diagnostic [bad]: line 2: ")
         assert printed[1].startswith("retryable [gone]: unreachable: ")
         assert printed == printed[:2] * 1000
+
+    @staticmethod
+    def configs(tmp_path, **settings):
+        """A continuous run's config over ``c.jsonl``, and a reference run's
+        with its own sink and alerts file."""
+        return [CollectorConfig(
+            [SourceSpec(id="s", kind="file", location=str(tmp_path / "c.jsonl"),
+                        poll_interval=0.0)],
+            sink_path=str(tmp_path / f"{name}.jsonl"),
+            alerts_path=str(tmp_path / f"{name}-alerts.jsonl"), **settings)
+            for name in ("stopped", "once")]
+
+    @staticmethod
+    def run_stopped(config, **kwargs):
+        """run_collector; an interrupt it lets escape fails the test, not the session."""
+        try:
+            return run_collector(config, **kwargs)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped run_collector")
+
+    def test_interrupted_sleep_ends_the_run_as_max_cycles_does(self, tmp_path):
+        # Ctrl-C while a continuous run waits after cycle 3, its source grown
+        # by 100 ids before each later cycle: the run returns, with the alerts
+        # of one cycle over the final file.
+        rows = bursty_rows(300)
+        stopped, once = self.configs(tmp_path, deviation=DeviationConfig(window=5,
+                                                                         z_threshold=1.5))
+        write_jsonl(tmp_path / "c.jsonl", rows[:100])
+        clock = FakeClock()
+
+        def sleep(seconds):
+            assert len(clock.waits) <= 2, "polled on after the interrupt"
+            if len(clock.waits) == 2:
+                raise KeyboardInterrupt
+            clock.sleep(seconds)
+            write_jsonl(tmp_path / "c.jsonl", rows[:100 * (len(clock.waits) + 1)])
+
+        stats = self.run_stopped(stopped, max_cycles=None, now_fn=clock, sleep_fn=sleep)
+        assert stats.records_emitted == 300 and stats.duplicates_dropped == 100 + 200
+        assert len(read_records(stopped.sink_path, "json")) == 300
+        want = run_collector(once, max_cycles=1, now_fn=now_fn)
+        assert stats.alerts_emitted == want.alerts_emitted > 0
+        assert Path(stopped.alerts_path).read_bytes() == Path(once.alerts_path).read_bytes()
+
+    def test_interrupt_while_scoring_keeps_every_counted_record(self, tmp_path, monkeypatch):
+        # Ctrl-C while the 151st record is scored: that record is in the sink,
+        # and the alerts are those of the 150 before it.
+        n, rows = 151, bursty_rows(200)
+        (tmp_path / "pos.txt").write_text("good\n")
+        (tmp_path / "neg.txt").write_text("bad\n")
+        deviation = DeviationConfig(metric="mean_sentiment", window=5, z_threshold=1.5)
+        stopped, once = self.configs(tmp_path, deviation=deviation,
+                                     lexicon_positive=str(tmp_path / "pos.txt"),
+                                     lexicon_negative=str(tmp_path / "neg.txt"))
+        write_jsonl(tmp_path / "c.jsonl", rows[:n - 1])
+        want = run_collector(once, max_cycles=1, now_fn=now_fn)
+        lexicon = Lexicon(frozenset({"good"}), frozenset({"bad"}))
+        whole = detect_deviation(bucketize(map(record_from_dict, rows), deviation, lexicon),
+                                 deviation)
+        assert 0 < want.alerts_emitted < len(whole)
+        write_jsonl(tmp_path / "c.jsonl", rows)
+        calls = []
+
+        def interrupted(text, lexicon):
+            calls.append(text)
+            if len(calls) == n:
+                raise KeyboardInterrupt
+            return sentiment(text, lexicon)
+
+        monkeypatch.setattr("snsgraph.collector.sentiment", interrupted)
+        stats = self.run_stopped(stopped, max_cycles=1, now_fn=now_fn)
+        assert stats.records_emitted == n == len(calls)
+        assert len(read_records(stopped.sink_path, "json")) == n
+        assert stats.alerts_emitted == want.alerts_emitted
+        assert Path(stopped.alerts_path).read_bytes() == Path(once.alerts_path).read_bytes()
