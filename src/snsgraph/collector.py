@@ -396,7 +396,7 @@ class Buckets:
 
 
 def _score(record: InteractionRecord, config: DeviationConfig, lexicon: Lexicon | None):
-    """A record's bucket score: none for ``volume``, its lexicon score for ``mean_sentiment``."""
+    """A record's bucket score: ``None`` for ``volume``, its lexicon score otherwise."""
     return None if config.metric == "volume" else sentiment(record.text, lexicon).score
 
 
