@@ -7,7 +7,7 @@ stages take the single global seed (flag ``--seed`` or the
 from it, so ``report`` equals the composition of the individual
 subcommands run with the same global seed.
 
-Exit codes: 0 success, 1 usage error, 2 data/input error.
+Exit codes: 0 success, 1 usage error, 2 data/input error or Ctrl-C/SIGTERM.
 """
 
 from __future__ import annotations
@@ -197,16 +197,20 @@ def _cmd_communities(args) -> int:
     return 0
 
 
-def _cmd_centrality(args) -> int:
-    config = _power_config(args)
-    top = _top_flag("--top", args.top)
-    graph = _graph_from_args(args)
+def _centrality_stage(graph, config, top: int):
+    """The centrality stage of `centrality` and `report`, warning if it did not converge."""
     result = _stage.eigenvector_centrality(graph, config)
-    ranking = _stage.top_k(result.vector, top)
-    _write_centrality(Path(args.out), ranking)
     if not result.converged:
         print(f"warning: power iteration did not converge in {result.iterations} "
               "iterations", file=sys.stderr)
+    return result, _stage.top_k(result.vector, top)
+
+
+def _cmd_centrality(args) -> int:
+    config = _power_config(args)
+    top = _top_flag("--top", args.top)
+    result, ranking = _centrality_stage(_graph_from_args(args), config, top)
+    _write_centrality(Path(args.out), ranking)
     print(f"converged={result.converged} iterations={result.iterations}")
     return 0
 
@@ -272,15 +276,10 @@ def _cmd_layout(args) -> int:
 
 
 def _cmd_collect(args) -> int:
-    import signal  # here: importing the CLI should not pay for it
     config = _stage.CollectorConfig.load(args.config)
     if config.lexicon_positive and config.lexicon_negative:  # for its warnings: the run reloads it
         _load_lexicon(config.lexicon_positive, config.lexicon_negative)
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as Ctrl-C does
-    try:
-        stats = _stage.run_collector(config, max_cycles=1 if args.once else None)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    stats = _stage.run_collector(config, max_cycles=1 if args.once else None)  # stops cleanly
     print(f"records={stats.records_emitted} duplicates={stats.duplicates_dropped} "
           f"alerts={stats.alerts_emitted}")
     return 0
@@ -306,8 +305,7 @@ def _cmd_report(args) -> int:
     graph, stats = _stage.build_graph(records)
 
     partition = _stage.louvain(graph, louvain_config)
-    result = _stage.eigenvector_centrality(graph, power_config)
-    ranking = _stage.top_k(result.vector, top_accounts)
+    result, ranking = _centrality_stage(graph, power_config, top_accounts)
     _, ranked_terms, summaries = _text_stage(records, text_inputs, args.order, top_terms)
     buckets = _stage.Buckets(deviation.bucket_seconds)
     for i, record in enumerate(records):
@@ -473,6 +471,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # SNSGRAPH_SEED, the --seed default, is not an integer
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    import signal  # here: importing the CLI should not pay for it
+    try:  # SIGTERM stops a run as Ctrl-C does; a handler not set from Python reads None
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler) or signal.SIG_DFL
+    except ValueError:  # off the main thread, where no handler can be set
+        previous = None
     try:
         return args.func(args)
     except _FlagError as exc:
@@ -481,6 +484,12 @@ def main(argv: list[str] | None = None) -> int:
     except (AnalyticsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return DATA_ERROR
+    finally:
+        if previous is not None:  # undo only the handler set here
+            signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -542,16 +542,19 @@ def run_collector(
 ) -> CollectorRunStats:
     """Poll sources into the sink; detect deviations over the stream.
 
-    Sources are polled in cycles until ``max_cycles`` have run (or forever) or a
-    ``KeyboardInterrupt`` comes; the run returns either way, and only the record
-    being handled then may be in the sink but not in the alerts. A source is due
-    ``poll_interval`` after its last poll started, on ``now_fn``; between cycles
-    the run sleeps until one is due, :data:`MIN_CYCLE_WAIT` at least. All sources
-    feed one serialized sink writer, so records never interleave mid-line; a
-    record the sink's form cannot hold is skipped, with a diagnostic; a poll's
-    diagnostics go to stderr as it ends. Written records are counted into the
-    run's :class:`Buckets`. The alerts file is opened before the sink.
+    Sources are polled in cycles until ``max_cycles`` (1 or more; else a
+    :class:`ValueError`) have run (or forever) or a ``KeyboardInterrupt`` comes;
+    the run returns either way, and only the record being handled then may be in
+    the sink but not in the alerts. A source is due ``poll_interval`` after its
+    last poll started, on ``now_fn``; between cycles the run sleeps until one is
+    due, :data:`MIN_CYCLE_WAIT` at least. All sources feed one serialized sink
+    writer, so records never interleave mid-line; a record the sink's form cannot
+    hold is skipped, with a diagnostic; a poll's diagnostics go to stderr as it
+    ends. Written records are counted into the run's :class:`Buckets`. The alerts
+    file is opened before the sink.
     """
+    if max_cycles is not None and max_cycles < 1:
+        raise ValueError(f"max_cycles must be >= 1 or None, got {max_cycles}")
     stats = CollectorRunStats()
     states = {spec.id: SourceState() for spec in config.sources}
     buckets = Buckets(config.deviation.bucket_seconds)

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -19,6 +20,10 @@ from snsgraph.report import import_gexf
 from snsgraph.seeds import derive_seed
 
 from conftest import BASE_TS, bursty_rows, make_record, write_jsonl
+
+
+# What `centrality` and `report` print when power iteration does not converge.
+NOT_CONVERGED = "warning: power iteration did not converge in 1000 iterations\n"
 
 
 def run(args):
@@ -97,8 +102,11 @@ class TestExitCodes:
         )
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
-        if code:
-            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        if code:  # report's centrality stage warns first, as `centrality` does on this graph
+            lines = proc.stderr.splitlines(keepends=True)
+            if command == "report":
+                assert lines.pop(0) == NOT_CONVERGED
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
     @pytest.mark.parametrize("node_b, weight, culprit", [
         ('label="@"', "2.0", "'b'"),
@@ -384,8 +392,10 @@ class TestOneLineRule:
 class TestStages:
     def test_ingest_writes_graph_and_stats(self, tiny_corpus_path, tmp_path):
         out = tmp_path / "out"
+        before = signal.getsignal(signal.SIGTERM)
         assert run(["ingest", "--input", str(tiny_corpus_path), "--topic", "ge2017",
                     "--out", str(out)]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before  # main's handler is undone
         graph = import_gexf(out / "graph.gexf")
         assert graph.node_count == 4  # alice, uklabour, bob, carol
         stats = json.loads((out / "ingest_stats.json").read_text())
@@ -456,6 +466,68 @@ class TestStages:
         sink_lines = (tmp_path / "sink.xml").read_text().splitlines()
         assert len(sink_lines) == 4
         assert sink_lines[0].startswith("<record>")
+
+    def test_report_warns_like_centrality_when_power_iteration_does_not_converge(
+            self, tmp_path, capsys):
+        # A directed 50-cycle plus one chord: power iteration needs far more than 1,000 steps.
+        rows = [{"id": str(i), "author": f"u{i:03d}", "text": "x",
+                 "mentions": [f"u{(i + 1) % 50:03d}"], "timestamp": "2017-04-21T10:00:00Z"}
+                for i in range(50)]
+        rows.append({"id": "50", "author": "u000", "text": "x", "mentions": ["u002"],
+                     "timestamp": "2017-04-21T10:00:00Z"})
+        corpus = write_jsonl(tmp_path / "c.jsonl", rows)
+        assert run(["centrality", "--input", str(corpus), "--out", str(tmp_path / "c")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == NOT_CONVERGED
+        assert captured.out == "converged=False iterations=1000\n"
+        assert run(["report", "--input", str(corpus), "--iterations", "5",
+                    "--out", str(tmp_path / "r")]) == 0
+        assert capsys.readouterr().err == NOT_CONVERGED
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert report["metadata"]["centrality_converged"] is False
+
+
+class TestStopPath:
+    @pytest.mark.parametrize("command", ["collect", "ingest"])
+    def test_main_off_the_main_thread_runs_the_subcommand(self, tiny_corpus_path, tmp_path,
+                                                           command, capsys):
+        # No signal handler can be set off the main thread: main runs without one.
+        config = tmp_path / "collector.json"
+        config.write_text(json.dumps({
+            "sources": [{"id": "s1", "kind": "file", "location": str(tiny_corpus_path)}],
+            "sink": {"path": str(tmp_path / "sink.jsonl")}}))
+        argv = {"collect": ["collect", "--config", str(config), "--once"],
+                "ingest": ["ingest", "--input", str(tiny_corpus_path), "--out", str(tmp_path)]}
+        before, codes = signal.getsignal(signal.SIGTERM), []
+        thread = threading.Thread(target=lambda: codes.append(run(argv[command])))
+        thread.start()
+        thread.join(timeout=60)
+        assert codes == [0], capsys.readouterr().err
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT and SIGTERM to a child")
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_stopped_report_prints_one_line_and_exits_2(self, tiny_corpus_path, tmp_path,
+                                                         signum):
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(snsgraph.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "snsgraph.cli", "report", "--input", str(tiny_corpus_path),
+             "--iterations", "10000000", "--out", str(out)],
+            env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        deadline = time.monotonic() + 60
+        try:  # --out is made inside the subcommand, once main's handler is set
+            while proc.poll() is None and time.monotonic() < deadline and not out.exists():
+                time.sleep(0.01)
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 2 and "Traceback" not in err, err[-2000:]
+        assert err.splitlines()[-1] == "error: interrupted"
+        assert not (out / "report.json").exists()
 
 
 @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT and SIGTERM to a child")
@@ -612,7 +684,7 @@ class TestHostileCodePoints:
                           "--out", str(tmp_path / "b"))
         assert report.returncode == 0 and "Traceback" not in report.stderr
         assert report.stderr.count("warning: line ") == 3
-        assert report.stderr == ingest.stderr
+        assert report.stderr == ingest.stderr + NOT_CONVERGED  # the centrality stage's
 
     def test_collect_once_warns_and_writes_its_sink(self, tmp_path):
         corpus = write_jsonl(tmp_path / "c.jsonl", self.ROWS)
@@ -668,10 +740,12 @@ class TestTextStage:
                     *(["--iterations", "5"] if command == "report" else []),
                     "--out", str(tmp_path / "out")]
         assert run([command, *args]) == 0
-        # one line per dropped word, in order, before the corpus is read
+        # one line per dropped word, in order, before the corpus is read; report's
+        # centrality stage then warns of this one-edge graph, as `centrality` does
         assert capsys.readouterr().err == (
             "warning: 'fine' is in both lexicons; dropped from both\n"
-            "warning: 'ok' is in both lexicons; dropped from both\n" + bad_line)
+            "warning: 'ok' is in both lexicons; dropped from both\n" + bad_line
+            + (NOT_CONVERGED if command == "report" else ""))
 
 
 class TestStartup:

@@ -802,6 +802,18 @@ class FakeClock:
 
 
 class TestRunSchedule:
+    @pytest.mark.parametrize("max_cycles", [0, -3])
+    def test_max_cycles_below_one_is_rejected_before_the_sink_opens(self, tmp_path,
+                                                                     max_cycles):
+        corpus = write_jsonl(tmp_path / "c.jsonl", corpus_rows(3))
+        config = CollectorConfig([SourceSpec(id="s", kind="file", location=str(corpus))],
+                                 sink_path=str(tmp_path / "sink.jsonl"),
+                                 alerts_path=str(tmp_path / "alerts.jsonl"))
+        with pytest.raises(ValueError, match="max_cycles"):
+            run_collector(config, max_cycles=max_cycles)
+        assert not (tmp_path / "sink.jsonl").exists()
+        assert not (tmp_path / "alerts.jsonl").exists()
+
     def test_run_holds_one_poll_of_records_not_every_record(self, tmp_path):
         # A file source that gains 200 new ids between cycles: between two
         # cycles the run holds the last poll's batch, not all it has emitted.
