@@ -20,7 +20,7 @@ _EXPORTS = {
     ),
     "ingest": (
         "IngestStats", "InteractionRecord", "ParseDiagnostic", "TopicFilter", "build_graph",
-        "filter_topic", "parse_corpus", "write_corpus",
+        "filter_topic", "iter_corpus", "parse_corpus", "write_corpus",
     ),
     "community": (
         "LouvainConfig", "MoveContext", "local_move_gain", "louvain", "louvain_trace",
@@ -31,8 +31,8 @@ _EXPORTS = {
         "top_k",
     ),
     "textmine": (
-        "Lexicon", "SentimentSummary", "TermStats", "load_lexicon", "sentiment", "term_stats",
-        "text_pass", "tokenize", "top_terms",
+        "Lexicon", "SentimentSummary", "TermStats", "TextFold", "load_lexicon", "sentiment",
+        "term_stats", "text_pass", "tokenize", "top_terms",
     ),
     "layout": ("LayoutConfig", "LayoutFrame", "init_layout", "run_layout"),
     "collector": (

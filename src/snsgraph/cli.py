@@ -105,15 +105,19 @@ def _write_layout(out: Path, frame) -> None:
                [(h.display(), repr(x), repr(y)) for h, (x, y) in rows])
 
 
-def _load_corpus(args, topic: TopicFilter | None) -> tuple[list, list]:
+def _warn(diag) -> None:
+    print(f"warning: line {diag.line_no}: {diag.reason}", file=sys.stderr)
+
+
+def _load_corpus(args, topic: TopicFilter | None) -> list:
     """Make ``--out``, parse ``--input``, warn once per diagnostic, keep the topic's records."""
     Path(args.out).mkdir(parents=True, exist_ok=True)
     records, diagnostics = _stage.parse_corpus(args.input)
     for diag in diagnostics:
-        print(f"warning: line {diag.line_no}: {diag.reason}", file=sys.stderr)
+        _warn(diag)
     if topic is not None:
         records = _stage.filter_topic(records, topic)
-    return records, diagnostics
+    return records
 
 
 class _FlagError(Exception):
@@ -163,8 +167,7 @@ def _power_config(args) -> PowerIterationConfig:
 def _graph_from_args(args):
     topic = _topic_from(args.topic)
     if not args.input.endswith(".gexf"):
-        records, _ = _load_corpus(args, topic)
-        return _stage.build_graph(records)[0]
+        return _stage.build_graph(_load_corpus(args, topic))[0]
     if topic is not None:
         raise _FlagError("--topic filters a corpus; a .gexf input holds no tags")
     Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -174,8 +177,7 @@ def _graph_from_args(args):
 # --- subcommand implementations ----------------------------------------------
 
 def _cmd_ingest(args) -> int:
-    records, _ = _load_corpus(args, _topic_from(args.topic))
-    graph, stats = _stage.build_graph(records)
+    graph, stats = _stage.build_graph(_load_corpus(args, _topic_from(args.topic)))
     out = Path(args.out)
     _stage.export_gexf(graph, out / "graph.gexf")
     with open(out / "ingest_stats.json", "w", encoding="utf-8") as fh:
@@ -233,19 +235,13 @@ def _text_inputs(args) -> tuple[frozenset[str] | None, Lexicon | None]:
     return stopwords, lexicon
 
 
-def _text_stage(records, inputs, order: str, top: int):
-    """The text stage of `text` and `report`: :func:`text_pass` over the
-    :func:`_text_inputs` and the top terms in ``--order``."""
-    stats, summaries = _stage.text_pass(records, *inputs)
-    return stats, _stage.top_terms(stats, top, order=order), summaries
-
-
 def _cmd_text(args) -> int:
     top = _top_flag("--top", args.top)
     topic = _topic_from(args.topic)
     inputs = _text_inputs(args)
-    records, _ = _load_corpus(args, topic)
-    stats, ranked, summaries = _text_stage(records, inputs, args.order, top)
+    records = _load_corpus(args, topic)
+    stats, summaries = _stage.text_pass(records, *inputs)
+    ranked = _stage.top_terms(stats, top, order=args.order)
     out = Path(args.out)
     _write_terms(out, ranked)
     if summaries is not None:
@@ -301,17 +297,27 @@ def _cmd_report(args) -> int:
         _read_lines(args.redact_allowlist, Handle) if args.redact_allowlist else frozenset()
     )
 
-    records, diagnostics = _load_corpus(args, topic)
-    graph, stats = _stage.build_graph(records)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    text = _stage.TextFold(*text_inputs)
+    buckets = _stage.Buckets(deviation.bucket_seconds)
+    diagnostics = 0
 
+    def corpus():  # one pass: each on-topic record is counted, then handed to the graph
+        nonlocal diagnostics
+        for item in _stage.iter_corpus(args.input):
+            if isinstance(item, _stage.ParseDiagnostic):
+                diagnostics += 1
+                _warn(item)
+            elif topic is None or topic.keeps(item):
+                summary = text.add(item)
+                buckets.add(item, None if summary is None else summary.score)
+                yield item
+
+    graph, stats = _stage.build_graph(corpus())
     partition = _stage.louvain(graph, louvain_config)
     result, ranking = _centrality_stage(graph, power_config, top_accounts)
-    _, ranked_terms, summaries = _text_stage(records, text_inputs, args.order, top_terms)
-    buckets = _stage.Buckets(deviation.bucket_seconds)
-    for i, record in enumerate(records):
-        buckets.add(record, None if summaries is None else summaries[i].score)
+    ranked_terms = _stage.top_terms(text.result(), top_terms, order=args.order)
     volume, mean = buckets.series()
-    del summaries  # per record: not kept past bucketing
     frame = _stage.run_layout(graph, layout_config)
 
     alerts = _stage.detect_deviation(volume, deviation)
@@ -320,7 +326,7 @@ def _cmd_report(args) -> int:
         alerts.sort(key=lambda a: (a.bucket, a.metric))
 
     report = _stage.AnalysisReport(
-        record_count=len(records),
+        record_count=stats.records,
         node_count=graph.node_count,
         edge_count=graph.edge_count,
         modularity_q=partition.modularity_q,
@@ -338,7 +344,7 @@ def _cmd_report(args) -> int:
             "layout_iterations": layout_config.iterations,
             "barnes_hut": args.barnes_hut,
             "version": __version__,
-            "parse_diagnostics": len(diagnostics),
+            "parse_diagnostics": diagnostics,
             "self_loops_dropped": stats.self_loops_dropped,
             "centrality_converged": result.converged,
             "centrality_iterations": result.iterations,

@@ -34,9 +34,10 @@ from typing import IO, Callable, Iterable, Sequence, Union
 from .errors import AnalyticsError, EmptyCorpusError, RecordParseError
 from .ingest import (
     InteractionRecord,
+    ParseDiagnostic,
     _normalize_tag,
     format_rfc3339,
-    parse_corpus,
+    iter_corpus,
     parse_rfc3339,
     record_reader,
     record_to_dict,
@@ -225,7 +226,8 @@ def poll_source(
 
     Unreachable locations yield a retryable diagnostic instead of raising;
     malformed items yield per-item diagnostics. Ids already seen in
-    ``state`` are dropped and counted.
+    ``state``, or earlier in the round, are dropped and counted in it; a
+    round that fails part way leaves ``state``'s ids and count as they were.
     """
     state = state if state is not None else SourceState()
     diagnostics: list[SourceDiagnostic] = []
@@ -234,34 +236,29 @@ def poll_source(
         fetched_at = state.last_fetched_at
     state.last_fetched_at = fetched_at  # the poll's start, reached or not
 
+    fresh: dict[str, OutputRecord] = {}
+    dropped = 0
     try:
         location = spec.location
         if spec.kind == "rss":
             body = _fetch_url(location) if "://" in location else Path(location).read_bytes()
-            records = _feed_records(body, fetched_at)
+            items = _feed_records(body, fetched_at)
         else:  # file or http-json: a JSON-lines corpus, read under the same rules
-            records, diags = parse_corpus(
-                _fetch_url(location) if spec.kind == "http-json" else location)
-            diagnostics.extend(
-                SourceDiagnostic(spec.id, f"line {d.line_no}: {d.reason}") for d in diags
-            )
+            items = iter_corpus(_fetch_url(location) if spec.kind == "http-json" else location)
+        for item in items:
+            if isinstance(item, ParseDiagnostic):
+                diagnostics.append(SourceDiagnostic(spec.id, f"line {item.line_no}: {item.reason}"))
+            elif item.id in state.seen_ids or item.id in fresh:
+                dropped += 1
+            else:
+                fresh[item.id] = OutputRecord(spec.id, fetched_at, item)
     except OSError as exc:  # urllib's URLError included
-        diagnostics.append(
-            SourceDiagnostic(spec.id, f"unreachable: {exc}", retryable=True)
-        )
-        return [], diagnostics
+        return [], [SourceDiagnostic(spec.id, f"unreachable: {exc}", retryable=True)]
     except (ET.ParseError, RecordParseError, EmptyCorpusError, ValueError) as exc:  # a bad URL
-        diagnostics.append(SourceDiagnostic(spec.id, str(exc)))
-        return [], diagnostics
-
-    out: list[OutputRecord] = []
-    for record in records:
-        if record.id in state.seen_ids:
-            state.duplicates_dropped += 1
-            continue
-        state.seen_ids.add(record.id)
-        out.append(OutputRecord(spec.id, fetched_at, record))
-    return out, diagnostics
+        return [], [SourceDiagnostic(spec.id, str(exc))]
+    state.seen_ids.update(fresh)
+    state.duplicates_dropped += dropped
+    return list(fresh.values()), diagnostics
 
 
 # --- serialization -----------------------------------------------------------

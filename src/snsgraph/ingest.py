@@ -124,6 +124,10 @@ class TopicFilter:
     def of(cls, *tags: str) -> "TopicFilter":
         return cls(frozenset(tags))
 
+    def keeps(self, record: InteractionRecord) -> bool:
+        """Whether the record's hashtag set intersects the filter's."""
+        return not self.tags.isdisjoint(record.hashtags)
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -198,27 +202,39 @@ def record_to_dict(record: InteractionRecord) -> dict:
     }
 
 
+def iter_corpus(
+    source: str | Path | bytes | Iterable[str],
+) -> Iterator[InteractionRecord | ParseDiagnostic]:
+    """The records and diagnostics of a JSON-lines corpus (a path, a body's bytes
+    or text lines, as :func:`text_lines` reads them) in line order: a record per
+    well-formed line, a diagnostic (line number, reason) per malformed one.
+    Diagnostics before the first record wait for it, so a corpus with zero
+    well-formed records yields nothing and, once read, raises
+    :class:`EmptyCorpusError`. Unreadable paths raise the underlying ``OSError``."""
+    read, held = record_reader(), []  # held: the diagnostics before the first record
+    for line_no, line in text_lines(source):
+        try:
+            item = read(json.loads(utf8(line)), line)
+        except (ValueError, TypeError, RecursionError) as exc:  # JSON decode errors included
+            item = ParseDiagnostic(line_no, str(exc))
+            if held is not None:
+                held.append(item)
+                continue
+        if held:
+            yield from held
+        held = None
+        yield item
+    if held is not None:
+        raise EmptyCorpusError("corpus contains no well-formed records")
+
+
 def parse_corpus(
     source: str | Path | bytes | Iterable[str],
 ) -> tuple[list[InteractionRecord], list[ParseDiagnostic]]:
-    """Read a JSON-lines corpus: a path, a body's bytes or text lines, as
-    :func:`text_lines` reads them.
-
-    Every well-formed line yields one record; malformed lines produce a
-    diagnostic with the line number and reason. A corpus with zero
-    well-formed records raises :class:`EmptyCorpusError`. Unreadable paths
-    raise the underlying ``OSError``.
-    """
-    read = record_reader()
-    records: list[InteractionRecord] = []
-    diagnostics: list[ParseDiagnostic] = []
-    for line_no, line in text_lines(source):
-        try:
-            records.append(read(json.loads(utf8(line)), line))
-        except (ValueError, TypeError, RecursionError) as exc:  # JSON decode errors included
-            diagnostics.append(ParseDiagnostic(line_no, str(exc)))
-    if not records:
-        raise EmptyCorpusError("corpus contains no well-formed records")
+    """The records and the diagnostics of :func:`iter_corpus`, each in line order."""
+    records, diagnostics = [], []
+    for item in iter_corpus(source):
+        (diagnostics if type(item) is ParseDiagnostic else records).append(item)
     return records, diagnostics
 
 
@@ -235,8 +251,8 @@ def write_corpus(records: Iterable[InteractionRecord], sink: Union[str, Path, IO
 def filter_topic(
     records: Iterable[InteractionRecord], topic: TopicFilter
 ) -> list[InteractionRecord]:
-    """Keep records whose hashtag set intersects the filter, preserving order."""
-    return [r for r in records if not topic.tags.isdisjoint(r.hashtags)]
+    """The records :meth:`TopicFilter.keeps`, in order."""
+    return [r for r in records if topic.keeps(r)]
 
 
 def build_graph(

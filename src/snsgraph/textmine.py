@@ -110,51 +110,58 @@ def sentiment(text: str, lexicon: Lexicon) -> SentimentSummary:
     return _sentiment(tokenize(text), lexicon)
 
 
-def text_pass(
-    corpus: Sequence[InteractionRecord], stopwords: Iterable[str] | None = None,
-    lexicon: Lexicon | None = None,
-) -> tuple[list[TermStats], list[SentimentSummary] | None]:
-    """Per-term mention counts and normalized salience, sorted by count
-    descending, ties by term, with stopwords left out; and, given a lexicon,
-    every record's :func:`sentiment`. One tokenization per record."""
-    if not corpus:
-        raise EmptyCorpusError("term statistics need a non-empty corpus")
-    stop = {w.lower() for w in stopwords} if stopwords else set()
+class TextFold:
+    """Term mention counts and document frequencies, stopwords left out, and each
+    record's :func:`sentiment` given a lexicon, one record (one tokenization) at a time."""
 
-    counts: dict[str, int] = {}
-    doc_freq: dict[str, int] = {}
-    sentiments = None if lexicon is None else []
-    for record in corpus:
+    def __init__(self, stopwords: Iterable[str] | None = None, lexicon: Lexicon | None = None):
+        self.stop = {w.lower() for w in stopwords} if stopwords else set()
+        self.lexicon = lexicon
+        self.records = 0
+        self.counts: dict[str, int] = {}
+        # dict, not set: float normalization later sums in this insertion
+        # order, which must not depend on hash randomization
+        self.doc_freq: dict[str, int] = {}
+
+    def add(self, record: InteractionRecord) -> SentimentSummary | None:
+        """Count the record's terms; its sentiment, or ``None`` with no lexicon."""
         tokens = tokenize(record.text)
-        if lexicon is not None:
-            sentiments.append(_sentiment(tokens, lexicon))
-        if stop:
-            tokens = [t for t in tokens if t not in stop]
+        summary = None if self.lexicon is None else _sentiment(tokens, self.lexicon)
+        if self.stop:
+            tokens = [t for t in tokens if t not in self.stop]
+        counts, doc_freq = self.counts, self.doc_freq
         for token in tokens:
             counts[token] = counts.get(token, 0) + 1
-        # dict.fromkeys, not set: float normalization later sums in this
-        # insertion order, which must not depend on hash randomization
         for token in dict.fromkeys(tokens):
             doc_freq[token] = doc_freq.get(token, 0) + 1
+        self.records += 1
+        return summary
 
-    total_docs = len(corpus)
-    raw: dict[str, float] = {}
-    for term, df in doc_freq.items():
-        p = df / total_docs
-        raw[term] = 0.0 if p >= 1.0 else p * math.log(1.0 / p)
-    norm = sum(raw.values())
+    def result(self) -> list[TermStats]:
+        """Term statistics with normalized salience, sorted by count descending,
+        ties by term; with no record added, :class:`EmptyCorpusError`."""
+        if not self.records:
+            raise EmptyCorpusError("term statistics need a non-empty corpus")
+        raw: dict[str, float] = {}
+        for term, df in self.doc_freq.items():
+            p = df / self.records
+            raw[term] = 0.0 if p >= 1.0 else p * math.log(1.0 / p)
+        norm = sum(raw.values())
+        stats = [TermStats(term, count, self.doc_freq[term], raw[term] / norm if norm > 0 else 0.0)
+                 for term, count in self.counts.items()]
+        stats.sort(key=lambda s: (-s.mention_count, s.term))
+        return stats
 
-    stats = [
-        TermStats(
-            term=term,
-            mention_count=counts[term],
-            doc_frequency=doc_freq[term],
-            salience=(raw[term] / norm) if norm > 0 else 0.0,
-        )
-        for term in counts
-    ]
-    stats.sort(key=lambda s: (-s.mention_count, s.term))
-    return stats, sentiments
+
+def text_pass(
+    corpus: Iterable[InteractionRecord], stopwords: Iterable[str] | None = None,
+    lexicon: Lexicon | None = None,
+) -> tuple[list[TermStats], list[SentimentSummary] | None]:
+    """The :class:`TextFold` of the corpus: its term statistics and, given a
+    lexicon, every record's sentiment."""
+    fold = TextFold(stopwords, lexicon)
+    sentiments = [fold.add(record) for record in corpus]
+    return fold.result(), None if lexicon is None else sentiments
 
 
 def term_stats(

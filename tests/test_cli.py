@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ import snsgraph
 import snsgraph.cli
 import snsgraph.textmine
 from snsgraph.cli import main
+from snsgraph.ingest import InteractionRecord
 from snsgraph.report import import_gexf
 from snsgraph.seeds import derive_seed
 
@@ -485,6 +488,51 @@ class TestStages:
         assert capsys.readouterr().err == NOT_CONVERGED
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert report["metadata"]["centrality_converged"] is False
+
+
+class TestReportReadsTheCorpusOnce:
+    def test_report_holds_no_record_list(self, tmp_path, monkeypatch, capsys):
+        # 2,000 records among 50 accounts: by the time Louvain starts, every
+        # record has been counted and dropped, so none of them is alive
+        rows = [dict(id=f"held{i}", author=f"u{i % 50}", text=f"post {i % 13} #ge2017",
+                     hashtags=["ge2017"], mentions=[f"u{(7 * i + 1) % 50}"],
+                     timestamp=(BASE_TS + timedelta(seconds=30 * i)).isoformat())
+                for i in range(2000)]
+        corpus = write_jsonl(tmp_path / "c.jsonl", rows)
+        louvain, live = snsgraph.cli.louvain, []
+
+        def counting_louvain(*args, **kwargs):
+            gc.collect()
+            live.append(sum(type(o) is InteractionRecord and o.id.startswith("held")
+                            for o in gc.get_objects()))
+            return louvain(*args, **kwargs)
+
+        monkeypatch.setattr(snsgraph.cli, "louvain", counting_louvain)
+        assert run(["report", "--input", str(corpus), "--topic", "ge2017", "--iterations", "5",
+                    "--out", str(tmp_path / "out")]) == 0
+        assert len(live) == 1 and live[0] <= 1, live
+        assert capsys.readouterr().out.startswith("records=2000 n=50 ")
+
+    @pytest.mark.parametrize("command", ["ingest", "report"])
+    def test_corpus_without_a_good_line_prints_only_the_error(self, command, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{not json\n[1]\n{"id": "3"}\n')
+        assert run([command, "--input", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: corpus contains no well-formed records\n"
+
+    @pytest.mark.parametrize("command", ["communities", "report"])
+    def test_topic_matching_nothing_warns_then_fails_in_louvain(self, command, tiny_corpus_path,
+                                                                tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        lines = tiny_corpus_path.read_text(encoding="utf-8").splitlines()
+        corpus.write_text("\n".join([lines[0], "{not json", *lines[1:], "[1]"]) + "\n")
+        assert run([command, "--input", str(corpus), "--topic", "nosuchtag",
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "warning: line 2: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)\n"
+            f"warning: line {len(lines) + 2}: record must be a JSON object\n"
+            "error: Louvain undefined on a graph without edges\n")
 
 
 class TestStopPath:

@@ -25,6 +25,7 @@ from typing import Iterable
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import snsgraph.collector
 from snsgraph.collector import (
     MAX_BUCKETS,
     Buckets,
@@ -251,6 +252,28 @@ class TestPollSource:
         assert second == []
         assert state.duplicates_dropped == 2
 
+    def test_poll_that_fails_part_way_leaves_no_id_seen(self, tmp_path, monkeypatch):
+        # the file source streams its records: an I/O error after two of them
+        # makes the poll emit nothing, so the next poll emits them
+        path = write_jsonl(tmp_path / "c.jsonl", corpus_rows(3))
+        spec, state = SourceSpec(id="s", kind="file", location=str(path)), SourceState()
+        poll_source(spec, state, now_fn=now_fn)  # r0, r1, r2 seen
+        write_jsonl(path, corpus_rows(5))
+        real = snsgraph.collector.iter_corpus
+
+        def failing(source):
+            yield from itertools.islice(real(source), 4)  # three duplicates, then r3
+            raise OSError("read failed")
+
+        monkeypatch.setattr(snsgraph.collector, "iter_corpus", failing)
+        assert poll_source(spec, state, now_fn=now_fn) == (
+            [], [SourceDiagnostic("s", "unreachable: read failed", retryable=True)])
+        assert state.seen_ids == {"r0", "r1", "r2"} and state.duplicates_dropped == 0
+        monkeypatch.undo()
+        records, _ = poll_source(spec, state, now_fn=now_fn)
+        assert [r.payload.id for r in records] == ["r3", "r4"]
+        assert state.duplicates_dropped == 3
+
     def test_unreachable_is_retryable_not_fatal(self, tmp_path):
         spec = SourceSpec(id="s", kind="file", location=str(tmp_path / "gone.jsonl"))
         records, diags = poll_source(spec, now_fn=now_fn)
@@ -299,6 +322,7 @@ class TestPollSource:
             assert diags == []
         finally:
             server.shutdown()
+            server.server_close()
 
     def test_http_json_lone_surrogate_is_diagnostic(self, tmp_path):
         # The http-json source reads lines as parse_corpus does, so a lone

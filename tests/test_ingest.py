@@ -25,6 +25,7 @@ from snsgraph.ingest import (
     _normalize_tag,
     build_graph,
     filter_topic,
+    iter_corpus,
     parse_corpus,
     parse_rfc3339,
     record_to_dict,
@@ -301,6 +302,28 @@ class TestParseCorpus:
         assert record_to_dict(records[0]) == record_to_dict(record_from_dict(GOOD_LINE))
 
 
+class TestIterCorpus:
+    def test_records_and_diagnostics_in_line_order(self):
+        rows = [GOOD_LINE, "{not json", dict(GOOD_LINE, id="2"), "[1]", dict(GOOD_LINE, id="3")]
+        items = list(iter_corpus(as_stream(rows)))
+        assert [i.line_no if isinstance(i, ParseDiagnostic) else i.id for i in items] == [
+            "1", 2, "2", 4, "3"]
+        assert parse_corpus(as_stream(rows)) == (
+            [i for i in items if isinstance(i, InteractionRecord)],
+            [i for i in items if isinstance(i, ParseDiagnostic)])
+
+    def test_diagnostics_before_the_first_record_wait_for_it(self):
+        lines, read = ["{not json\n", "[1]\n", json.dumps(GOOD_LINE) + "\n", "null\n"], []
+        items = iter_corpus(read.append(line) or line for line in lines)
+        assert next(items).line_no == 1 and len(read) == 3  # line 3 read first
+        assert [getattr(i, "line_no", None) for i in items] == [2, None, 4]
+
+    def test_no_good_line_yields_nothing_and_raises_once_read(self):
+        items = iter_corpus(as_stream(["{not json", "[1]"]))
+        with pytest.raises(EmptyCorpusError, match="no well-formed records"):
+            next(items)
+
+
 def test_astimezone_is_called_only_in_utc():
     # One UTC rule: every outside timestamp reaches UTC through ingest.utc.
     callers = []
@@ -456,6 +479,18 @@ class TestBuildGraph:
             rng.shuffle(shuffled)
             permuted, _ = build_graph(shuffled)
             assert permuted == base
+
+    @given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd"),
+                              st.sampled_from(["reply", "mention", "follow"])), max_size=25))
+    def test_a_generator_builds_the_graph_a_list_does(self, acts):
+        # `report` hands build_graph a generator that reads the corpus as it goes
+        records = [make_record(i, src, **({"in_reply_to": dst} if kind == "reply" else
+                                          {"mentions" if kind == "mention" else "follows": [dst]}))
+                   for i, (src, dst, kind) in enumerate(acts)]
+        graph, stats = build_graph(records)
+        streamed, streamed_stats = build_graph(record for record in records)
+        assert (streamed, streamed_stats) == (graph, stats)
+        assert streamed.nodes == graph.nodes  # node order too
 
     @given(st.lists(st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")), max_size=25),
            st.randoms(use_true_random=False))

@@ -4,7 +4,9 @@
 the per-function code the one-pass ``text_pass`` replaced, kept verbatim
 apart from their ``ref_`` names (``ref_text_aggregates`` is the sentiment
 part of the old ``text`` subcommand). The one pass must reproduce them bit
-for bit.
+for bit. ``ref_text_pass`` is that one pass as a loop over a whole corpus,
+before :class:`TextFold` took one record at a time; the fold must
+reproduce it bit for bit too.
 """
 
 import io
@@ -23,6 +25,8 @@ from snsgraph.textmine import (
     Lexicon,
     SentimentSummary,
     TermStats,
+    TextFold,
+    _sentiment,
     load_lexicon,
     sentiment,
     term_stats,
@@ -103,6 +107,50 @@ def ref_text_aggregates(records, lexicon) -> dict:
     return overall
 
 
+def ref_text_pass(
+    corpus: Sequence[InteractionRecord], stopwords: Iterable[str] | None = None,
+    lexicon: Lexicon | None = None,
+) -> tuple[list[TermStats], list[SentimentSummary] | None]:
+    if not corpus:
+        raise EmptyCorpusError("term statistics need a non-empty corpus")
+    stop = {w.lower() for w in stopwords} if stopwords else set()
+
+    counts: dict[str, int] = {}
+    doc_freq: dict[str, int] = {}
+    sentiments = None if lexicon is None else []
+    for record in corpus:
+        tokens = tokenize(record.text)
+        if lexicon is not None:
+            sentiments.append(_sentiment(tokens, lexicon))
+        if stop:
+            tokens = [t for t in tokens if t not in stop]
+        for token in tokens:
+            counts[token] = counts.get(token, 0) + 1
+        # dict.fromkeys, not set: float normalization later sums in this
+        # insertion order, which must not depend on hash randomization
+        for token in dict.fromkeys(tokens):
+            doc_freq[token] = doc_freq.get(token, 0) + 1
+
+    total_docs = len(corpus)
+    raw: dict[str, float] = {}
+    for term, df in doc_freq.items():
+        p = df / total_docs
+        raw[term] = 0.0 if p >= 1.0 else p * math.log(1.0 / p)
+    norm = sum(raw.values())
+
+    stats = [
+        TermStats(
+            term=term,
+            mention_count=counts[term],
+            doc_frequency=doc_freq[term],
+            salience=(raw[term] / norm) if norm > 0 else 0.0,
+        )
+        for term in counts
+    ]
+    stats.sort(key=lambda s: (-s.mention_count, s.term))
+    return stats, sentiments
+
+
 def term_bits(stats):
     return [(s.term, s.mention_count, s.doc_frequency, s.salience.hex()) for s in stats]
 
@@ -120,6 +168,10 @@ LEXICONS = st.sampled_from([
     Lexicon(frozenset({"vote"}), frozenset()),
 ])
 STOPWORDS = st.sampled_from([None, set(), {"the", "a"}, {"THE", "Vote"}, ["rt", "3"]])
+# a wide vocabulary, so that the salience sum adds many terms in an order that shows
+WIDE_TEXTS = st.lists(st.one_of(st.sampled_from(WORDS), st.text("abcdefgh", min_size=1,
+                                                                  max_size=3)),
+                      max_size=12).map(" ".join)
 
 
 class TestTokenize:
@@ -333,6 +385,28 @@ class TestTextPassAgainstReference:
         terms = (tmp_path / "terms.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert terms == [f"{s.term},{s.mention_count},{s.salience!r}" for s in
                          ref_term_stats(corpus, {"good", "great"})]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(WIDE_TEXTS, max_size=30), STOPWORDS, LEXICONS)
+    def test_fold_matches_the_whole_corpus_loop(self, texts, stopwords, lexicon):
+        corpus = [make_record(i, "a", text=t) for i, t in enumerate(texts)]
+        if not corpus:
+            with pytest.raises(EmptyCorpusError):
+                text_pass(corpus, stopwords, lexicon)
+            return
+        want_stats, want_sentiments = ref_text_pass(corpus, stopwords, lexicon)
+        want = [(s.term, s.mention_count, s.doc_frequency, repr(s.salience)) for s in want_stats]
+        fold = TextFold(stopwords, lexicon)  # one record at a time, as `report` feeds it
+        summaries = [fold.add(record) for record in corpus]
+        stats, sentiments = text_pass(iter(corpus), stopwords, lexicon)
+        for got in (fold.result(), stats):
+            assert [(s.term, s.mention_count, s.doc_frequency, repr(s.salience))
+                    for s in got] == want
+        if lexicon is None:
+            assert sentiments is None and summaries == [None] * len(corpus)
+        else:
+            assert sentiments == summaries == want_sentiments
+            assert [repr(s.score) for s in sentiments] == [repr(s.score) for s in want_sentiments]
 
     @given(TEXTS, LEXICONS.filter(lambda lex: lex is not None))
     def test_sentiment_matches_reference(self, text, lexicon):
