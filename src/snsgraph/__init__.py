@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "textmine": (
         "Lexicon", "SentimentSummary", "TermStats", "TextFold", "load_lexicon", "sentiment",
-        "term_stats", "text_pass", "tokenize", "top_terms",
+        "term_stats", "tokenize", "top_terms",
     ),
     "layout": ("LayoutConfig", "LayoutFrame", "init_layout", "run_layout"),
     "collector": (

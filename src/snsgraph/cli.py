@@ -24,7 +24,7 @@ from .errors import AnalyticsError
 from .model import Handle, Normalization
 from .seeds import derive_seed, global_seed_from_env
 
-# Stage names (``parse_corpus``, ``louvain``, ...) are not imported here: on
+# Stage names (``iter_corpus``, ``louvain``, ...) are not imported here: on
 # first lookup the module ``__getattr__`` takes each exported name from the
 # package, whose table imports only the defining module (PEP 562), so a
 # subcommand loads only the stages it runs; ``collect`` and ``text`` never
@@ -51,12 +51,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _topic_from(arg: str | None) -> TopicFilter | None:
-    if not arg:
-        return None
-    return _from_flags(_stage.TopicFilter, tags=frozenset(t for t in arg.split(",") if t.strip()))
 
 
 def _read_lines(path: str, parse) -> frozenset:
@@ -109,15 +103,26 @@ def _warn(diag) -> None:
     print(f"warning: line {diag.line_no}: {diag.reason}", file=sys.stderr)
 
 
-def _load_corpus(args, topic: TopicFilter | None) -> list:
-    """Make ``--out``, parse ``--input``, warn once per diagnostic, keep the topic's records."""
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    records, diagnostics = _stage.parse_corpus(args.input)
-    for diag in diagnostics:
-        _warn(diag)
-    if topic is not None:
-        records = _stage.filter_topic(records, topic)
-    return records
+class _Corpus:
+    """The one corpus reader of every subcommand. Made, it checks ``--topic``;
+    iterated, it makes ``--out``, then yields the records of ``--input`` the topic
+    keeps, one line at a time in line order, warning of each malformed line as it
+    is read and counting it."""
+
+    def __init__(self, args):
+        self.args, self.topic, self.diagnostics = args, None, 0
+        if args.topic:
+            tags = frozenset(t for t in args.topic.split(",") if t.strip())
+            self.topic = _from_flags(_stage.TopicFilter, tags=tags)
+
+    def __iter__(self):
+        Path(self.args.out).mkdir(parents=True, exist_ok=True)
+        for item in _stage.iter_corpus(self.args.input):
+            if isinstance(item, _stage.ParseDiagnostic):
+                self.diagnostics += 1
+                _warn(item)
+            elif self.topic is None or self.topic.keeps(item):
+                yield item
 
 
 class _FlagError(Exception):
@@ -165,10 +170,10 @@ def _power_config(args) -> PowerIterationConfig:
 
 
 def _graph_from_args(args):
-    topic = _topic_from(args.topic)
+    corpus = _Corpus(args)
     if not args.input.endswith(".gexf"):
-        return _stage.build_graph(_load_corpus(args, topic))[0]
-    if topic is not None:
+        return _stage.build_graph(corpus)[0]
+    if corpus.topic is not None:
         raise _FlagError("--topic filters a corpus; a .gexf input holds no tags")
     Path(args.out).mkdir(parents=True, exist_ok=True)
     return _stage.import_gexf(args.input)
@@ -177,7 +182,7 @@ def _graph_from_args(args):
 # --- subcommand implementations ----------------------------------------------
 
 def _cmd_ingest(args) -> int:
-    graph, stats = _stage.build_graph(_load_corpus(args, _topic_from(args.topic)))
+    graph, stats = _stage.build_graph(_Corpus(args))
     out = Path(args.out)
     _stage.export_gexf(graph, out / "graph.gexf")
     with open(out / "ingest_stats.json", "w", encoding="utf-8") as fh:
@@ -237,22 +242,28 @@ def _text_inputs(args) -> tuple[frozenset[str] | None, Lexicon | None]:
 
 def _cmd_text(args) -> int:
     top = _top_flag("--top", args.top)
-    topic = _topic_from(args.topic)
-    inputs = _text_inputs(args)
-    records = _load_corpus(args, topic)
-    stats, summaries = _stage.text_pass(records, *inputs)
+    corpus = _Corpus(args)
+    text = _stage.TextFold(*_text_inputs(args))
+    overall = dict.fromkeys(("records", "scored_records", "positive_hits", "negative_hits"), 0)
+
+    def scores():  # tallies the hits as it goes; sum() adds its scores as over a list
+        for record in corpus:
+            summary = text.add(record)
+            if summary is not None:
+                overall["positive_hits"] += summary.positive_hits
+                overall["negative_hits"] += summary.negative_hits
+                if not summary.neutral:
+                    overall["scored_records"] += 1
+                    yield summary.score
+
+    total = sum(scores())
+    stats = text.result()
     ranked = _stage.top_terms(stats, top, order=args.order)
     out = Path(args.out)
     _write_terms(out, ranked)
-    if summaries is not None:
-        scored = [s for s in summaries if not s.neutral]
-        overall = {
-            "records": len(records),
-            "scored_records": len(scored),
-            "positive_hits": sum(s.positive_hits for s in summaries),
-            "negative_hits": sum(s.negative_hits for s in summaries),
-            "mean_score": sum(s.score for s in scored) / len(scored) if scored else 0.0,
-        }
+    if text.lexicon is not None:
+        scored = overall["scored_records"]
+        overall.update(records=text.records, mean_score=total / scored if scored else 0.0)
         with open(out / "sentiment.json", "w", encoding="utf-8") as fh:
             json.dump(overall, fh, indent=2)
             fh.write("\n")
@@ -284,7 +295,7 @@ def _cmd_collect(args) -> int:
 def _cmd_report(args) -> int:
     """Ingest -> communities -> centrality -> text -> layout -> redacted report.
     Every flag is checked, and every side file read, before the corpus is read."""
-    topic = _topic_from(args.topic)
+    corpus = _Corpus(args)
     louvain_config = _louvain_config(args)
     power_config = _power_config(args)
     layout_config = _layout_config(args)
@@ -297,23 +308,15 @@ def _cmd_report(args) -> int:
         _read_lines(args.redact_allowlist, Handle) if args.redact_allowlist else frozenset()
     )
 
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     text = _stage.TextFold(*text_inputs)
     buckets = _stage.Buckets(deviation.bucket_seconds)
-    diagnostics = 0
 
-    def corpus():  # one pass: each on-topic record is counted, then handed to the graph
-        nonlocal diagnostics
-        for item in _stage.iter_corpus(args.input):
-            if isinstance(item, _stage.ParseDiagnostic):
-                diagnostics += 1
-                _warn(item)
-            elif topic is None or topic.keeps(item):
-                summary = text.add(item)
-                buckets.add(item, None if summary is None else summary.score)
-                yield item
+    def fold(record):  # one pass: each on-topic record is counted, then handed to the graph
+        summary = text.add(record)
+        buckets.add(record, None if summary is None else summary.score)
+        return record
 
-    graph, stats = _stage.build_graph(corpus())
+    graph, stats = _stage.build_graph(map(fold, corpus))
     partition = _stage.louvain(graph, louvain_config)
     result, ranking = _centrality_stage(graph, power_config, top_accounts)
     ranked_terms = _stage.top_terms(text.result(), top_terms, order=args.order)
@@ -344,7 +347,7 @@ def _cmd_report(args) -> int:
             "layout_iterations": layout_config.iterations,
             "barnes_hut": args.barnes_hut,
             "version": __version__,
-            "parse_diagnostics": diagnostics,
+            "parse_diagnostics": corpus.diagnostics,
             "self_loops_dropped": stats.self_loops_dropped,
             "centrality_converged": result.converged,
             "centrality_iterations": result.iterations,

@@ -337,7 +337,7 @@ def emit(record: OutputRecord, format: str, sink: IO[str]) -> None:
 
 def read_records(source: Union[str, Path, Iterable[str]], format: str) -> list[OutputRecord]:
     """Parse a sink written by :func:`emit` (a path, or its lines) back into
-    output records, under the corpus rules of :func:`parse_corpus`; an XML
+    output records, under the corpus rules of :func:`iter_corpus`; an XML
     line is read as the JSON form's object. A bad line raises
     :class:`RecordParseError` naming its line number."""
     if format not in ("json", "xml"):

@@ -153,22 +153,14 @@ class TextFold:
         return stats
 
 
-def text_pass(
-    corpus: Iterable[InteractionRecord], stopwords: Iterable[str] | None = None,
-    lexicon: Lexicon | None = None,
-) -> tuple[list[TermStats], list[SentimentSummary] | None]:
-    """The :class:`TextFold` of the corpus: its term statistics and, given a
-    lexicon, every record's sentiment."""
-    fold = TextFold(stopwords, lexicon)
-    sentiments = [fold.add(record) for record in corpus]
-    return fold.result(), None if lexicon is None else sentiments
-
-
 def term_stats(
-    corpus: Sequence[InteractionRecord], stopwords: Iterable[str] | None = None
+    corpus: Iterable[InteractionRecord], stopwords: Iterable[str] | None = None
 ) -> list[TermStats]:
-    """The term statistics of :func:`text_pass`."""
-    return text_pass(corpus, stopwords)[0]
+    """The :class:`TextFold` term statistics of the corpus."""
+    fold = TextFold(stopwords)
+    for record in corpus:
+        fold.add(record)
+    return fold.result()
 
 
 def top_terms(stats: Sequence[TermStats], k: int, order: str = "count") -> list[TermStats]:

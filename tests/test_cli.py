@@ -16,6 +16,7 @@ import pytest
 
 import snsgraph
 import snsgraph.cli
+import snsgraph.ingest
 import snsgraph.textmine
 from snsgraph.cli import main
 from snsgraph.ingest import InteractionRecord
@@ -357,7 +358,7 @@ class TestOneLineRule:
         from snsgraph.collector import SourceSpec, poll_source, read_records
         from snsgraph.errors import RecordParseError
         from snsgraph.ingest import ParseDiagnostic, parse_corpus
-        from snsgraph.textmine import load_lexicon, text_pass
+        from snsgraph.textmine import TextFold, load_lexicon
 
         bad_id = GOOD_LINE.replace(b'"1"', b'"\xff"')
         first, bad = {
@@ -384,7 +385,12 @@ class TestOneLineRule:
             records = parse_corpus(tiny_corpus_path)[0]
             kept, without = load_lexicon(path, neg), load_lexicon(["great"], neg)
             assert len(kept.positive) == 2
-            assert text_pass(records, None, kept) == text_pass(records, None, without)
+
+            def text_of(lexicon):
+                fold = TextFold(None, lexicon)
+                return [fold.add(record) for record in records], fold.result()
+
+            assert text_of(kept) == text_of(without)
         else:
             flag = {"stopwords": "--stopwords", "allowlist": "--redact-allowlist"}[kind]
             assert run(["report", "--input", str(tiny_corpus_path), "--iterations", "5",
@@ -491,20 +497,29 @@ class TestStages:
 
 
 class TestReportReadsTheCorpusOnce:
-    def test_report_holds_no_record_list(self, tmp_path, monkeypatch, capsys):
-        # 2,000 records among 50 accounts: by the time Louvain starts, every
-        # record has been counted and dropped, so none of them is alive
+    @staticmethod
+    def held_corpus(tmp_path) -> Path:
+        """2,000 records ``held0`` to ``held1999`` among 50 accounts, all tagged ge2017."""
         rows = [dict(id=f"held{i}", author=f"u{i % 50}", text=f"post {i % 13} #ge2017",
                      hashtags=["ge2017"], mentions=[f"u{(7 * i + 1) % 50}"],
                      timestamp=(BASE_TS + timedelta(seconds=30 * i)).isoformat())
                 for i in range(2000)]
-        corpus = write_jsonl(tmp_path / "c.jsonl", rows)
+        return write_jsonl(tmp_path / "c.jsonl", rows)
+
+    @staticmethod
+    def live_records() -> int:
+        gc.collect()
+        return sum(type(o) is InteractionRecord and o.id.startswith("held")
+                   for o in gc.get_objects())
+
+    def test_report_holds_no_record_list(self, tmp_path, monkeypatch, capsys):
+        # by the time Louvain starts, every record has been counted and dropped,
+        # so none of them is alive
+        corpus = self.held_corpus(tmp_path)
         louvain, live = snsgraph.cli.louvain, []
 
         def counting_louvain(*args, **kwargs):
-            gc.collect()
-            live.append(sum(type(o) is InteractionRecord and o.id.startswith("held")
-                            for o in gc.get_objects()))
+            live.append(self.live_records())
             return louvain(*args, **kwargs)
 
         monkeypatch.setattr(snsgraph.cli, "louvain", counting_louvain)
@@ -513,26 +528,71 @@ class TestReportReadsTheCorpusOnce:
         assert len(live) == 1 and live[0] <= 1, live
         assert capsys.readouterr().out.startswith("records=2000 n=50 ")
 
-    @pytest.mark.parametrize("command", ["ingest", "report"])
+    @pytest.mark.parametrize("command, stage", [
+        ("ingest", "export_gexf"), ("communities", "louvain"),
+        ("centrality", "eigenvector_centrality"), ("layout", "run_layout"), ("text", "top_terms"),
+    ])
+    def test_corpus_subcommand_holds_no_record_list(self, command, stage, tmp_path,
+                                                    monkeypatch):
+        # live records are counted as the last line is read, when a list would
+        # hold all the others, and at the first stage after the read
+        corpus = self.held_corpus(tmp_path)
+        record_reader, stage_call = snsgraph.ingest.record_reader, getattr(snsgraph.cli, stage)
+        live = []
+
+        def counting_reader():
+            read = record_reader()
+
+            def counting_read(obj, *args):
+                if obj["id"] == "held1999":
+                    live.append(self.live_records())
+                return read(obj, *args)
+            return counting_read
+
+        def counting_stage(*args, **kwargs):
+            live.append(self.live_records())
+            return stage_call(*args, **kwargs)
+
+        monkeypatch.setattr(snsgraph.ingest, "record_reader", counting_reader)
+        monkeypatch.setattr(snsgraph.cli, stage, counting_stage)
+        extra = ["--iterations", "5"] if command == "layout" else []
+        assert run([command, "--input", str(corpus), "--topic", "ge2017", *extra,
+                    "--out", str(tmp_path / "out")]) == 0
+        assert len(live) == 2 and max(live) <= 1, live
+
+    @pytest.mark.parametrize("command",
+                             ["ingest", "report", "communities", "centrality", "layout", "text"])
     def test_corpus_without_a_good_line_prints_only_the_error(self, command, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text('{not json\n[1]\n{"id": "3"}\n')
         assert run([command, "--input", str(corpus), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: corpus contains no well-formed records\n"
 
-    @pytest.mark.parametrize("command", ["communities", "report"])
-    def test_topic_matching_nothing_warns_then_fails_in_louvain(self, command, tiny_corpus_path,
-                                                                tmp_path, capsys):
+    @staticmethod
+    def run_on_topic_matching_nothing(command, tiny_corpus_path, tmp_path) -> str:
+        """Exit 2 of ``command`` on the tiny corpus with two malformed lines
+        and a topic no record has; what it printed on stderr."""
         corpus = tmp_path / "c.jsonl"
         lines = tiny_corpus_path.read_text(encoding="utf-8").splitlines()
         corpus.write_text("\n".join([lines[0], "{not json", *lines[1:], "[1]"]) + "\n")
         assert run([command, "--input", str(corpus), "--topic", "nosuchtag",
                     "--out", str(tmp_path / "out")]) == 2
+        return ("warning: line 2: Expecting property name enclosed in double quotes: "
+                "line 1 column 2 (char 1)\n"
+                f"warning: line {len(lines) + 2}: record must be a JSON object\n")
+
+    @pytest.mark.parametrize("command", ["communities", "report"])
+    def test_topic_matching_nothing_warns_then_fails_in_louvain(self, command, tiny_corpus_path,
+                                                                tmp_path, capsys):
+        warnings = self.run_on_topic_matching_nothing(command, tiny_corpus_path, tmp_path)
         assert capsys.readouterr().err == (
-            "warning: line 2: Expecting property name enclosed in double quotes: "
-            "line 1 column 2 (char 1)\n"
-            f"warning: line {len(lines) + 2}: record must be a JSON object\n"
-            "error: Louvain undefined on a graph without edges\n")
+            warnings + "error: Louvain undefined on a graph without edges\n")
+
+    def test_topic_matching_nothing_warns_then_fails_in_text(self, tiny_corpus_path, tmp_path,
+                                                             capsys):
+        warnings = self.run_on_topic_matching_nothing("text", tiny_corpus_path, tmp_path)
+        assert capsys.readouterr().err == (
+            warnings + "error: term statistics need a non-empty corpus\n")
 
 
 class TestStopPath:

@@ -47,7 +47,7 @@ from snsgraph.cli import main
 from snsgraph.errors import AnalyticsError, RecordParseError
 from snsgraph.ingest import InteractionRecord, format_rfc3339
 from snsgraph.model import _NOT_XML, Handle
-from snsgraph.textmine import Lexicon, sentiment, text_pass
+from snsgraph.textmine import Lexicon, TextFold, sentiment
 
 from conftest import BASE_TS, bursty_rows, make_record, record_from_dict, write_jsonl
 from test_textmine import LEXICONS, TEXTS, ref_sentiment
@@ -687,7 +687,7 @@ class TestBucketSeriesAgainstReference:
             assert series_bits(volume) == want_volume and mean is None
             if records:
                 payloads = [r.payload if isinstance(r, OutputRecord) else r for r in records]
-                scores = [s.score for s in text_pass(payloads, None, lexicon)[1]]
+                scores = [s.score for s in map(TextFold(None, lexicon).add, payloads)]
                 volume, mean = fold(once(records), width, once(scores))
                 assert series_bits(volume) == want_volume
                 assert series_bits(mean) == want_mean

@@ -1,26 +1,29 @@
 """Tokenizing, sentiment, term statistics and the one-pass text stage.
 
 ``ref_sentiment``, ``ref_term_stats`` and ``ref_text_aggregates`` below are
-the per-function code the one-pass ``text_pass`` replaced, kept verbatim
+the per-function code the one-pass :class:`TextFold` replaced, kept verbatim
 apart from their ``ref_`` names (``ref_text_aggregates`` is the sentiment
-part of the old ``text`` subcommand). The one pass must reproduce them bit
-for bit. ``ref_text_pass`` is that one pass as a loop over a whole corpus,
-before :class:`TextFold` took one record at a time; the fold must
-reproduce it bit for bit too.
+part of the old ``text`` subcommand, which summed a list of scores). The
+fold, and the ``text`` subcommand that runs it record by record, must
+reproduce them bit for bit. ``ref_text_pass`` is that one pass as a loop
+over a whole corpus, before :class:`TextFold` took one record at a time;
+the fold must reproduce it bit for bit too.
 """
 
 import io
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snsgraph.cli import main
 from snsgraph.errors import EmptyCorpusError, LexiconError
-from snsgraph.ingest import InteractionRecord, write_corpus
+from snsgraph.ingest import InteractionRecord, record_to_dict, write_corpus
 from snsgraph.textmine import (
     Lexicon,
     SentimentSummary,
@@ -30,7 +33,6 @@ from snsgraph.textmine import (
     load_lexicon,
     sentiment,
     term_stats,
-    text_pass,
     tokenize,
     top_terms,
 )
@@ -151,6 +153,14 @@ def ref_text_pass(
     return stats, sentiments
 
 
+def fold_corpus(corpus, stopwords=None, lexicon=None):
+    """The term statistics of a :class:`TextFold` over the corpus, and what its
+    ``add`` returned for each record: a sentiment, or ``None`` with no lexicon."""
+    fold = TextFold(stopwords, lexicon)
+    summaries = [fold.add(record) for record in corpus]
+    return fold.result(), summaries
+
+
 def term_bits(stats):
     return [(s.term, s.mention_count, s.doc_frequency, s.salience.hex()) for s in stats]
 
@@ -168,6 +178,8 @@ LEXICONS = st.sampled_from([
     Lexicon(frozenset({"vote"}), frozenset()),
 ])
 STOPWORDS = st.sampled_from([None, set(), {"the", "a"}, {"THE", "Vote"}, ["rt", "3"]])
+# corpus lines the reader warns of and skips
+MALFORMED = ["{not json", "[1]", '{"id": "3"}', '{"id": "4", "author": "a", "text": 5}']
 # a wide vocabulary, so that the salience sum adds many terms in an order that shows
 WIDE_TEXTS = st.lists(st.one_of(st.sampled_from(WORDS), st.text("abcdefgh", min_size=1,
                                                                   max_size=3)),
@@ -357,14 +369,14 @@ class TestTextPassAgainstReference:
         corpus = [make_record(i, "a", text=t) for i, t in enumerate(texts)]
         if not corpus:
             with pytest.raises(EmptyCorpusError):
-                text_pass(corpus, stopwords, lexicon)
+                fold_corpus(corpus, stopwords, lexicon)
             return
-        stats, sentiments = text_pass(corpus, stopwords, lexicon)
+        stats, sentiments = fold_corpus(corpus, stopwords, lexicon)
         want = term_bits(ref_term_stats(corpus, stopwords))
         assert term_bits(stats) == want
         assert term_bits(term_stats(corpus, stopwords)) == want
         if lexicon is None:
-            assert sentiments is None
+            assert sentiments == [None] * len(corpus)
             return
         ref = [ref_sentiment(r.text, lexicon) for r in corpus]
         assert sentiments == ref
@@ -386,27 +398,77 @@ class TestTextPassAgainstReference:
         assert terms == [f"{s.term},{s.mention_count},{s.salience!r}" for s in
                          ref_term_stats(corpus, {"good", "great"})]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.tuples(TEXTS, st.booleans()), st.sampled_from(MALFORMED)),
+                    max_size=12), STOPWORDS, LEXICONS)
+    # scores 1/3, 1, 1: a plain left-to-right total gives ...777, a compensated one (math.fsum,
+    # or sum() from Python 3.12) ...778, so the CLI must add its scores as sum() does
+    @example([("good good bad", True), "{not json", ("bad", False), ("good", True),
+              ("good", True)], None, LEX)
+    def test_text_command_matches_the_reference(self, items, stopwords, lexicon):
+        # malformed lines and off-topic records among the kept ones, read as the CLI streams them
+        lines, kept = [], []
+        for i, item in enumerate(items):
+            if isinstance(item, str):
+                lines.append(item)
+                continue
+            text, on_topic = item
+            record = make_record(i, "a", text=text, hashtags=["ge2017" if on_topic else "other"])
+            lines.append(json.dumps(record_to_dict(record), ensure_ascii=False))
+            if on_topic:
+                kept.append(record)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "c.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            args = ["text", "--input", str(tmp / "c.jsonl"), "--topic", "ge2017",
+                    "--top", "1000", "--out", str(tmp / "out")]
+            if stopwords is not None:
+                (tmp / "stop.txt").write_text("".join(w + "\n" for w in stopwords))
+                args += ["--stopwords", str(tmp / "stop.txt")]
+            if lexicon is not None:
+                for name, words in (("pos", lexicon.positive), ("neg", lexicon.negative)):
+                    (tmp / f"{name}.txt").write_text("".join(w + "\n" for w in sorted(words)))
+                args += ["--lexicon-pos", str(tmp / "pos.txt"),
+                         "--lexicon-neg", str(tmp / "neg.txt")]
+            code = main(args)
+            if not kept:
+                assert code == 2
+                return
+            assert code == 0
+            terms = (tmp / "out" / "terms.csv").read_text(encoding="utf-8").splitlines()
+            assert terms == ["term,mention_count,salience"] + [
+                f"{s.term},{s.mention_count},{s.salience!r}"
+                for s in ref_term_stats(kept, stopwords)]
+            sentiment_json = tmp / "out" / "sentiment.json"
+            if lexicon is None:
+                assert not sentiment_json.exists()
+                return
+            loaded = load_lexicon(tmp / "pos.txt", tmp / "neg.txt")
+            assert sentiment_json.read_text(encoding="utf-8") == (
+                json.dumps(ref_text_aggregates(kept, loaded), indent=2) + "\n")
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(WIDE_TEXTS, max_size=30), STOPWORDS, LEXICONS)
     def test_fold_matches_the_whole_corpus_loop(self, texts, stopwords, lexicon):
         corpus = [make_record(i, "a", text=t) for i, t in enumerate(texts)]
         if not corpus:
             with pytest.raises(EmptyCorpusError):
-                text_pass(corpus, stopwords, lexicon)
+                TextFold(stopwords, lexicon).result()
+            with pytest.raises(EmptyCorpusError):
+                term_stats(iter(corpus), stopwords)
             return
         want_stats, want_sentiments = ref_text_pass(corpus, stopwords, lexicon)
         want = [(s.term, s.mention_count, s.doc_frequency, repr(s.salience)) for s in want_stats]
-        fold = TextFold(stopwords, lexicon)  # one record at a time, as `report` feeds it
+        fold = TextFold(stopwords, lexicon)  # one record at a time, as the CLI feeds it
         summaries = [fold.add(record) for record in corpus]
-        stats, sentiments = text_pass(iter(corpus), stopwords, lexicon)
-        for got in (fold.result(), stats):
+        for got in (fold.result(), term_stats(iter(corpus), stopwords)):  # a one-shot iterator too
             assert [(s.term, s.mention_count, s.doc_frequency, repr(s.salience))
                     for s in got] == want
         if lexicon is None:
-            assert sentiments is None and summaries == [None] * len(corpus)
+            assert summaries == [None] * len(corpus)
         else:
-            assert sentiments == summaries == want_sentiments
-            assert [repr(s.score) for s in sentiments] == [repr(s.score) for s in want_sentiments]
+            assert summaries == want_sentiments
+            assert [repr(s.score) for s in summaries] == [repr(s.score) for s in want_sentiments]
 
     @given(TEXTS, LEXICONS.filter(lambda lex: lex is not None))
     def test_sentiment_matches_reference(self, text, lexicon):
@@ -414,7 +476,7 @@ class TestTextPassAgainstReference:
 
     def test_stopwords_leave_sentiment_alone(self):
         corpus = [make_record(0, "a", text="the good the bad good")]
-        stats, (summary,) = text_pass(corpus, {"good"}, LEX)
+        stats, (summary,) = fold_corpus(corpus, {"good"}, LEX)
         assert [t.term for t in stats] == ["the", "bad"]
         assert (summary.positive_hits, summary.negative_hits) == (2, 1)
 
@@ -424,5 +486,5 @@ class TestTextPassAgainstReference:
         seen = []
         monkeypatch.setattr(textmine, "tokenize", lambda text: seen.append(text) or tokenize(text))
         corpus = [make_record(i, "a", text=f"good vote {i}") for i in range(5)]
-        text_pass(corpus, {"vote"}, LEX)
+        fold_corpus(corpus, {"vote"}, LEX)
         assert seen == [r.text for r in corpus]
