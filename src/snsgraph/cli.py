@@ -244,31 +244,21 @@ def _cmd_text(args) -> int:
     top = _top_flag("--top", args.top)
     corpus = _Corpus(args)
     text = _stage.TextFold(*_text_inputs(args))
-    overall = dict.fromkeys(("records", "scored_records", "positive_hits", "negative_hits"), 0)
-
-    def scores():  # tallies the hits as it goes; sum() adds its scores as over a list
-        for record in corpus:
-            summary = text.add(record)
-            if summary is not None:
-                overall["positive_hits"] += summary.positive_hits
-                overall["negative_hits"] += summary.negative_hits
-                if not summary.neutral:
-                    overall["scored_records"] += 1
-                    yield summary.score
-
-    total = sum(scores())
+    # sum() over a generator adds as sum() over a list does, on every Python version
+    total = sum(s.score for s in map(text.add, corpus) if s is not None and not s.neutral)
     stats = text.result()
     ranked = _stage.top_terms(stats, top, order=args.order)
     out = Path(args.out)
     _write_terms(out, ranked)
     if text.lexicon is not None:
-        scored = overall["scored_records"]
-        overall.update(records=text.records, mean_score=total / scored if scored else 0.0)
+        scored = text.scored_records
+        summary = {"records": text.records, "scored_records": scored,
+                   "positive_hits": text.positive_hits, "negative_hits": text.negative_hits,
+                   "mean_score": total / scored if scored else 0.0}
         with open(out / "sentiment.json", "w", encoding="utf-8") as fh:
-            json.dump(overall, fh, indent=2)
+            json.dump(summary, fh, indent=2)
             fh.write("\n")
-        print(f"sentiment mean={overall['mean_score']:+.4f} "
-              f"({overall['scored_records']}/{overall['records']} scored)")
+        print(f"sentiment mean={summary['mean_score']:+.4f} ({scored}/{text.records} scored)")
     print(f"vocabulary={len(stats)} top written to {out / 'terms.csv'}")
     return 0
 

@@ -428,6 +428,8 @@ def detect_deviation(
     values = [v for _, v in series]
     for i in range(config.window, len(series)):
         window = values[i - config.window : i]
+        if not values[i] and not any(window):  # z = 0: silence after silence never alerts
+            continue
         mean = statistics.fmean(window)
         std = statistics.pstdev(window)
         sigma = max(std, config.sigma_floor)

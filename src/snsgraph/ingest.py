@@ -28,6 +28,7 @@ from .errors import EmptyCorpusError
 from .model import Handle, InteractionGraph, InteractionKind, ValueEdge, _unmark
 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # JSON's "\\ud800" decodes to one
+HELD_DIAGNOSTICS = 1024  # most diagnostics iter_corpus holds back before a first record
 
 
 def text_lines(source: str | Path | bytes | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -207,24 +208,25 @@ def iter_corpus(
 ) -> Iterator[InteractionRecord | ParseDiagnostic]:
     """The records and diagnostics of a JSON-lines corpus (a path, a body's bytes
     or text lines, as :func:`text_lines` reads them) in line order: a record per
-    well-formed line, a diagnostic (line number, reason) per malformed one.
-    Diagnostics before the first record wait for it, so a corpus with zero
-    well-formed records yields nothing and, once read, raises
-    :class:`EmptyCorpusError`. Unreadable paths raise the underlying ``OSError``."""
-    read, held = record_reader(), []  # held: the diagnostics before the first record
+    well-formed line, a diagnostic (line number, reason) per malformed one. Up to
+    :data:`HELD_DIAGNOSTICS` diagnostics before the first record wait for it, so an
+    all-bad corpus that short yields nothing; once read, a corpus with no well-formed
+    record raises :class:`EmptyCorpusError`. Unreadable paths raise ``OSError``."""
+    read, held, empty = record_reader(), [], True  # held: diagnostics waiting for a record
     for line_no, line in text_lines(source):
         try:
             item = read(json.loads(utf8(line)), line)
+            empty = False
         except (ValueError, TypeError, RecursionError) as exc:  # JSON decode errors included
             item = ParseDiagnostic(line_no, str(exc))
-            if held is not None:
+            if held is not None and len(held) < HELD_DIAGNOSTICS:
                 held.append(item)
                 continue
         if held:
             yield from held
         held = None
         yield item
-    if held is not None:
+    if empty:
         raise EmptyCorpusError("corpus contains no well-formed records")
 
 

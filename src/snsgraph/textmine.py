@@ -112,12 +112,13 @@ def sentiment(text: str, lexicon: Lexicon) -> SentimentSummary:
 
 class TextFold:
     """Term mention counts and document frequencies, stopwords left out, and each
-    record's :func:`sentiment` given a lexicon, one record (one tokenization) at a time."""
+    record's :func:`sentiment` given a lexicon, one record (one tokenization) at a time.
+    It counts the records, the scored (non-neutral) ones and their lexicon hits."""
 
     def __init__(self, stopwords: Iterable[str] | None = None, lexicon: Lexicon | None = None):
         self.stop = {w.lower() for w in stopwords} if stopwords else set()
         self.lexicon = lexicon
-        self.records = 0
+        self.records = self.scored_records = self.positive_hits = self.negative_hits = 0
         self.counts: dict[str, int] = {}
         # dict, not set: float normalization later sums in this insertion
         # order, which must not depend on hash randomization
@@ -127,6 +128,10 @@ class TextFold:
         """Count the record's terms; its sentiment, or ``None`` with no lexicon."""
         tokens = tokenize(record.text)
         summary = None if self.lexicon is None else _sentiment(tokens, self.lexicon)
+        if summary is not None and not summary.neutral:
+            self.scored_records += 1
+            self.positive_hits += summary.positive_hits
+            self.negative_hits += summary.negative_hits
         if self.stop:
             tokens = [t for t in tokens if t not in self.stop]
         counts, doc_freq = self.counts, self.doc_freq

@@ -568,6 +568,16 @@ class TestReportReadsTheCorpusOnce:
         assert run([command, "--input", str(corpus), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: corpus contains no well-formed records\n"
 
+    @pytest.mark.parametrize("command", ["ingest", "text"])
+    def test_long_corpus_without_a_good_line_warns_then_fails(self, command, tmp_path, capsys):
+        # past the 1,024 warnings the reader holds back for a first record, it prints them
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("[1]\n" * 1025)
+        assert run([command, "--input", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "".join(
+            f"warning: line {n}: record must be a JSON object\n" for n in range(1, 1026)
+        ) + "error: corpus contains no well-formed records\n"
+
     @staticmethod
     def run_on_topic_matching_nothing(command, tiny_corpus_path, tmp_path) -> str:
         """Exit 2 of ``command`` on the tiny corpus with two malformed lines

@@ -6,6 +6,8 @@ its sentiment scorer (the reference one of ``test_textmine``). The fold
 must reproduce both of its series bit for bit. ``ref_output_record_to_xml``
 is the element-by-element XML writer that walking ``output_record_to_dict``
 replaced, kept the same way; the walk must write the same lines.
+``ref_detect_deviation`` is the detector before it skipped silent windows,
+kept the same way; the detector must raise the same alerts, bit for bit.
 """
 
 import gc
@@ -20,14 +22,15 @@ import threading
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import snsgraph.collector
 from snsgraph.collector import (
     MAX_BUCKETS,
+    AlertEvent,
     Buckets,
     CollectorConfig,
     DeviationConfig,
@@ -558,6 +561,38 @@ class TestEmission:
         assert back.payload.text == text
 
 
+def ref_detect_deviation(
+    series: Sequence[tuple[datetime, float]], config: DeviationConfig
+) -> list[AlertEvent]:
+    """Rolling z-score alerts over a time-ordered bucket series.
+
+    Each bucket after the first ``window`` is scored against the mean and
+    population standard deviation of the preceding window (current bucket
+    excluded); sigma is floored so constant history stays divisible. A
+    series shorter than the window yields no alerts.
+    """
+    alerts = []
+    values = [v for _, v in series]
+    for i in range(config.window, len(series)):
+        window = values[i - config.window : i]
+        mean = statistics.fmean(window)
+        std = statistics.pstdev(window)
+        sigma = max(std, config.sigma_floor)
+        z = (values[i] - mean) / sigma
+        if abs(z) >= config.z_threshold:
+            alerts.append(
+                AlertEvent(
+                    metric=config.metric,
+                    bucket=series[i][0],
+                    observed=values[i],
+                    rolling_mean=mean,
+                    rolling_std=std,
+                    z_score=z,
+                )
+            )
+    return alerts
+
+
 def series_of(values, start=NOW, step=60):
     return [(start + timedelta(seconds=i * step), float(v)) for i, v in enumerate(values)]
 
@@ -614,6 +649,26 @@ class TestDetectDeviation:
     def test_window_validated(self):
         with pytest.raises(ValueError):
             DeviationConfig(window=1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0.0, 0.02, 0.1, 0.5, 0.92, 1.0]),  # the share of non-zero buckets
+        st.lists(st.tuples(st.floats(min_value=0, max_value=1, exclude_max=True),
+                           st.one_of(st.integers(1, 50).map(float),
+                                     st.floats(min_value=-1, max_value=1).filter(bool))),
+                 max_size=80),
+        st.integers(min_value=2, max_value=12),
+        st.sampled_from([0.5, 1.0, 3.0]),
+        st.sampled_from([1e-6, 0.5, 1.0]),
+    )
+    # a single non-zero bucket right before a silent one: only the whole window shows it
+    @example(1.0, [(0.0, 1.0)] * 9 + [(0.0, 0.0)] * 5, 10, 3.0, 1e-6)
+    def test_alerts_match_the_reference(self, density, draws, window, threshold, floor):
+        # sparse series are mostly silent; dense ones hold windows more than 90% non-zero
+        series = series_of([value if u < density else 0.0 for u, value in draws])
+        config = DeviationConfig(window=window, z_threshold=threshold, sigma_floor=floor)
+        assert [repr(a) for a in detect_deviation(series, config)] == [
+            repr(a) for a in ref_detect_deviation(series, config)]
 
 
 class TestBucketize:

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import snsgraph.ingest
 from snsgraph.errors import EmptyCorpusError
 from snsgraph.ingest import (
+    HELD_DIAGNOSTICS,
     InteractionRecord,
     ParseDiagnostic,
     TopicFilter,
@@ -312,9 +313,14 @@ class TestIterCorpus:
             [i for i in items if isinstance(i, InteractionRecord)],
             [i for i in items if isinstance(i, ParseDiagnostic)])
 
+    @staticmethod
+    def counted(lines, read):
+        """``lines`` as a corpus stream that appends each line to ``read`` as it is taken."""
+        return (read.append(line) or line for line in lines)
+
     def test_diagnostics_before_the_first_record_wait_for_it(self):
         lines, read = ["{not json\n", "[1]\n", json.dumps(GOOD_LINE) + "\n", "null\n"], []
-        items = iter_corpus(read.append(line) or line for line in lines)
+        items = iter_corpus(self.counted(lines, read))
         assert next(items).line_no == 1 and len(read) == 3  # line 3 read first
         assert [getattr(i, "line_no", None) for i in items] == [2, None, 4]
 
@@ -322,6 +328,25 @@ class TestIterCorpus:
         items = iter_corpus(as_stream(["{not json", "[1]"]))
         with pytest.raises(EmptyCorpusError, match="no well-formed records"):
             next(items)
+
+    def test_at_most_1024_diagnostics_wait_for_the_first_record(self):
+        assert HELD_DIAGNOSTICS == 1024
+        read = []
+        items = iter_corpus(self.counted(["[1]\n"] * 2000 + [json.dumps(GOOD_LINE) + "\n"], read))
+        assert next(items).line_no == 1 and len(read) <= 1025
+        rest = list(items)
+        assert [i.line_no for i in rest[:-1]] == list(range(2, 2001))
+        assert isinstance(rest[-1], InteractionRecord) and len(read) == 2001
+
+    @pytest.mark.parametrize("bad_lines, yielded", [(1024, 0), (1025, 1025)])
+    def test_no_good_line_yields_its_diagnostics_only_past_the_cap(self, bad_lines,
+                                                                     yielded):
+        read, got = [], []
+        with pytest.raises(EmptyCorpusError, match="no well-formed records"):
+            for item in iter_corpus(self.counted(["[1]\n"] * bad_lines, read)):
+                got.append(item)
+        assert [d.line_no for d in got] == list(range(1, yielded + 1))
+        assert len(read) == bad_lines
 
 
 def test_astimezone_is_called_only_in_utc():

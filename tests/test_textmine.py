@@ -382,6 +382,17 @@ class TestTextPassAgainstReference:
         assert sentiments == ref
         assert [s.score.hex() for s in sentiments] == [s.score.hex() for s in ref]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(TEXTS, max_size=12), STOPWORDS, LEXICONS.filter(lambda lex: lex is not None))
+    def test_fold_counts_match_the_reference_aggregates(self, texts, stopwords, lexicon):
+        corpus = [make_record(i, "a", text=t) for i, t in enumerate(texts)]
+        fold = TextFold(stopwords, lexicon)
+        for record in corpus:
+            fold.add(record)
+        want = ref_text_aggregates(corpus, lexicon)
+        assert (fold.records, fold.scored_records, fold.positive_hits, fold.negative_hits) == (
+            want["records"], want["scored_records"], want["positive_hits"], want["negative_hits"])
+
     def test_text_command_aggregates(self, tmp_path):
         texts = ["good vote", "bad bad good", "", "meh", "great awful", "GOOD!", "the"]
         corpus = [make_record(i, "a", text=t) for i, t in enumerate(texts)]
