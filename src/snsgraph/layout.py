@@ -53,8 +53,8 @@ class LayoutConfig:
             raise ValueError("scaling_kr must be positive")
         if self.gravity_kg < 0 or self.edge_weight_influence < 0:
             raise ValueError("gravity_kg and edge_weight_influence must be non-negative")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        if not 0 < self.theta <= 2:
+            raise ValueError("theta must be in (0, 2]")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
 
@@ -142,14 +142,11 @@ def _exact_repulsion(
     return fx, fy
 
 
-def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate [start, start+count) ranges into one index array."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = counts.cumsum()
-    inner = np.arange(total) - np.repeat(ends - counts, counts)
-    return np.repeat(starts, counts) + inner
+def _expand(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(owner, entries)``: [start, start+count) ranges end to end, and each one's range."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    shift = starts - (counts.cumsum() - counts)
+    return owner, np.arange(len(owner)) + shift.take(owner)
 
 
 def _add_in_order(
@@ -191,7 +188,7 @@ class _QuadTree:
         hi = np.array([[x.max()], [y.max()]])
         cx, cy = (lo + hi) / 2.0
         half = np.array([max((hi - lo).max() / 2.0, _EPS_DIST) * 1.0000001])
-        off = np.array([[-1, -1], [1, -1], [-1, 1], [1, 1]], dtype=np.float64)
+        off = np.array([[-1, 1, -1, 1], [-1, -1, 1, 1]], dtype=np.float64)
 
         levels: list[tuple[np.ndarray, ...]] = []  # per depth, in __slots__ order
         next_id = 1
@@ -201,49 +198,48 @@ class _QuadTree:
         depth = 0
 
         while len(starts):
-            n_cells = len(starts)
             ends = starts + counts
-            m_ord = mass[order]
+            m_ord = mass.take(order)
             cum_m = np.concatenate([[0.0], np.cumsum(m_ord)])
-            cum_x = np.concatenate([[0.0], np.cumsum(m_ord * x[order])])
-            cum_y = np.concatenate([[0.0], np.cumsum(m_ord * y[order])])
-            c_mass = cum_m[ends] - cum_m[starts]
-            com_x = (cum_x[ends] - cum_x[starts]) / c_mass
-            com_y = (cum_y[ends] - cum_y[starts]) / c_mass
+            cum_x = np.concatenate([[0.0], np.cumsum(m_ord * x.take(order))])
+            cum_y = np.concatenate([[0.0], np.cumsum(m_ord * y.take(order))])
+            c_mass = cum_m.take(ends) - cum_m.take(starts)
+            com_x = (cum_x.take(ends) - cum_x.take(starts)) / c_mass
+            com_y = (cum_y.take(ends) - cum_y.take(starts)) / c_mass
             is_leaf = (counts == 1) | (depth >= _MAX_TREE_DEPTH)
 
             # Cell size: twice the largest point offset from the center of
-            # mass. A cell containing the probe node can then never pass
-            # the far test (theta <= 2), so no self-force sneaks in.
-            sel = _segments(starts, counts)
-            owner = np.repeat(np.arange(n_cells), counts)
-            pts = order[sel]
-            dx = x[pts] - com_x[owner]
-            dy = y[pts] - com_y[owner]
+            # mass. With theta <= 2 (LayoutConfig) a cell holding the probe
+            # node fails the far test unless its spread is under _EPS_DIST.
+            owner, sel = _expand(starts, counts)
+            pts = order.take(sel)
+            dx = x.take(pts) - com_x.take(owner)
+            dy = y.take(pts) - com_y.take(owner)
             spread = np.sqrt(dx * dx + dy * dy)
             size = 2.0 * np.maximum.reduceat(spread, np.cumsum(counts) - counts)
 
-            split = ~is_leaf[owner]
-            sel, owner, pts = sel[split], owner[split], pts[split]
-            key = owner * 4 + (x[pts] >= cx[owner]) + 2 * (y[pts] >= cy[owner])
+            split = np.flatnonzero(~is_leaf.take(owner))
+            sel, owner, pts = sel.take(split), owner.take(split), pts.take(split)
+            key = owner * 4 + (x.take(pts) >= cx.take(owner))
+            key += 2 * (y.take(pts) >= cy.take(owner))
             perm = np.argsort(key, kind="stable")
-            order[sel] = pts[perm]
+            order[sel] = pts.take(perm)
             uniq, first, child_points = np.unique(
-                key[perm], return_index=True, return_counts=True
+                key.take(perm), return_index=True, return_counts=True
             )
             parent = uniq // 4
-            child_count = np.bincount(parent, minlength=n_cells)
+            child_count = np.bincount(parent, minlength=len(starts))
             first_child = next_id + np.cumsum(child_count) - child_count
             next_id += len(uniq)
             levels.append(
                 (size, com_x, com_y, c_mass, first_child, child_count, starts, counts)
             )
 
-            h2 = half[parent] / 2.0
-            starts = sel[first]
+            h2 = half.take(parent) / 2.0
+            starts = sel.take(first)
             counts = child_points
-            cx = cx[parent] + off[uniq % 4, 0] * h2
-            cy = cy[parent] + off[uniq % 4, 1] * h2
+            cx = cx.take(parent) + off[0].take(uniq % 4) * h2
+            cy = cy.take(parent) + off[1].take(uniq % 4) * h2
             half = h2
             depth += 1
 
@@ -260,7 +256,7 @@ def _bh_repulsion(
     A cell is aggregated into a single point at its center of mass when
     ``distance * theta`` exceeds the cell size; otherwise its children
     are visited. Leaves are evaluated exactly with the node itself
-    excluded.
+    excluded. Gathers use ``take`` on index arrays, far cheaper than masks.
     """
     n = len(pos)
     fx, fy = np.zeros((2, n))
@@ -268,46 +264,49 @@ def _bh_repulsion(
         return fx, fy
     x, y = np.ascontiguousarray(pos.T)
     tree = _QuadTree(x, y, mass)
+    kr_mass = kr * mass
 
     nodes = np.arange(n, dtype=np.int64)
     cells = np.zeros(n, dtype=np.int64)
     while len(nodes):
-        dx = x[nodes] - tree.com_x[cells]
-        dy = y[nodes] - tree.com_y[cells]
+        dx = x.take(nodes) - tree.com_x.take(cells)
+        dy = y.take(nodes) - tree.com_y.take(cells)
         dist = np.sqrt(dx * dx + dy * dy)
         np.maximum(dist, _EPS_DIST, out=dist)
-
-        kids = tree.child_count[cells]
+        kids = tree.child_count.take(cells)
         leaf = kids == 0
-        far = (dist * theta > tree.size[cells]) & ~leaf
+        far = (dist * theta > tree.size.take(cells)) & ~leaf
+        descend = np.flatnonzero(~far & ~leaf)
+        far, leaf = np.flatnonzero(far), np.flatnonzero(leaf)
+        del dist
 
-        lc = cells[leaf]
-        counts = tree.point_count[lc]
-        src = np.repeat(nodes[leaf], counts)
-        tgt = tree.order[_segments(tree.point_start[lc], counts)]
-        keep = src != tgt
-        src, tgt = src[keep], tgt[keep]
-        pdx = x[src] - x[tgt]
-        pdy = y[src] - y[tgt]
-        d = np.sqrt(pdx * pdx + pdy * pdy)
+        lc = cells.take(leaf)
+        owner, entries = _expand(tree.point_start.take(lc), tree.point_count.take(lc))
+        src, tgt = nodes.take(leaf.take(owner)), tree.order.take(entries)
+        keep = np.flatnonzero(src != tgt)
+        src, tgt = src.take(keep), tgt.take(keep)
+        del lc, owner, entries, keep
+
+        # Far cells, then leaf points: the fixed order each node's terms are
+        # summed in. A far cell's distance is recomputed from its offsets.
+        idx = np.concatenate([nodes.take(far), src])
+        tx = np.concatenate([dx.take(far), x.take(src) - x.take(tgt)])
+        ty = np.concatenate([dy.take(far), y.take(src) - y.take(tgt)])
+        factor = kr_mass.take(idx)
+        factor *= np.concatenate([tree.mass.take(cells.take(far)), mass.take(tgt)])
+        del dx, dy, src, tgt
+        d = np.sqrt(tx * tx + ty * ty)
         np.maximum(d, _EPS_DIST, out=d)
-
-        # Far cells, then leaf points: the fixed order each node's terms are summed in.
-        idx = np.concatenate([nodes[far], src])
+        factor /= d * d
+        tx *= factor
+        ty *= factor
+        del d, factor
         if len(idx):
-            d = np.concatenate([dist[far], d])
-            other = np.concatenate([tree.mass[cells[far]], mass[tgt]])
-            factor = kr * mass[idx] * other / (d * d)
-            fx, fy = _add_in_order(
-                fx, fy, idx,
-                np.concatenate([dx[far], pdx]) * factor,
-                np.concatenate([dy[far], pdy]) * factor,
-            )
+            fx, fy = _add_in_order(fx, fy, idx, tx, ty)
+        del idx, tx, ty
 
-        descend = ~far & ~leaf
-        kids = kids[descend]
-        nodes = np.repeat(nodes[descend], kids)
-        cells = _segments(tree.first_child[cells[descend]], kids)
+        owner, cells = _expand(tree.first_child.take(cells.take(descend)), kids.take(descend))
+        nodes = nodes.take(descend.take(owner))
     return fx, fy
 
 
@@ -390,6 +389,7 @@ def _frame_to_state(
         pos = np.array([frame.positions[h] for h in arrays.nodes], dtype=np.float64)
     except KeyError as exc:
         raise ValueError(f"frame is missing a position for node {exc.args[0]}") from exc
+    pos = pos.reshape(len(arrays.nodes), 2)
     if frame.prev_forces:
         old = np.array(
             [frame.prev_forces.get(h, (0.0, 0.0)) for h in arrays.nodes],

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snsgraph.layout import (
     _BLOCK,
@@ -11,6 +12,7 @@ from snsgraph.layout import (
     LayoutConfig,
     LayoutFrame,
     _Arrays,
+    _bh_repulsion,
     _compute_forces,
     _QuadTree,
     init_layout,
@@ -19,7 +21,13 @@ from snsgraph.layout import (
 )
 from snsgraph.model import Handle, InteractionGraph, undirected_view
 
-from conftest import dyads_layout_instance, pairs_graph, random_connected_graph, two_triangle_graph
+from conftest import (
+    MENTION,
+    dyads_layout_instance,
+    pairs_graph,
+    random_connected_graph,
+    two_triangle_graph,
+)
 
 
 def fa2_step(graph, frame, config=None):
@@ -310,6 +318,38 @@ def kernel_cases():
            LayoutFrame(positions={h: (1.0, 1.0) for h in handles}))
 
 
+@st.composite
+def force_inputs(draw):
+    """(pos, arrays, config): a graph of 1-250 nodes with weighted edges, a
+    frame that may stack nodes on one point and put others 1e-13 from it
+    (multi-point leaves at ``_MAX_TREE_DEPTH``), theta in (0, 2], and a
+    repulsion scale from [0.01, 100]: off powers of two, regrouping the
+    factor changes its bits."""
+    n = draw(st.integers(1, 250))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = [Handle(f"v{i:03d}") for i in range(n)]
+    edges = {}
+    for i, j in rng.integers(n, size=(draw(st.integers(0, 3 * n)), 2)):
+        if i != j:
+            edges[(names[i], names[j], MENTION)] = int(rng.integers(1, 6))
+    config = LayoutConfig(
+        scaling_kr=draw(st.floats(0.01, 100.0)),
+        gravity_kg=draw(st.sampled_from([0.0, 1.0])),
+        edge_weight_influence=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        theta=draw(st.floats(0.0, 2.0, exclude_min=True)),
+    )
+    view = undirected_view(InteractionGraph(edges, extra_nodes=names))
+    arrays = _Arrays(view, config.edge_weight_influence)
+    pos = rng.uniform(-1.0, 1.0, size=(n, 2)) * draw(st.sampled_from([1e-6, 1.0, 40.0]))
+    points = rng.permutation(n)
+    stacked = draw(st.integers(0, n - 1))
+    nudged = draw(st.integers(0, n - 1 - stacked))
+    pos[points[1:1 + stacked]] = pos[points[0]]
+    offsets = rng.integers(0, 4, size=(nudged, 2)) * 1e-13
+    pos[points[1 + stacked:1 + stacked + nudged]] = pos[points[0]] + offsets
+    return pos, arrays, config
+
+
 def positions_array(frame):
     return np.array([frame.positions[h] for h in sorted(frame.positions)])
 
@@ -403,6 +443,24 @@ class TestBarnesHut:
             err = np.linalg.norm(np.array(approx[handle]) - np.array(exact[handle]))
             assert err / np.linalg.norm(exact[handle]) <= 0.05
 
+    def test_theta_two_adds_no_self_force(self):
+        # a node's own cell passes the far test once theta > 2, so a is
+        # pushed by its own mass (-8.02 at theta 3), hence LayoutConfig's bound
+        g = InteractionGraph({}, extra_nodes=[Handle("a"), Handle("b"), Handle("c")])
+        frame = LayoutFrame(positions={
+            Handle("a"): (0.0, 0.0), Handle("b"): (1.0, 0.0), Handle("c"): (100.0, 0.0),
+        })
+        exact = repulsion_forces(g, frame, LayoutConfig(), barnes_hut=False)
+        approx = repulsion_forces(g, frame, LayoutConfig(theta=2.0), barnes_hut=True)
+        assert exact[Handle("a")][0] == pytest.approx(-2.02)
+        for handle in (Handle("a"), Handle("b")):
+            assert np.allclose(approx[handle], exact[handle], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("barnes_hut", [False, True])
+    def test_empty_graph_has_no_forces(self, barnes_hut):
+        frame = LayoutFrame(positions={})
+        assert repulsion_forces(InteractionGraph({}), frame, barnes_hut=barnes_hut) == {}
+
     def test_coincident_points_stay_finite(self):
         handles = [Handle(f"c{i}") for i in range(8)]
         g = InteractionGraph({}, extra_nodes=handles)
@@ -482,6 +540,9 @@ class TestLayoutConfig:
             LayoutConfig(gravity_kg=-1)
         with pytest.raises(ValueError):
             LayoutConfig(theta=0)
+        with pytest.raises(ValueError, match=r"theta must be in \(0, 2\]"):
+            LayoutConfig(theta=2.5)
+        assert LayoutConfig(theta=2.0).theta == 2.0
         with pytest.raises(ValueError):
             LayoutConfig(iterations=-1)
 
@@ -532,3 +593,17 @@ class TestKernelsMatchReference:
         config = LayoutConfig()
         expected = ref_compute_forces(pos, arrays, config, False)
         assert same_bits(_compute_forces(pos, arrays, config, False), expected)
+
+
+class TestKernelsMatchReferenceOnDrawnInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(force_inputs())
+    def test_forces_and_repulsion_bit_identical(self, inputs):
+        pos, arrays, config = inputs
+        for barnes_hut in (False, True):
+            expected = ref_compute_forces(pos, arrays, config, barnes_hut)
+            assert same_bits(_compute_forces(pos, arrays, config, barnes_hut), expected)
+        kr, theta = config.scaling_kr, config.theta
+        fx, fy = _bh_repulsion(pos, arrays.mass, kr, theta)
+        expected = ref_bh_repulsion(pos, arrays.mass, kr, theta)
+        assert same_bits(np.stack([fx, fy], axis=1), expected)
