@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -78,9 +77,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 # One writer per stage table, shared by the subcommands and ``report``.
 
 def _write_communities(out: Path, partition) -> None:
-    rows = sorted(partition.assignment.items(), key=lambda item: item[0].value)
     _write_csv(out / "communities.csv", ["handle", "community_id"],
-               [(h.display(), c) for h, c in rows])
+               [(h.display(), c) for h, c in partition.assignment.items()])
 
 
 def _write_centrality(out: Path, ranking) -> None:
@@ -94,9 +92,8 @@ def _write_terms(out: Path, ranked) -> None:
 
 
 def _write_layout(out: Path, frame) -> None:
-    rows = sorted(frame.positions.items(), key=lambda item: item[0].value)
     _write_csv(out / "layout.csv", ["handle", "x", "y"],
-               [(h.display(), repr(x), repr(y)) for h, (x, y) in rows])
+               [(h.display(), repr(x), repr(y)) for h, (x, y) in frame.positions.items()])
 
 
 def _warn(diag) -> None:
@@ -171,7 +168,7 @@ def _power_config(args) -> PowerIterationConfig:
 
 def _graph_from_args(args):
     corpus = _Corpus(args)
-    if not args.input.endswith(".gexf"):
+    if not args.input.lower().endswith(".gexf"):
         return _stage.build_graph(corpus)[0]
     if corpus.topic is not None:
         raise _FlagError("--topic filters a corpus; a .gexf input holds no tags")
@@ -222,21 +219,13 @@ def _cmd_centrality(args) -> int:
     return 0
 
 
-def _load_lexicon(positive: str, negative: str) -> Lexicon:
-    """The lexicon of two word lists, warning on stderr of each word in both."""
-    lexicon = _stage.load_lexicon(positive, negative)
-    for word in lexicon.dropped_conflicts:
-        print(f"warning: {word!r} is in both lexicons; dropped from both", file=sys.stderr)
-    return lexicon
-
-
 def _text_inputs(args) -> tuple[frozenset[str] | None, Lexicon | None]:
     """The side files of `text` and `report`, read before the corpus: ``--stopwords``,
     and ``--lexicon-pos`` with ``--lexicon-neg``."""
     if bool(args.lexicon_pos) != bool(args.lexicon_neg):
         raise _FlagError("--lexicon-pos and --lexicon-neg must be given together")
     stopwords = _read_lines(args.stopwords, str.lower) if args.stopwords else None
-    lexicon = _load_lexicon(args.lexicon_pos, args.lexicon_neg) if args.lexicon_pos else None
+    lexicon = _stage.load_lexicon(args.lexicon_pos, args.lexicon_neg) if args.lexicon_pos else None
     return stopwords, lexicon
 
 
@@ -274,8 +263,6 @@ def _cmd_layout(args) -> int:
 
 def _cmd_collect(args) -> int:
     config = _stage.CollectorConfig.load(args.config)
-    if config.lexicon_positive and config.lexicon_negative:  # for its warnings: the run reloads it
-        _load_lexicon(config.lexicon_positive, config.lexicon_negative)
     stats = _stage.run_collector(config, max_cycles=1 if args.once else None)  # stops cleanly
     print(f"records={stats.records_emitted} duplicates={stats.duplicates_dropped} "
           f"alerts={stats.alerts_emitted}")
@@ -310,13 +297,8 @@ def _cmd_report(args) -> int:
     partition = _stage.louvain(graph, louvain_config)
     result, ranking = _centrality_stage(graph, power_config, top_accounts)
     ranked_terms = _stage.top_terms(text.result(), top_terms, order=args.order)
-    volume, mean = buckets.series()
+    alerts = buckets.alerts(deviation)
     frame = _stage.run_layout(graph, layout_config)
-
-    alerts = _stage.detect_deviation(volume, deviation)
-    if mean is not None:
-        alerts += _stage.detect_deviation(mean, replace(deviation, metric="mean_sentiment"))
-        alerts.sort(key=lambda a: (a.bucket, a.metric))
 
     report = _stage.AnalysisReport(
         record_count=stats.records,

@@ -26,7 +26,7 @@ import time
 import xml.etree.ElementTree as ET
 import zlib
 from contextlib import suppress
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import IO, Callable, Iterable, Sequence, Union
@@ -391,6 +391,16 @@ class Buckets:
         return volume, [(ts, self.sums[b] / self.counts[b] if b in self.counts else 0.0)
                         for (ts, _), b in zip(volume, buckets)] if self.sums else None
 
+    def alerts(self, config: DeviationConfig) -> list[AlertEvent]:
+        """The deviation stage of ``report`` and ``collect``: :func:`detect_deviation`
+        over the volume series under a ``volume`` config, and over the mean series as
+        ``mean_sentiment`` once a score was added, ordered by bucket, then metric."""
+        volume, mean = self.series()
+        alerts = detect_deviation(volume, config) if config.metric == "volume" else []
+        if mean is not None:
+            alerts += detect_deviation(mean, replace(config, metric="mean_sentiment"))
+        return sorted(alerts, key=lambda a: (a.bucket, a.metric))
+
 
 def _score(record: InteractionRecord, config: DeviationConfig, lexicon: Lexicon | None):
     """A record's bucket score: ``None`` for ``volume``, its lexicon score otherwise."""
@@ -549,8 +559,9 @@ def run_collector(
     due, :data:`MIN_CYCLE_WAIT` at least. All sources feed one serialized sink
     writer, so records never interleave mid-line; a record the sink's form cannot
     hold is skipped, with a diagnostic; a poll's diagnostics go to stderr as it
-    ends. Written records are counted into the run's :class:`Buckets`. The alerts
-    file is opened before the sink.
+    ends. Written records are counted into the run's :class:`Buckets`, whose alerts
+    are written as the run ends. The lexicon is read first, then the alerts file is
+    opened, then the sink.
     """
     if max_cycles is not None and max_cycles < 1:
         raise ValueError(f"max_cycles must be >= 1 or None, got {max_cycles}")
@@ -586,8 +597,7 @@ def run_collector(
                     break
                 sleep_fn(max(min(map(due_in, config.sources)), MIN_CYCLE_WAIT))
         stats.duplicates_dropped = sum(s.duplicates_dropped for s in states.values())
-        volume, mean = buckets.series()
-        alerts = detect_deviation(volume if mean is None else mean, config.deviation)
+        alerts = buckets.alerts(config.deviation)
         stats.alerts_emitted = len(alerts)
         for alert in alerts:
             alerts_out.write(json.dumps(alert.to_dict()) + "\n")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -70,9 +71,10 @@ def _read_words(source: str | Path | Iterable[str]) -> set[str]:
 def load_lexicon(pos_source, neg_source) -> Lexicon:
     """Load positive/negative word lists, each a path or text lines.
 
-    Words present in both lists are dropped from both and reported via
-    ``dropped_conflicts``. An empty resulting lexicon raises
-    :class:`LexiconError`.
+    Words present in both lists are dropped from both, reported via
+    ``dropped_conflicts`` and warned of on stderr, one line each in sorted
+    order. An empty resulting lexicon raises :class:`LexiconError`, with no
+    warning.
     """
     positive = _read_words(pos_source)
     negative = _read_words(neg_source)
@@ -81,10 +83,13 @@ def load_lexicon(pos_source, neg_source) -> Lexicon:
     negative -= conflicts
     if not positive and not negative:
         raise LexiconError("lexicon is empty after loading")
+    dropped = tuple(sorted(conflicts))
+    for word in dropped:
+        print(f"warning: {word!r} is in both lexicons; dropped from both", file=sys.stderr)
     return Lexicon(
         positive=frozenset(positive),
         negative=frozenset(negative),
-        dropped_conflicts=tuple(sorted(conflicts)),
+        dropped_conflicts=dropped,
     )
 
 

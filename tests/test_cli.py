@@ -437,6 +437,17 @@ class TestStages:
         assert lines[0] == "handle,community_id"
         assert len(lines) == 5
 
+    def test_gexf_suffix_in_any_case_reads_as_gexf(self, tiny_corpus_path, tmp_path):
+        out = tmp_path / "out"
+        run(["ingest", "--input", str(tiny_corpus_path), "--out", str(out)])
+        upper = tmp_path / "G.GEXF"
+        upper.write_bytes((out / "graph.gexf").read_bytes())
+        for gexf, name in ((out / "graph.gexf", "lower"), (upper, "upper")):
+            assert run(["communities", "--input", str(gexf), "--seed", "42",
+                        "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "upper" / "communities.csv").read_bytes()
+                == (tmp_path / "lower" / "communities.csv").read_bytes())
+
     def test_text_stage(self, tiny_corpus_path, tmp_path):
         out = tmp_path / "out"
         pos = tmp_path / "pos.txt"
@@ -836,7 +847,12 @@ class TestTextStage:
         assert len(calls) == 3  # the records tagged ge2017
 
     @pytest.mark.parametrize("command", ["report", "text", "collect"])
-    def test_words_in_both_lexicons_are_reported(self, command, tmp_path, capsys):
+    def test_words_in_both_lexicons_are_reported(self, command, tmp_path, capsys,
+                                                 monkeypatch):
+        reads = []
+        read_words = snsgraph.textmine._read_words
+        monkeypatch.setattr(snsgraph.textmine, "_read_words",
+                            lambda source: reads.append(source) or read_words(source))
         corpus = write_jsonl(tmp_path / "c.jsonl", [
             {"id": "1", "author": "alice", "text": "great fine bad", "mentions": ["bob"],
              "timestamp": "2017-04-21T10:00:00Z"}, {"id": "2"}])
@@ -864,6 +880,35 @@ class TestTextStage:
             "warning: 'fine' is in both lexicons; dropped from both\n"
             "warning: 'ok' is in both lexicons; dropped from both\n" + bad_line
             + (NOT_CONVERGED if command == "report" else ""))
+        assert reads == [str(pos), str(neg)]  # each lexicon file is read once
+
+
+class TestOneDeviationStage:
+    @pytest.mark.parametrize("metric", ["volume", "mean_sentiment"])
+    def test_report_and_collect_raise_the_same_alerts(self, metric, tmp_path):
+        # bursts every sixth minute and "bad" posts every seventh: both series alert
+        rows = [dict(row, mentions=[f"u{(i + 1) % 7}"]) for i, row in enumerate(bursty_rows(200))]
+        corpus = write_jsonl(tmp_path / "c.jsonl", rows)
+        pos, neg = tmp_path / "pos.txt", tmp_path / "neg.txt"
+        pos.write_text("good\n")
+        neg.write_text("bad\n")
+        alerts = tmp_path / "alerts.jsonl"
+        config = tmp_path / "collector.json"
+        config.write_text(json.dumps({
+            "sources": [{"id": "s1", "kind": "file", "location": str(corpus)}],
+            "sink": {"path": str(tmp_path / "sink.jsonl")},
+            "alerts": {"path": str(alerts)},
+            "deviation": {"metric": metric, "window": 5},
+            "lexicon": {"positive": str(pos), "negative": str(neg)}}))
+        assert run(["collect", "--config", str(config), "--once"]) == 0
+        out = tmp_path / "out"
+        assert run(["report", "--input", str(corpus), "--lexicon-pos", str(pos),
+                    "--lexicon-neg", str(neg), "--deviation-window", "5",
+                    "--iterations", "5", "--out", str(out)]) == 0
+        collected = [json.loads(line) for line in alerts.read_text().splitlines()]
+        reported = json.loads((out / "report.json").read_text())["alerts"]
+        # report raises volume alerts and, given lexicons, mean_sentiment ones too
+        assert collected and collected == [a for a in reported if a["metric"] == metric]
 
 
 class TestStartup:

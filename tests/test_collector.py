@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -707,6 +708,33 @@ class TestBucketize:
         first = InteractionRecord("0", Handle("a"), "", datetime(1, 1, 1, tzinfo=timezone.utc))
         with pytest.raises(AnalyticsError, match="leave the datetime range"):
             fold([first], 8.6e13)
+
+
+class TestBucketsAlerts:
+    @pytest.mark.parametrize("metric, scored, metrics", [
+        ("volume", False, ["volume"]),
+        ("volume", True, ["volume", "mean_sentiment"]),
+        ("mean_sentiment", True, ["mean_sentiment"]),
+    ])
+    def test_the_detector_over_the_series_the_config_picks(self, metric, scored, metrics):
+        config = DeviationConfig(metric=metric, window=5)
+        lexicon = Lexicon(frozenset({"good"}), frozenset({"bad"}))
+        buckets = Buckets(config.bucket_seconds)
+        for record in map(record_from_dict, bursty_rows(120)):
+            buckets.add(record, sentiment(record.text, lexicon).score if scored else None)
+        series = dict(zip(("volume", "mean_sentiment"), buckets.series()))
+        direct = [alert for m in metrics
+                  for alert in detect_deviation(series[m], replace(config, metric=m))]
+        alerts = buckets.alerts(config)
+        assert alerts == sorted(direct, key=lambda a: (a.bucket, a.metric))
+        assert sorted({a.metric for a in alerts}) == sorted(metrics)
+        # bursts every sixth minute, "bad" every seventh: the two metrics interleave
+        switches = sum(a.metric != b.metric for a, b in zip(alerts, alerts[1:]))
+        assert switches > 1 if len(metrics) == 2 else switches == 0
+
+    @pytest.mark.parametrize("metric", ["volume", "mean_sentiment"])
+    def test_no_records_no_alerts(self, metric):
+        assert Buckets(60.0).alerts(DeviationConfig(metric=metric)) == []
 
 
 def series_bits(series):
