@@ -325,7 +325,7 @@ def _cmd_report(args) -> int:
             "centrality_iterations": result.iterations,
         },
     )
-    report = _stage.redact(report, _stage.RedactionPolicy(allowlist=allowlist))
+    report = _stage.redact(report, _stage.RedactionPolicy(allowlist=allowlist), graph.handles)
 
     out = Path(args.out)
     _stage.export_gexf(graph, out / "graph.gexf", positions=frame, partition=partition,

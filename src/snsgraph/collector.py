@@ -23,7 +23,6 @@ import re
 import statistics
 import sys
 import time
-import xml.etree.ElementTree as ET
 import zlib
 from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -164,8 +163,12 @@ def _feed_records(document: bytes, fallback_ts: datetime) -> list[InteractionRec
     corpora.
     """
     import email.utils  # imported here: CLI start-up would pay for it
+    import xml.etree.ElementTree as ET  # here: only feeds and XML sinks load the XML parsers
 
-    root = ET.fromstring(document)
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        raise RecordParseError(str(exc)) from None
     rootname = _local_name(root.tag)
 
     def first(elem, *names) -> str | None:
@@ -254,7 +257,7 @@ def poll_source(
                 fresh[item.id] = OutputRecord(spec.id, fetched_at, item)
     except OSError as exc:  # urllib's URLError included
         return [], [SourceDiagnostic(spec.id, f"unreachable: {exc}", retryable=True)]
-    except (ET.ParseError, RecordParseError, EmptyCorpusError, ValueError) as exc:  # a bad URL
+    except (RecordParseError, EmptyCorpusError, ValueError) as exc:  # a bad URL
         return [], [SourceDiagnostic(spec.id, str(exc))]
     state.seen_ids.update(fresh)
     state.duplicates_dropped += dropped
@@ -293,6 +296,8 @@ def output_record_to_xml(record: OutputRecord) -> str:
     references so the line framing of sinks survives arbitrary text. A
     record holding a code point XML 1.0 forbids raises ``ValueError``.
     """
+    import xml.etree.ElementTree as ET
+
     obj = output_record_to_dict(record)
     if reason := _not_xml(obj):
         raise ValueError(reason)
@@ -310,6 +315,8 @@ def output_record_to_xml(record: OutputRecord) -> str:
 def _xml_object(text: str) -> dict:
     """The JSON form's object of one ``<record>`` line: the ``<tag>`` texts of
     each list field, the text (or "") of every other child element."""
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

@@ -1,8 +1,9 @@
 """Analyst reports and interchange exports (GEXF, CSV, JSON).
 
 Redaction is default-deny: every handle not on an explicit allowlist of
-public accounts is replaced by a placeholder before a report leaves the
-pipeline, leaving all numbers, orderings, and row counts untouched.
+public accounts, and every top term that is a token of such a handle, is
+replaced by a placeholder before a report leaves the pipeline, leaving all
+numbers, orderings, and row counts untouched.
 
 GEXF 1.2 export writes directed weighted edges, each with its interaction
 kind, and community ids, eigenvector scores and layout positions as node
@@ -20,8 +21,7 @@ import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Union
-from xml.parsers import expat
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Union
 
 from .errors import GexfParseError
 from .model import (
@@ -103,12 +103,24 @@ class AnalysisReport:
         }
 
 
-def redact(report: AnalysisReport, policy: RedactionPolicy) -> AnalysisReport:
-    """Replace non-allowlisted handles with the placeholder; idempotent."""
+def redact(
+    report: AnalysisReport, policy: RedactionPolicy, handles: Iterable[Handle] = ()
+) -> AnalysisReport:
+    """Replace non-allowlisted handles with the placeholder, and each top term
+    that is a :func:`~snsgraph.textmine.tokenize` token of one of ``handles``
+    not on the allowlist (compared casefolded, as a handle's ``ß`` reads ``ss``
+    when written in capitals); idempotent."""
+    from .textmine import _TOKEN_RE  # here: reading or writing GEXF needs no text stage
+
+    # tokenize(h.value) less its lower(): a handle's value is lowercase already
+    named = {t.casefold() for h in handles if h not in policy.allowlist
+             for t in _TOKEN_RE.findall(h.value)}
     accounts = tuple(
         (policy.display(handle), score) for handle, score in report.top_accounts
     )
-    return replace(report, top_accounts=accounts)
+    terms = tuple((PLACEHOLDER if term.casefold() in named else term, count, salience)
+                  for term, count, salience in report.top_terms)
+    return replace(report, top_accounts=accounts, top_terms=terms)
 
 
 # --- GEXF --------------------------------------------------------------------
@@ -197,6 +209,8 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
     Only the first ``<graph>`` is read, edges may precede their nodes, and
     node ids whose labels name one handle are a :class:`GexfParseError`.
     """
+    from xml.parsers import expat  # here: only GEXF readers load the XML parser
+
     kinds = {k.value: k for k in InteractionKind}
     default_directed: bool | None = None  # set by the first <graph>
     nodes: list[tuple] = []  # (id, label) per <node> in the first <graph>

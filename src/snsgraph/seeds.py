@@ -8,15 +8,19 @@ reproduces exactly what the composed pipeline does.
 
 from __future__ import annotations
 
-import hashlib
 import os
+
+try:  # hashlib would load OpenSSL's libcrypto; its blake2b is this one
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 SEED_ENV_VAR = "SNSGRAPH_SEED"
 
 
 def derive_seed(global_seed: int, module_name: str) -> int:
     material = f"{global_seed}:{module_name}".encode("utf-8")
-    digest = hashlib.blake2b(material, digest_size=8).digest()
+    digest = blake2b(material, digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
 
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import io
 import json
@@ -7,19 +8,21 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import snsgraph
 import snsgraph.cli
 import snsgraph.ingest
 import snsgraph.textmine
 from snsgraph.cli import main
-from snsgraph.ingest import InteractionRecord
+from snsgraph.ingest import InteractionRecord, format_rfc3339
 from snsgraph.report import import_gexf
 from snsgraph.seeds import derive_seed
 
@@ -700,6 +703,35 @@ class TestCollectStop:
             (tmp_path / "once-alerts.jsonl").read_bytes()
 
 
+# Handles as corpora spell them: mixed case, runs of "@", non-ASCII letters,
+# XML-special characters and inner whitespace; each names one account however
+# it is spelt
+HANDLES = ["alice", "ALICE", "@@Bob", "@bob", "Émile", "straße", "ΣΟΦΙΑ", "İpek", "d&<>'\"",
+           "tab\there", "u_1", "@@@U_1"]
+WORDS = ["vote", "good", "bad", "brexit", "plan", "great", "poor", "été", "@alice", "@U_1"]
+
+
+@st.composite
+def stage_inputs(draw):
+    """Corpus rows (at most 60), a topic or None, (positive, negative) lexicon
+    words or None, and a global seed."""
+    handle = st.sampled_from(HANDLES)
+    rows = [{"id": str(i), "author": draw(handle),
+             "text": " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=6))),
+             "hashtags": draw(st.lists(st.sampled_from(["ge2017", "GE2017", "other"]),
+                                       max_size=2)),
+             "in_reply_to": draw(st.none() | handle),
+             "mentions": draw(st.lists(handle, max_size=3)),
+             "follows": draw(st.lists(handle, max_size=2)),
+             "timestamp": format_rfc3339(BASE_TS + timedelta(seconds=draw(st.integers(0, 7200))))}
+            for i in range(draw(st.integers(1, 60)))]
+    topic = draw(st.none() | st.sampled_from(["ge2017", "GE2017,other"]))
+    lexicon = draw(st.none() | st.tuples(
+        st.sets(st.sampled_from(["good", "great", "plan", "été"]), min_size=1),
+        st.sets(st.sampled_from(["bad", "poor", "brexit"]), min_size=1)))
+    return rows, topic, lexicon, draw(st.integers(0, 2**32))
+
+
 class TestReportPipeline:
     def test_report_produces_all_artifacts(self, tiny_corpus_path, tmp_path):
         out = tmp_path / "out"
@@ -723,6 +755,19 @@ class TestReportPipeline:
         handles = [a["handle"] for a in report["top_accounts"]]
         assert "@alice" in handles
         assert all(h in ("@alice", "retracted") for h in handles)
+
+    def test_report_terms_name_no_redacted_account(self, tiny_corpus_path, tmp_path):
+        out = tmp_path / "out"
+        run(["report", "--input", str(tiny_corpus_path), "--top-terms", "20",
+             "--iterations", "5", "--out", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert [a["handle"] for a in report["top_accounts"]] == ["retracted"] * 6
+        terms = [t["term"] for t in report["top_terms"]]
+        assert "uklabour" not in terms and terms.count("retracted") == 1
+        # terms.csv is an interchange file: unredacted, row for row the same
+        rows = (out / "terms.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == [
+            "uklabour" if t == "retracted" else t for t in terms]
 
     def test_text_format(self, tiny_corpus_path, tmp_path):
         out = tmp_path / "out"
@@ -749,6 +794,36 @@ class TestReportPipeline:
 
         for name in ("communities.csv", "centrality.csv", "terms.csv", "layout.csv"):
             assert (full / name).read_bytes() == (stages / name).read_bytes(), name
+
+    @settings(max_examples=25, deadline=None)
+    @given(inputs=stage_inputs())
+    def test_report_equals_stage_composition_on_drawn_corpora(self, inputs):
+        rows, topic, lexicon, seed = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = str(write_jsonl(Path(tmp, "corpus.jsonl"), rows))
+            full, stages = Path(tmp, "full"), Path(tmp, "stages")
+            seeded = ["--seed", str(seed)]
+            source = ["--input", corpus] + (["--topic", topic] if topic else [])
+            lexicon_flags = []
+            for flag, words in zip(("--lexicon-pos", "--lexicon-neg"), lexicon or ()):
+                path = Path(tmp, flag[2:])
+                path.write_text("".join(w + "\n" for w in sorted(words)), encoding="utf-8")
+                lexicon_flags += [flag, str(path)]
+            reported = run(["report", *source, *lexicon_flags, *seeded, "--iterations", "5",
+                            "--out", str(full)])
+            gexf = str(stages / "graph.gexf")
+            chained = [
+                run(["ingest", *source, "--out", str(stages)]),
+                run(["communities", "--input", gexf, *seeded, "--out", str(stages)]),
+                run(["centrality", "--input", gexf, "--out", str(stages)]),
+                run(["layout", "--input", gexf, "--iterations", "5", *seeded,
+                     "--out", str(stages)]),
+                run(["text", *source, *lexicon_flags, "--out", str(stages)]),
+            ]
+            assert (reported == 0) == (chained == [0] * 5), (reported, chained)
+            tables = ("communities.csv", "centrality.csv", "terms.csv", "layout.csv")
+            for name in tables if reported == 0 else ():
+                assert (full / name).read_bytes() == (stages / name).read_bytes(), name
 
     def test_reproducible_across_processes(self, tiny_corpus_path, tmp_path):
         # different hash seeds must not perturb any output byte
@@ -914,7 +989,7 @@ class TestOneDeviationStage:
 class TestStartup:
     def test_cli_import_leaves_network_modules_unloaded(self):
         probe = ("import sys, snsgraph.cli; "
-                 "print(sorted({'urllib.request', 'email.utils'} & set(sys.modules)))")
+                 "print(sorted({'urllib.request', 'email.utils', '_hashlib'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True)
         assert proc.stdout == "[]\n"
@@ -942,6 +1017,31 @@ class TestStartup:
                               capture_output=True, text=True, check=True)
         assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], True, True]
         assert (out / "terms.csv").is_file() and (out / "communities.csv").is_file()
+
+    def test_only_gexf_readers_load_xml_and_none_loads_openssl(self, tiny_corpus_path,
+                                                               tmp_path):
+        # a fresh interpreter: pytest has already imported hashlib and the XML parsers
+        config = tmp_path / "collector.json"
+        config.write_text(json.dumps({
+            "sources": [{"id": "s1", "kind": "file", "location": str(tiny_corpus_path)}],
+            "sink": {"path": str(tmp_path / "sink.jsonl"), "format": "json"},
+        }))
+        probe = (
+            "import json, sys\n"
+            "from snsgraph.cli import main\n"
+            "corpus, config, out = sys.argv[1:]\n"
+            "native = ('_hashlib', 'pyexpat', 'xml.etree.ElementTree')\n"
+            "codes = [main(['ingest', '--input', corpus, '--out', out]),\n"
+            "         main(['text', '--input', corpus, '--out', out]),\n"
+            "         main(['report', '--input', corpus, '--iterations', '5', '--out', out]),\n"
+            "         main(['collect', '--config', config, '--once'])]\n"
+            "lean = [m for m in native if m in sys.modules]\n"
+            "codes.append(main(['communities', '--input', out + '/graph.gexf', '--out', out]))\n"
+            "print(json.dumps([codes, lean, [m for m in native if m in sys.modules]]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe, str(tiny_corpus_path), str(config),
+                               str(tmp_path / "out")], capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0, 0], [], ["pyexpat"]]
 
 
 class TestBenchmarkHooks:
@@ -994,6 +1094,13 @@ class TestSeedDerivation:
 
     def test_derivation_is_stable(self):
         assert derive_seed(42, "louvain") == derive_seed(42, "louvain")
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(-2**70, 2**70),
+           name=st.text(st.characters(exclude_categories=("Cs",)), max_size=12))
+    def test_matches_hashlib_blake2b(self, seed, name):
+        digest = hashlib.blake2b(f"{seed}:{name}".encode(), digest_size=8).digest()
+        assert derive_seed(seed, name) == int.from_bytes(digest, "big") >> 1
 
     def test_env_fallback(self, tiny_corpus_path, tmp_path, monkeypatch):
         out_env = tmp_path / "env"

@@ -12,6 +12,7 @@ import json
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Union
@@ -36,6 +37,7 @@ from snsgraph.model import (
 from snsgraph.report import (
     _CHUNK,
     AnalysisReport,
+    PLACEHOLDER,
     RedactionPolicy,
     export_gexf,
     import_gexf,
@@ -43,6 +45,7 @@ from snsgraph.report import (
     render_report,
     report_from_json,
 )
+from snsgraph.textmine import tokenize
 
 from conftest import pairs_graph, random_connected_graph, two_triangle_graph
 
@@ -285,6 +288,47 @@ class TestRedact:
         policy = RedactionPolicy.of("BarrYGardiner")
         report = sample_report(accounts=(("@barrygardiner", 0.002),))
         assert redact(report, policy).top_accounts == (("@barrygardiner", 0.002),)
+
+    def test_terms_that_name_a_handle_are_redacted(self):
+        report = replace(sample_report(), top_terms=(
+            ("janedoe", 5, 0.3), ("vote", 4, 0.2), ("private", 3, 0.1), ("corbyn", 2, 0.1)))
+        handles = [Handle("@JaneDoe_private"), Handle("corbyn")]
+        redacted = redact(report, RedactionPolicy.of("Corbyn"), handles)
+        assert redacted.top_terms == (
+            (PLACEHOLDER, 5, 0.3), ("vote", 4, 0.2), (PLACEHOLDER, 3, 0.1), ("corbyn", 2, 0.1))
+        assert redact(redacted, RedactionPolicy.of("Corbyn"), handles) == redacted
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        names=st.lists(st.text("aBz09_\u00e9\u00c9\u03a3\u03c3\u03c2\u00df\u0130",
+                               min_size=1, max_size=8), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_no_term_names_a_handle_off_the_allowlist(self, names, data):
+        # each handle is named in text as written, upper- or lowercased, with or
+        # without its "@"; the terms are the texts' tokens and some plain words
+        handles = [Handle(raw) for raw in names]
+        allowed = data.draw(st.sets(st.sampled_from(names)))
+        written = [data.draw(st.sampled_from(["", "@", "@@"]))
+                   + data.draw(st.sampled_from([str, str.upper, str.lower]))(raw)
+                   for raw in names]
+        tokens = [tokenize(text) for text in written]
+        terms = list(dict.fromkeys(
+            [t for ts in tokens for t in ts] + ["vote", "uk", "b", "z9", "\u00e9"]))
+        report = replace(sample_report(), top_terms=tuple(
+            (term, 100 - i, 1 / (i + 1)) for i, term in enumerate(terms)))
+        policy = RedactionPolicy.of(*allowed)
+        redacted = redact(report, policy, handles)
+
+        kept = {term for term, _, _ in redacted.top_terms}
+        private = {t for h, ts in zip(handles, tokens) if h not in policy.allowlist for t in ts}
+        assert kept & private <= {PLACEHOLDER}
+        assert [row[1:] for row in redacted.top_terms] == [row[1:] for row in report.top_terms]
+        named = {t.casefold() for h in handles if h not in policy.allowlist
+                 for t in tokenize(h.value)}
+        for (term, _, _), (after, _, _) in zip(report.top_terms, redacted.top_terms):
+            assert after == (PLACEHOLDER if term.casefold() in named else term)
+        assert redact(redacted, policy, handles) == redacted
 
 
 class TestGexfRoundTrip:
