@@ -104,17 +104,15 @@ class AnalysisReport:
 
 
 def redact(
-    report: AnalysisReport, policy: RedactionPolicy, handles: Iterable[Handle] = ()
+    report: AnalysisReport, policy: RedactionPolicy, handles: Iterable[Handle]
 ) -> AnalysisReport:
     """Replace non-allowlisted handles with the placeholder, and each top term
     that is a :func:`~snsgraph.textmine.tokenize` token of one of ``handles``
     not on the allowlist (compared casefolded, as a handle's ``ß`` reads ``ss``
     when written in capitals); idempotent."""
-    from .textmine import _TOKEN_RE  # here: reading or writing GEXF needs no text stage
+    from .textmine import handle_tokens  # here: reading or writing GEXF needs no text stage
 
-    # tokenize(h.value) less its lower(): a handle's value is lowercase already
-    named = {t.casefold() for h in handles if h not in policy.allowlist
-             for t in _TOKEN_RE.findall(h.value)}
+    named = handle_tokens(h.value for h in handles if h not in policy.allowlist)
     accounts = tuple(
         (policy.display(handle), score) for handle, score in report.top_accounts
     )

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import os
 
-try:  # hashlib would load OpenSSL's libcrypto; its blake2b is this one
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
+from _blake2 import blake2b  # hashlib.blake2b is this; importing hashlib maps libcrypto
 
 SEED_ENV_VAR = "SNSGRAPH_SEED"
 

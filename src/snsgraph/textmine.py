@@ -39,6 +39,12 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def handle_tokens(values: Iterable[str]) -> set[str]:
+    """The :func:`tokenize` tokens of each of ``values``, casefolded, as a
+    handle's ``ß`` reads ``ss`` when written in capitals."""
+    return {t.casefold() for value in values for t in _TOKEN_RE.findall(value.lower())}
+
+
 @dataclass(frozen=True)
 class Lexicon:
     positive: frozenset[str]

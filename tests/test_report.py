@@ -259,26 +259,31 @@ def sample_report(accounts=None):
     )
 
 
+def sample_handles():
+    """The graph handles behind :func:`sample_report`'s accounts."""
+    return [Handle(h) for h, _ in sample_report().top_accounts]
+
+
 class TestRedact:
     def test_allowlisted_kept_private_replaced(self):
         policy = RedactionPolicy.of("jeremycorbyn")
-        redacted = redact(sample_report(), policy)
+        redacted = redact(sample_report(), policy, sample_handles())
         assert redacted.top_accounts == (
             ("@jeremycorbyn", 0.015), ("retracted", 0.003),
         )
 
     def test_empty_allowlist_redacts_all(self):
-        redacted = redact(sample_report(), RedactionPolicy())
+        redacted = redact(sample_report(), RedactionPolicy(), sample_handles())
         assert all(h == "retracted" for h, _ in redacted.top_accounts)
 
     def test_idempotent(self):
         policy = RedactionPolicy.of("jeremycorbyn")
-        once = redact(sample_report(), policy)
-        assert redact(once, policy) == once
+        once = redact(sample_report(), policy, sample_handles())
+        assert redact(once, policy, sample_handles()) == once
 
     def test_numbers_rows_order_untouched(self):
         report = sample_report()
-        redacted = redact(report, RedactionPolicy())
+        redacted = redact(report, RedactionPolicy(), sample_handles())
         assert [s for _, s in redacted.top_accounts] == [s for _, s in report.top_accounts]
         assert redacted.top_terms == report.top_terms
         assert redacted.modularity_q == report.modularity_q
@@ -287,7 +292,7 @@ class TestRedact:
     def test_case_insensitive_allowlist(self):
         policy = RedactionPolicy.of("BarrYGardiner")
         report = sample_report(accounts=(("@barrygardiner", 0.002),))
-        assert redact(report, policy).top_accounts == (("@barrygardiner", 0.002),)
+        assert redact(report, policy, [Handle("barrygardiner")]).top_accounts == (("@barrygardiner", 0.002),)
 
     def test_terms_that_name_a_handle_are_redacted(self):
         report = replace(sample_report(), top_terms=(

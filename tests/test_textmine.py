@@ -30,6 +30,7 @@ from snsgraph.textmine import (
     TermStats,
     TextFold,
     _sentiment,
+    handle_tokens,
     load_lexicon,
     sentiment,
     term_stats,
@@ -201,6 +202,14 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert tokenize("snap_election") == ["snap", "election"]
+
+    def test_handle_tokens_example(self):
+        assert handle_tokens(["jane_doe", "Stra\u00dfe"]) == {"jane", "doe", "strasse"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text("aBz09_@ \u00e9\u00c9\u03a3\u03c3\u03c2\u00df\u0130"), max_size=5))
+    def test_handle_tokens_are_casefolded_tokenize_tokens(self, values):
+        assert handle_tokens(values) == {t.casefold() for v in values for t in tokenize(v)}
 
 
 class TestLoadLexicon:
