@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -287,10 +288,13 @@ def _cmd_report(args) -> int:
 
     text = _stage.TextFold(*text_inputs)
     buckets = _stage.Buckets(deviation.bucket_seconds)
+    named = set()
 
     def fold(record):  # one pass: each on-topic record is counted, then handed to the graph
         summary = text.add(record)
         buckets.add(record, None if summary is None else summary.score)
+        if "@" in record.text:  # words written as handles, which the graph may not hold
+            named.update(re.findall(r"@([^\s@]+)", record.text))
         return record
 
     graph, stats = _stage.build_graph(map(fold, corpus))
@@ -325,7 +329,8 @@ def _cmd_report(args) -> int:
             "centrality_iterations": result.iterations,
         },
     )
-    report = _stage.redact(report, _stage.RedactionPolicy(allowlist=allowlist), graph.handles)
+    report = _stage.redact(report, _stage.RedactionPolicy(allowlist=allowlist),
+                           graph.handles, named)
 
     out = Path(args.out)
     _stage.export_gexf(graph, out / "graph.gexf", positions=frame, partition=partition,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Union
 
 from .errors import EmptyCorpusError
-from .model import Handle, InteractionGraph, InteractionKind, ValueEdge, _unmark
+from .model import Handle, InteractionGraph, InteractionKind, _unmark
 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # JSON's "\\ud800" decodes to one
 HELD_DIAGNOSTICS = 1024  # most diagnostics iter_corpus holds back before a first record
@@ -270,20 +271,19 @@ def build_graph(
     record order.
     """
     stats = IngestStats()
-    handles: dict[str, Handle] = {}
-    counts: dict[ValueEdge, int] = {}
+    seen: dict[str, tuple[int, Handle]] = {}  # handle value -> (id by first sight, handle)
+    keys, key = array("q"), InteractionGraph.key  # one 8-byte key per interaction
     for record in records:
         stats.records += 1
         for src, dst, kind in record.interactions():
             if src.value == dst.value:
                 stats.self_loops_dropped += 1
                 continue
-            stats.interactions += 1
-            handles.setdefault(src.value, src)
-            handles.setdefault(dst.value, dst)
-            key = (src.value, dst.value, kind)
-            counts[key] = counts.get(key, 0) + 1
-    graph = InteractionGraph.interned(handles, counts)
+            s = seen.setdefault(src.value, (len(seen), src))[0]
+            d = seen.setdefault(dst.value, (len(seen), dst))[0]
+            keys.append(key(s, d, kind))
+    stats.interactions = len(keys)
+    graph = InteractionGraph.packed([h for _, h in seen.values()], keys)
     stats.node_count = graph.node_count
     stats.edge_count = graph.edge_count
     return graph, stats

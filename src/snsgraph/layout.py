@@ -34,6 +34,7 @@ _EPS_DIST = 1e-9
 _MAX_TREE_DEPTH = 48
 _MIN_SPEED_EFFICIENCY = 0.05
 _BLOCK = 65_536  # elements per exact-repulsion block
+_BH_NODES = 2048  # nodes per Barnes-Hut walk: bounds the walk's frontier arrays
 _JITTER_TOLERANCE = 1.0  # ForceAtlas2's default jitter tolerance
 
 
@@ -266,47 +267,49 @@ def _bh_repulsion(
     tree = _QuadTree(x, y, mass)
     kr_mass = kr * mass
 
-    nodes = np.arange(n, dtype=np.int64)
-    cells = np.zeros(n, dtype=np.int64)
-    while len(nodes):
-        dx = x.take(nodes) - tree.com_x.take(cells)
-        dy = y.take(nodes) - tree.com_y.take(cells)
-        dist = np.sqrt(dx * dx + dy * dy)
-        np.maximum(dist, _EPS_DIST, out=dist)
-        kids = tree.child_count.take(cells)
-        leaf = kids == 0
-        far = (dist * theta > tree.size.take(cells)) & ~leaf
-        descend = np.flatnonzero(~far & ~leaf)
-        far, leaf = np.flatnonzero(far), np.flatnonzero(leaf)
-        del dist
+    for lo in range(0, n, _BH_NODES):  # one tree, walked for a chunk of nodes at a time
+        hi = min(lo + _BH_NODES, n)
+        nodes = np.arange(lo, hi, dtype=np.int64)
+        cells = np.zeros(hi - lo, dtype=np.int64)
+        while len(nodes):
+            dx = x.take(nodes) - tree.com_x.take(cells)
+            dy = y.take(nodes) - tree.com_y.take(cells)
+            dist = np.sqrt(dx * dx + dy * dy)
+            np.maximum(dist, _EPS_DIST, out=dist)
+            kids = tree.child_count.take(cells)
+            leaf = kids == 0
+            far = (dist * theta > tree.size.take(cells)) & ~leaf
+            descend = np.flatnonzero(~far & ~leaf)
+            far, leaf = np.flatnonzero(far), np.flatnonzero(leaf)
+            del dist
 
-        lc = cells.take(leaf)
-        owner, entries = _expand(tree.point_start.take(lc), tree.point_count.take(lc))
-        src, tgt = nodes.take(leaf.take(owner)), tree.order.take(entries)
-        keep = np.flatnonzero(src != tgt)
-        src, tgt = src.take(keep), tgt.take(keep)
-        del lc, owner, entries, keep
+            lc = cells.take(leaf)
+            owner, entries = _expand(tree.point_start.take(lc), tree.point_count.take(lc))
+            src, tgt = nodes.take(leaf.take(owner)), tree.order.take(entries)
+            keep = np.flatnonzero(src != tgt)
+            src, tgt = src.take(keep), tgt.take(keep)
+            del lc, owner, entries, keep
 
-        # Far cells, then leaf points: the fixed order each node's terms are
-        # summed in. A far cell's distance is recomputed from its offsets.
-        idx = np.concatenate([nodes.take(far), src])
-        tx = np.concatenate([dx.take(far), x.take(src) - x.take(tgt)])
-        ty = np.concatenate([dy.take(far), y.take(src) - y.take(tgt)])
-        factor = kr_mass.take(idx)
-        factor *= np.concatenate([tree.mass.take(cells.take(far)), mass.take(tgt)])
-        del dx, dy, src, tgt
-        d = np.sqrt(tx * tx + ty * ty)
-        np.maximum(d, _EPS_DIST, out=d)
-        factor /= d * d
-        tx *= factor
-        ty *= factor
-        del d, factor
-        if len(idx):
-            fx, fy = _add_in_order(fx, fy, idx, tx, ty)
-        del idx, tx, ty
+            # Far cells, then leaf points: the fixed order each node's terms are
+            # summed in. A far cell's distance is recomputed from its offsets.
+            idx = np.concatenate([nodes.take(far), src])
+            tx = np.concatenate([dx.take(far), x.take(src) - x.take(tgt)])
+            ty = np.concatenate([dy.take(far), y.take(src) - y.take(tgt)])
+            factor = kr_mass.take(idx)
+            factor *= np.concatenate([tree.mass.take(cells.take(far)), mass.take(tgt)])
+            del dx, dy, src, tgt
+            d = np.sqrt(tx * tx + ty * ty)
+            np.maximum(d, _EPS_DIST, out=d)
+            factor /= d * d
+            tx *= factor
+            ty *= factor
+            del d, factor
+            if len(idx):
+                fx[lo:hi], fy[lo:hi] = _add_in_order(fx[lo:hi], fy[lo:hi], idx - lo, tx, ty)
+            del idx, tx, ty
 
-        owner, cells = _expand(tree.first_child.take(cells.take(descend)), kids.take(descend))
-        nodes = nodes.take(descend.take(owner))
+            owner, cells = _expand(tree.first_child.take(cells.take(descend)), kids.take(descend))
+            nodes = nodes.take(descend.take(owner))
     return fx, fy
 
 

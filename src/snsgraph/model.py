@@ -20,7 +20,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,6 +103,7 @@ class InteractionGraph:
     """
 
     kinds = tuple(sorted(InteractionKind, key=lambda k: k.value))
+    _kind_code = {k: i for i, k in enumerate(kinds)}
 
     __slots__ = ("handles", "index", "src", "dst", "kind", "weight",
                  "total_weight", "directed", "undirected")
@@ -116,7 +117,7 @@ class InteractionGraph:
             counts[(src.value, dst.value, kind)] = weight
         for h in extra_nodes:
             handles.setdefault(h.value, h)
-        self._index(handles, counts)
+        self._index(*_pack(handles, counts))
 
     @classmethod
     def interned(
@@ -124,44 +125,61 @@ class InteractionGraph:
     ) -> "InteractionGraph":
         """Build from counts keyed on handle values; ``handles`` maps each
         value to its handle. Neither mapping is kept."""
+        return cls.packed(*_pack(handles, counts))
+
+    @staticmethod
+    def key(src: int, dst: int, kind: InteractionKind) -> int:
+        """The :meth:`packed` key of a ``kind`` interaction from node ``src`` to ``dst``."""
+        return (src << 32 | dst) << 2 | InteractionGraph._kind_code[kind]
+
+    @classmethod
+    def packed(cls, handles: Sequence[Handle], keys, weights=None) -> "InteractionGraph":
+        """Build from one :meth:`key` per interaction over ``handles``' positions,
+        weighing its entry of ``weights`` or 1; equal keys add up. ``handles``
+        hold distinct values."""
         graph = cls.__new__(cls)
-        graph._index(handles, counts)
+        graph._index(handles, keys, weights)
         return graph
 
-    def _index(self, handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]) -> None:
+    def _index(self, handles: Sequence[Handle], keys, weights) -> None:
         import numpy as np
 
-        for (s, d, _), weight in counts.items():  # before int64 truncates 2.5 to 2
-            if s == d:
-                raise ValueError(f"self-loop not allowed: @{s}")
-            if not 1 <= weight < math.inf or weight != int(weight):  # NaN, inf fail
-                raise ValueError(f"edge weight must be a positive count, got {weight!r}")
-        if (total := sum(counts.values())) > _INT64_MAX:
-            raise ValueError(f"total edge weight {total} exceeds 2**63 - 1")
-        values = sorted(handles)
-        self.handles = [handles[v] for v in values]
-        self.index = index = {v: i for i, v in enumerate(values)}
-        m = len(counts)
-        code = {k: i for i, k in enumerate(self.kinds)}
-        src = np.fromiter((index[e[0]] for e in counts), np.int64, m)
-        dst = np.fromiter((index[e[1]] for e in counts), np.int64, m)
-        kind = np.fromiter((code[e[2]] for e in counts), np.int8, m)
-        weight = np.fromiter(counts.values(), np.int64, m)
-        order = np.lexsort((kind, dst, src))
-        self.src, self.dst, self.kind, self.weight = (a[order] for a in (src, dst, kind, weight))
+        def runs(keys, weights):  # each distinct sorted key, with its weights added in order
+            if not len(keys):
+                return keys, weights
+            new = np.diff(keys, prepend=-1) != 0
+            return keys[new], np.bincount(np.cumsum(new) - 1, weights)
+
+        n = len(handles)
+        order = sorted(range(n), key=[h.value for h in handles].__getitem__)
+        self.handles = [handles[i] for i in order]
+        self.index = {h.value: i for i, h in enumerate(self.handles)}
+        rank = np.argsort(np.asarray(order, np.int64))  # position -> sorted index
+        keys = np.asarray(keys, np.int64)  # re-keyed (src * n + dst) * 3 + kind over ranks
+        key = (rank[keys >> 34] * n + rank[keys >> 2 & 0xFFFFFFFF]) * 3 + (keys & 3)
+        perm = key.argsort()
+        key = key[perm]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        pair, kind = np.divmod(key[first], 3)
+        self.src, self.dst = np.divmod(pair, n)
+        self.kind = kind.astype(np.int8)
+        self.weight = (np.diff(np.append(first, len(key))) if weights is None
+                       else np.add.reduceat(np.asarray(weights, np.int64)[perm], first))
         for array in (self.src, self.dst, self.kind, self.weight):
             array.flags.writeable = False
         self.total_weight = int(self.weight.sum())
 
-        n, total = len(values), float(self.total_weight)
-        msrc, mdst, mw = _sum_by_pair(self.src, self.dst, self.weight.astype(np.float64), n)
+        # Each directed pair adds its at most three kinds in kind order, and each
+        # undirected pair its at most two arcs, in either order: float sums that
+        # keep their bits.
+        total = float(self.total_weight)
+        pair, mw = runs(pair, self.weight.astype(np.float64))
+        msrc, mdst = np.divmod(pair, n)
         self.directed = GraphView(self, msrc, mdst, mw, total)
-        self.undirected = GraphView(
-            self,
-            *_sum_by_pair(np.concatenate([msrc, mdst]), np.concatenate([mdst, msrc]),
-                          np.concatenate([mw, mw]), n),
-            total,
-        )
+        both = np.concatenate([pair, mdst * n + msrc])
+        perm = both.argsort()
+        both, uw = runs(both[perm], np.concatenate([mw, mw])[perm])
+        self.undirected = GraphView(self, *np.divmod(both, n), uw, total)
 
     @property
     def nodes(self) -> list[Handle]:
@@ -239,14 +257,18 @@ class GraphView:
             yield self.handles[i], self.handles[j], w
 
 
-def _sum_by_pair(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int):
-    """Merge arcs with equal ``(src, dst)``; the result is in ``(src, dst)`` order."""
-    import numpy as np
-
-    if not len(src):
-        return src, dst, weights
-    pairs, slot = np.unique(src * n + dst, return_inverse=True)
-    return pairs // n, pairs % n, np.bincount(slot, weights=weights, minlength=len(pairs))
+def _pack(handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]):
+    """The :meth:`InteractionGraph.packed` arguments of valid ``counts``."""
+    for (s, d, _), weight in counts.items():  # before int64 truncates 2.5 to 2
+        if s == d:
+            raise ValueError(f"self-loop not allowed: @{s}")
+        if not 1 <= weight < math.inf or weight != int(weight):  # NaN, inf fail
+            raise ValueError(f"edge weight must be a positive count, got {weight!r}")
+    if (total := sum(counts.values())) > _INT64_MAX:
+        raise ValueError(f"total edge weight {total} exceeds 2**63 - 1")
+    ids = {v: i for i, v in enumerate(handles)}
+    keys = [InteractionGraph.key(ids[s], ids[d], k) for s, d, k in counts]
+    return list(handles.values()), keys, list(counts.values())
 
 
 def merge_kinds(graph: InteractionGraph) -> GraphView:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,7 +32,6 @@ from .model import (
     InteractionGraph,
     InteractionKind,
     Partition,
-    ValueEdge,
 )
 
 if TYPE_CHECKING:  # annotations only: reading or writing GEXF needs neither module
@@ -104,15 +104,18 @@ class AnalysisReport:
 
 
 def redact(
-    report: AnalysisReport, policy: RedactionPolicy, handles: Iterable[Handle]
+    report: AnalysisReport, policy: RedactionPolicy, handles: Iterable[Handle],
+    written: Iterable[str],
 ) -> AnalysisReport:
     """Replace non-allowlisted handles with the placeholder, and each top term
     that is a :func:`~snsgraph.textmine.tokenize` token of one of ``handles``
-    not on the allowlist (compared casefolded, as a handle's ``ß`` reads ``ss``
-    when written in capitals); idempotent."""
+    not on the allowlist, or of a word ``written`` after an ``@`` in a text
+    that no allowlisted handle has (compared casefolded, as a handle's ``ß``
+    reads ``ss`` when written in capitals); idempotent."""
     from .textmine import handle_tokens  # here: reading or writing GEXF needs no text stage
 
     named = handle_tokens(h.value for h in handles if h not in policy.allowlist)
+    named |= handle_tokens(written) - handle_tokens(h.value for h in policy.allowlist)
     accounts = tuple(
         (policy.display(handle), score) for handle, score in report.top_accounts
     )
@@ -278,8 +281,8 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
             raise GexfParseError(f"GEXF nodes {owner[handle.value]!r} and {node_id!r} "
                                  f"both name {handle.display()}")
 
-    handles = {h.value: h for h in id_to_handle.values()}
-    counts: dict[ValueEdge, int] = {}
+    ids = {node_id: i for i, node_id in enumerate(id_to_handle)}  # one handle each
+    keys, weights = array("q"), array("q")  # one packed key and weight per arc
     total = 0  # bounds every weight and per-edge sum: the graph stores int64
     for (edge_id, src_id, dst_id, raw_weight, directed), kind in zip(edges, edge_kinds):
         if src_id is None or dst_id is None:
@@ -294,16 +297,17 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
         if weight < 1:
             raise GexfParseError(f"GEXF edge {edge_id!r} "
                                  f"has weight {raw_weight!r}, not a positive count")
-        src, dst = id_to_handle[src_id].value, id_to_handle[dst_id].value
-        if src == dst:
+        if src_id == dst_id:  # a self-loop: no two ids name one handle
             continue
-        for key in ((src, dst, kind),) if directed else ((src, dst, kind), (dst, src, kind)):
-            counts[key] = counts.get(key, 0) + weight
-            total += weight
-        if total > _INT64_MAX:
+        s, d = ids[src_id], ids[dst_id]
+        arcs = ((s, d),) if directed else ((s, d), (d, s))
+        if (total := total + weight * len(arcs)) > _INT64_MAX:
             raise GexfParseError(f"GEXF edge {edge_id!r} (weight {raw_weight!r}) "
                                  "takes the total weight past 2**63 - 1")
-    return InteractionGraph.interned(handles, counts)
+        for a, b in arcs:
+            keys.append(InteractionGraph.key(a, b, kind))
+            weights.append(weight)
+    return InteractionGraph.packed(list(id_to_handle.values()), keys, weights)
 
 
 # --- rendering ---------------------------------------------------------------

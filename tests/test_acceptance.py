@@ -298,8 +298,8 @@ def test_criterion_8_round_trips(tmp_path):
     policy = RedactionPolicy.of("jeremycorbyn")
     report = sample_report()
     handles = [Handle(h) for h, _ in report.top_accounts]
-    once = redact(report, policy, handles)
-    assert redact(once, policy, handles) == once
+    once = redact(report, policy, handles, ())
+    assert redact(once, policy, handles, ()) == once
     assert [s for _, s in once.top_accounts] == [s for _, s in report.top_accounts]
     assert once.top_terms == report.top_terms
 

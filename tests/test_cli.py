@@ -769,6 +769,24 @@ class TestReportPipeline:
         assert [r.split(",")[0] for r in rows] == [
             "uklabour" if t == "retracted" else t for t in terms]
 
+    @pytest.mark.parametrize("allowed", [False, True])
+    def test_report_terms_name_no_account_named_only_in_text(self, allowed, tmp_path):
+        rows = [{"id": "1", "author": "alice", "text": "lunch with @JaneSecret today",
+                 "mentions": ["bob"], "timestamp": "2017-04-21T10:00:00Z"},
+                {"id": "2", "author": "bob", "text": "see you", "mentions": ["alice"],
+                 "timestamp": "2017-04-21T10:01:00Z"}]
+        corpus = write_jsonl(tmp_path / "c.jsonl", rows)
+        allow = tmp_path / "allow.txt"
+        allow.write_text("@janesecret\n" if allowed else "# nobody\n")
+        out = tmp_path / "out"
+        assert run(["report", "--input", str(corpus), "--top-terms", "20", "--iterations", "5",
+                    "--redact-allowlist", str(allow), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [a["handle"] for a in report["top_accounts"]] == ["retracted"] * 2
+        terms = [t["term"] for t in report["top_terms"]]
+        assert ("janesecret" in terms) == allowed and ("retracted" in terms) != allowed
+        assert {"lunch", "with", "today", "see", "you"} <= set(terms)
+
     def test_text_format(self, tiny_corpus_path, tmp_path):
         out = tmp_path / "out"
         run(["report", "--input", str(tiny_corpus_path), "--topic", "ge2017",
@@ -824,6 +842,33 @@ class TestReportPipeline:
             tables = ("communities.csv", "centrality.csv", "terms.csv", "layout.csv")
             for name in tables if reported == 0 else ():
                 assert (full / name).read_bytes() == (stages / name).read_bytes(), name
+
+    @settings(max_examples=15, deadline=None)
+    @given(inputs=stage_inputs())
+    def test_report_on_a_collect_sink_equals_report_on_its_corpus(self, inputs):
+        # the sink round trip docs/formats.md promises: a corpus written through
+        # `collect --once` reports as the corpus itself does, file for file
+        rows, topic, lexicon, seed = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = str(write_jsonl(Path(tmp, "corpus.jsonl"), rows))
+            sink, config = Path(tmp, "sink.jsonl"), Path(tmp, "collector.json")
+            config.write_text(json.dumps({
+                "sources": [{"id": "s1", "kind": "file", "location": corpus}],
+                "sink": {"path": str(sink)}}))
+            assert run(["collect", "--config", str(config), "--once"]) == 0
+            flags = (["--topic", topic] if topic else []) + ["--seed", str(seed)]
+            for flag, words in zip(("--lexicon-pos", "--lexicon-neg"), lexicon or ()):
+                path = Path(tmp, flag[2:])
+                path.write_text("".join(w + "\n" for w in sorted(words)), encoding="utf-8")
+                flags += [flag, str(path)]
+            outs = [Path(tmp, "direct"), Path(tmp, "collected")]
+            codes = [run(["report", "--input", source, *flags, "--iterations", "5",
+                          "--out", str(out)]) for source, out in zip((corpus, str(sink)), outs)]
+            assert codes[0] == codes[1], codes
+            names = ("report.json", "graph.gexf", "communities.csv", "centrality.csv",
+                     "terms.csv", "layout.csv")
+            for name in names if codes[0] == 0 else ():
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_reproducible_across_processes(self, tiny_corpus_path, tmp_path):
         # different hash seeds must not perturb any output byte

@@ -10,6 +10,7 @@ import ast
 import io
 import json
 import random
+import tracemalloc
 from pathlib import Path
 from typing import IO, Union
 
@@ -463,6 +464,24 @@ class TestBuildGraph:
             (b, c, InteractionKind.FOLLOW): 1,
         }
         assert stats.interactions == 3
+
+    def test_build_holds_under_240_bytes_per_interaction(self, tmp_path):
+        # The desk corpus's on-topic records. Counting edges in a dict keyed on
+        # tuples, and indexing them with np.unique, peaked at 284-295 B per
+        # interaction; one packed int64 each and one sort peak near 191 B.
+        from test_acceptance import synthetic_corpus
+
+        synthetic_corpus(tmp_path / "desk.jsonl")
+        topic = TopicFilter.of("ge2017")
+        kept = [r for r in parse_corpus(tmp_path / "desk.jsonl")[0] if topic.keeps(r)]
+        tracemalloc.start()
+        try:
+            _, stats = build_graph(kept)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.interactions > 10_000
+        assert peak / stats.interactions < 240, peak / stats.interactions
 
     def test_accumulates_repeated_pairs(self):
         records = [make_record(1, "a", mentions=["c"]), make_record(2, "a", mentions=["c"])]

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import snsgraph.layout
 from snsgraph.layout import (
+    _BH_NODES,
     _BLOCK,
     _EPS_DIST,
     _MAX_TREE_DEPTH,
@@ -583,6 +585,15 @@ class TestKernelsMatchReference:
         expected = ref_compute_forces(pos, arrays, config, False)
         assert same_bits(_compute_forces(pos, arrays, config, False), expected)
 
+    def test_barnes_hut_across_a_walk_chunk_boundary(self):
+        graph = random_connected_graph(2500, 2500, seed=8)
+        assert _BH_NODES < 2500 < 2 * _BH_NODES  # the walk takes a full chunk and a part
+        arrays = _Arrays(undirected_view(graph), 1.0)
+        pos = positions_of(init_layout(graph, 8), arrays)
+        config = LayoutConfig()
+        expected = ref_compute_forces(pos, arrays, config, True)
+        assert same_bits(_compute_forces(pos, arrays, config, True), expected)
+
     def test_exact_without_a_one_column_block(self):
         # fixed 66-wide blocks would leave a last block of one column,
         # which numpy would sum pairwise instead of in source order
@@ -605,5 +616,18 @@ class TestKernelsMatchReferenceOnDrawnInputs:
             assert same_bits(_compute_forces(pos, arrays, config, barnes_hut), expected)
         kr, theta = config.scaling_kr, config.theta
         fx, fy = _bh_repulsion(pos, arrays.mass, kr, theta)
+        expected = ref_bh_repulsion(pos, arrays.mass, kr, theta)
+        assert same_bits(np.stack([fx, fy], axis=1), expected)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @settings(max_examples=50, deadline=None)
+    @given(inputs=force_inputs())
+    def test_barnes_hut_walk_in_small_chunks(self, chunk, inputs):
+        # drawn graphs span many chunks: each node's terms keep their order
+        pos, arrays, config = inputs
+        kr, theta = config.scaling_kr, config.theta
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(snsgraph.layout, "_BH_NODES", chunk)
+            fx, fy = _bh_repulsion(pos, arrays.mass, kr, theta)
         expected = ref_bh_repulsion(pos, arrays.mass, kr, theta)
         assert same_bits(np.stack([fx, fy], axis=1), expected)

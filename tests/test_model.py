@@ -1,16 +1,24 @@
 import dataclasses
+import math
+from types import SimpleNamespace
+from typing import Iterable, Mapping
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from snsgraph.centrality import PowerIterationConfig
 from snsgraph.collector import DeviationConfig, SourceSpec
 from snsgraph.community import LouvainConfig
+from snsgraph.ingest import IngestStats, InteractionRecord, build_graph
 from snsgraph.layout import LayoutConfig
 from snsgraph.model import (
+    _INT64_MAX,
+    GraphView,
     Handle,
     InteractionGraph,
     InteractionKind,
+    ValueEdge,
     merge_kinds,
     undirected_view,
 )
@@ -18,12 +26,14 @@ from snsgraph.model import (
 from conftest import (
     MENTION,
     from_interactions,
+    make_record,
     neighbors,
     pairs_graph,
     weight,
     with_node,
     without_node,
 )
+from test_layout import same_bits
 
 
 class TestHandle:
@@ -201,3 +211,148 @@ class TestUndirectedView:
     def test_total_weight_matches_graph(self):
         g = pairs_graph([("a", "b", 1), ("b", "a", 3), ("b", "c", 2)])
         assert undirected_view(g).total_weight == g.total_weight
+
+
+# --- the index before it was packed: a dict of edge tuples and np.unique ------
+
+def ref_sum_by_pair(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int):
+    """Merge arcs with equal ``(src, dst)``; the result is in ``(src, dst)`` order."""
+    if not len(src):
+        return src, dst, weights
+    pairs, slot = np.unique(src * n + dst, return_inverse=True)
+    return pairs // n, pairs % n, np.bincount(slot, weights=weights, minlength=len(pairs))
+
+
+def ref_index(handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]):
+    """``InteractionGraph._index`` as it was, its fields set on a namespace."""
+    self = SimpleNamespace(kinds=InteractionGraph.kinds)
+    for (s, d, _), weight in counts.items():  # before int64 truncates 2.5 to 2
+        if s == d:
+            raise ValueError(f"self-loop not allowed: @{s}")
+        if not 1 <= weight < math.inf or weight != int(weight):  # NaN, inf fail
+            raise ValueError(f"edge weight must be a positive count, got {weight!r}")
+    if (total := sum(counts.values())) > _INT64_MAX:
+        raise ValueError(f"total edge weight {total} exceeds 2**63 - 1")
+    values = sorted(handles)
+    self.handles = [handles[v] for v in values]
+    self.index = index = {v: i for i, v in enumerate(values)}
+    m = len(counts)
+    code = {k: i for i, k in enumerate(self.kinds)}
+    src = np.fromiter((index[e[0]] for e in counts), np.int64, m)
+    dst = np.fromiter((index[e[1]] for e in counts), np.int64, m)
+    kind = np.fromiter((code[e[2]] for e in counts), np.int8, m)
+    weight = np.fromiter(counts.values(), np.int64, m)
+    order = np.lexsort((kind, dst, src))
+    self.src, self.dst, self.kind, self.weight = (a[order] for a in (src, dst, kind, weight))
+    for array in (self.src, self.dst, self.kind, self.weight):
+        array.flags.writeable = False
+    self.total_weight = int(self.weight.sum())
+
+    n, total = len(values), float(self.total_weight)
+    msrc, mdst, mw = ref_sum_by_pair(self.src, self.dst, self.weight.astype(np.float64), n)
+    self.directed = GraphView(self, msrc, mdst, mw, total)
+    self.undirected = GraphView(
+        self,
+        *ref_sum_by_pair(np.concatenate([msrc, mdst]), np.concatenate([mdst, msrc]),
+                         np.concatenate([mw, mw]), n),
+        total,
+    )
+    return self
+
+
+def ref_build_graph(records: Iterable[InteractionRecord]):
+    """``build_graph`` as it was: counts in a dict keyed on edge tuples."""
+    stats = IngestStats()
+    handles: dict[str, Handle] = {}
+    counts: dict[ValueEdge, int] = {}
+    for record in records:
+        stats.records += 1
+        for src, dst, kind in record.interactions():
+            if src.value == dst.value:
+                stats.self_loops_dropped += 1
+                continue
+            stats.interactions += 1
+            handles.setdefault(src.value, src)
+            handles.setdefault(dst.value, dst)
+            key = (src.value, dst.value, kind)
+            counts[key] = counts.get(key, 0) + 1
+    graph = ref_index(handles, counts)
+    stats.node_count = len(graph.handles)
+    stats.edge_count = len(graph.src)
+    return graph, stats
+
+
+def assert_same_index(graph, ref):
+    assert graph.handles == ref.handles and graph.index == ref.index
+    for name in ("src", "dst", "kind", "weight"):
+        assert same_bits(getattr(graph, name), getattr(ref, name)), name
+    assert type(graph.total_weight) is int and graph.total_weight == ref.total_weight
+    for view in ("directed", "undirected"):
+        for name in ("src", "dst", "weights", "indptr"):
+            got, want = getattr(getattr(graph, view), name), getattr(getattr(ref, view), name)
+            assert same_bits(got, want), (view, name)
+        assert getattr(graph, view).total_weight == getattr(ref, view).total_weight
+
+
+NAMES = ["a", "B", "c", "d\u00e9", "\u00c9e", "f_g", "zz"]
+KINDS = list(InteractionKind)
+
+
+class TestPackedIndexMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.dictionaries(
+            st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES))
+            .filter(lambda p: Handle(p[0]) != Handle(p[1])),
+            st.dictionaries(st.sampled_from(KINDS), st.one_of(
+                st.integers(1, 9), st.integers(2**53, 2**58), st.integers(1, 2**62)),
+                min_size=1),
+            max_size=12,
+        ),
+        isolated=st.lists(st.sampled_from(NAMES + ["iso", "Other"]), max_size=3),
+    )
+    def test_constructors_index_as_before(self, pairs, isolated):
+        # a small handle pool repeats pairs in both directions and in every
+        # kind; large weights make the order of each float sum show
+        graph_edges = {(Handle(s), Handle(d), k): w
+                       for (s, d), kinds in pairs.items() for k, w in kinds.items()}
+        handles: dict[str, Handle] = {}
+        counts: dict[ValueEdge, int] = {}
+        for (src, dst, kind), w in graph_edges.items():
+            handles.setdefault(src.value, src)
+            handles.setdefault(dst.value, dst)
+            counts[(src.value, dst.value, kind)] = w
+        for h in map(Handle, isolated):
+            handles.setdefault(h.value, h)
+        if sum(counts.values()) > _INT64_MAX:
+            for build in (lambda: InteractionGraph(graph_edges, map(Handle, isolated)),
+                          lambda: InteractionGraph.interned(handles, counts),
+                          lambda: ref_index(handles, counts)):
+                with pytest.raises(ValueError, match="2\\*\\*63"):
+                    build()
+            return
+        ref = ref_index(handles, counts)
+        assert_same_index(InteractionGraph(graph_edges, map(Handle, isolated)), ref)
+        assert_same_index(InteractionGraph.interned(handles, counts), ref)
+
+    def test_empty_graph_and_isolated_nodes(self):
+        assert_same_index(InteractionGraph({}), ref_index({}, {}))
+        a, b = Handle("b"), Handle("a")
+        assert_same_index(InteractionGraph({}, [a, b]), ref_index({"b": a, "a": b}, {}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(NAMES + ["A", "@b", "C", "ZZ"]),
+        st.none() | st.sampled_from(NAMES + ["@@a", "Zz"]),
+        st.lists(st.sampled_from(NAMES + ["A", "F_G"]), max_size=4),
+        st.lists(st.sampled_from(NAMES + ["b", "\u00c9E"]), max_size=3),
+    ), max_size=25))
+    def test_build_graph_indexes_as_before(self, rows):
+        # case variants and @ runs name one handle; authors reply to, mention
+        # and follow themselves, and those self-loops are dropped and counted
+        records = [make_record(i, author, in_reply_to=reply, mentions=mentions, follows=follows)
+                   for i, (author, reply, mentions, follows) in enumerate(rows)]
+        graph, stats = build_graph(records)
+        ref, ref_stats = ref_build_graph(records)
+        assert_same_index(graph, ref)
+        assert stats == ref_stats

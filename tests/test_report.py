@@ -267,23 +267,23 @@ def sample_handles():
 class TestRedact:
     def test_allowlisted_kept_private_replaced(self):
         policy = RedactionPolicy.of("jeremycorbyn")
-        redacted = redact(sample_report(), policy, sample_handles())
+        redacted = redact(sample_report(), policy, sample_handles(), ())
         assert redacted.top_accounts == (
             ("@jeremycorbyn", 0.015), ("retracted", 0.003),
         )
 
     def test_empty_allowlist_redacts_all(self):
-        redacted = redact(sample_report(), RedactionPolicy(), sample_handles())
+        redacted = redact(sample_report(), RedactionPolicy(), sample_handles(), ())
         assert all(h == "retracted" for h, _ in redacted.top_accounts)
 
     def test_idempotent(self):
         policy = RedactionPolicy.of("jeremycorbyn")
-        once = redact(sample_report(), policy, sample_handles())
-        assert redact(once, policy, sample_handles()) == once
+        once = redact(sample_report(), policy, sample_handles(), ())
+        assert redact(once, policy, sample_handles(), ()) == once
 
     def test_numbers_rows_order_untouched(self):
         report = sample_report()
-        redacted = redact(report, RedactionPolicy(), sample_handles())
+        redacted = redact(report, RedactionPolicy(), sample_handles(), ())
         assert [s for _, s in redacted.top_accounts] == [s for _, s in report.top_accounts]
         assert redacted.top_terms == report.top_terms
         assert redacted.modularity_q == report.modularity_q
@@ -292,16 +292,24 @@ class TestRedact:
     def test_case_insensitive_allowlist(self):
         policy = RedactionPolicy.of("BarrYGardiner")
         report = sample_report(accounts=(("@barrygardiner", 0.002),))
-        assert redact(report, policy, [Handle("barrygardiner")]).top_accounts == (("@barrygardiner", 0.002),)
+        assert redact(report, policy, [Handle("barrygardiner")], ()).top_accounts == (("@barrygardiner", 0.002),)
 
     def test_terms_that_name_a_handle_are_redacted(self):
         report = replace(sample_report(), top_terms=(
             ("janedoe", 5, 0.3), ("vote", 4, 0.2), ("private", 3, 0.1), ("corbyn", 2, 0.1)))
         handles = [Handle("@JaneDoe_private"), Handle("corbyn")]
-        redacted = redact(report, RedactionPolicy.of("Corbyn"), handles)
+        redacted = redact(report, RedactionPolicy.of("Corbyn"), handles, ())
         assert redacted.top_terms == (
             (PLACEHOLDER, 5, 0.3), ("vote", 4, 0.2), (PLACEHOLDER, 3, 0.1), ("corbyn", 2, 0.1))
-        assert redact(redacted, RedactionPolicy.of("Corbyn"), handles) == redacted
+        assert redact(redacted, RedactionPolicy.of("Corbyn"), handles, ()) == redacted
+
+    def test_words_written_as_handles_are_redacted(self):
+        report = replace(sample_report(), top_terms=(
+            ("janesecret", 5, 0.3), ("lunch", 4, 0.2), ("uklabour", 3, 0.1), ("fan", 2, 0.1)))
+        written = ["JaneSecret", "UKLabour,", "uklabour_fan"]  # none is a graph handle
+        redacted = redact(report, RedactionPolicy.of("uklabour"), [], written)
+        assert redacted.top_terms == (
+            (PLACEHOLDER, 5, 0.3), ("lunch", 4, 0.2), ("uklabour", 3, 0.1), (PLACEHOLDER, 2, 0.1))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -311,29 +319,36 @@ class TestRedact:
     )
     def test_no_term_names_a_handle_off_the_allowlist(self, names, data):
         # each handle is named in text as written, upper- or lowercased, with or
-        # without its "@"; the terms are the texts' tokens and some plain words
-        handles = [Handle(raw) for raw in names]
+        # without its "@"; the terms are the texts' tokens and some plain words.
+        # Some handles are in no graph: only their texts name them, with an "@"
+        in_graph = [data.draw(st.booleans()) for _ in names]
+        handles = [Handle(raw) for raw, kept in zip(names, in_graph) if kept]
         allowed = data.draw(st.sets(st.sampled_from(names)))
-        written = [data.draw(st.sampled_from(["", "@", "@@"]))
+        written = [data.draw(st.sampled_from(["", "@", "@@"] if kept else ["@", "@@"]))
                    + data.draw(st.sampled_from([str, str.upper, str.lower]))(raw)
-                   for raw in names]
+                   for raw, kept in zip(names, in_graph)]
+        words = [text.lstrip("@") for text in written if text.startswith("@")]
         tokens = [tokenize(text) for text in written]
         terms = list(dict.fromkeys(
             [t for ts in tokens for t in ts] + ["vote", "uk", "b", "z9", "\u00e9"]))
         report = replace(sample_report(), top_terms=tuple(
             (term, 100 - i, 1 / (i + 1)) for i, term in enumerate(terms)))
         policy = RedactionPolicy.of(*allowed)
-        redacted = redact(report, policy, handles)
+        redacted = redact(report, policy, handles, words)
 
         kept = {term for term, _, _ in redacted.top_terms}
-        private = {t for h, ts in zip(handles, tokens) if h not in policy.allowlist for t in ts}
+        public = {t.casefold() for h in policy.allowlist for t in tokenize(h.value)}
+        private = {t for raw, kept_, ts in zip(names, in_graph, tokens)
+                   if Handle(raw) not in policy.allowlist
+                   for t in ts if kept_ or t.casefold() not in public}
         assert kept & private <= {PLACEHOLDER}
         assert [row[1:] for row in redacted.top_terms] == [row[1:] for row in report.top_terms]
         named = {t.casefold() for h in handles if h not in policy.allowlist
                  for t in tokenize(h.value)}
+        named |= {t.casefold() for w in words for t in tokenize(w)} - public
         for (term, _, _), (after, _, _) in zip(report.top_terms, redacted.top_terms):
             assert after == (PLACEHOLDER if term.casefold() in named else term)
-        assert redact(redacted, policy, handles) == redacted
+        assert redact(redacted, policy, handles, words) == redacted
 
 
 class TestGexfRoundTrip:
