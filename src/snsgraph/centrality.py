@@ -38,20 +38,19 @@ class CentralityMode(enum.Enum):
     UNDIRECTED = "undirected"
 
 
+# Converged once the L-infinity change between normalized iterates is this or less.
+_TOLERANCE = 1e-10
+_MAX_ITERS = 1000
+
+
 @dataclass(frozen=True)
 class PowerIterationConfig:
     mode: CentralityMode = CentralityMode.INCOMING
-    max_iters: int = 1000
-    tolerance: float = 1e-10
     normalization: Normalization = Normalization.L1
     teleport: float = 0.0
 
     def __post_init__(self):
         check_finite(self)
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
         if self.teleport < 0:
             raise ValueError("teleport must be non-negative")
 
@@ -84,7 +83,7 @@ def eigenvector_centrality(
     """Power-iterate to the dominant eigenvector of the weighted adjacency.
 
     Stops when the L-infinity change between successive normalized
-    iterates drops to ``tolerance``, or after ``max_iters`` steps with
+    iterates drops to ``_TOLERANCE``, or after ``_MAX_ITERS`` steps with
     ``converged=False``. Raises :class:`DegenerateSpectrumError` when the
     adjacency annihilates the iterate (no edges in the selected mode).
     """
@@ -97,7 +96,7 @@ def eigenvector_centrality(
     x = np.full(n, 1.0 / n)
     iterations = 0
     converged = False
-    for _ in range(config.max_iters):
+    for _ in range(_MAX_ITERS):
         iterations += 1
         mv = np.bincount(dst, weights=w * x[src], minlength=n)
         if mv.max() <= 0.0:
@@ -109,7 +108,7 @@ def eigenvector_centrality(
         if config.teleport > 0.0:
             y = y + (config.teleport / n) * x.sum()
         y = _normalize(y, config.normalization)
-        if np.max(np.abs(y - x)) <= config.tolerance:
+        if np.max(np.abs(y - x)) <= _TOLERANCE:
             x = y
             converged = True
             break

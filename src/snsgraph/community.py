@@ -19,7 +19,7 @@ shuffle, so a fixed seed reproduces the partition bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,25 +29,20 @@ from .model import (
     GraphView, Handle, InteractionGraph, Partition, check_finite, undirected_view,
 )
 
+# A phase ends once a sweep, and the run once a pass, gains no more than this.
+_MIN_GAIN = 1e-9
+_MAX_PASSES = 100
+
 
 @dataclass(frozen=True)
 class LouvainConfig:
     resolution: float = 1.0
     seed: int = 0
-    min_gain: float = 1e-9
-    max_passes: int = 100
-    restarts: int = 1  # independent seeded runs; the best-Q partition wins
 
     def __post_init__(self):
         check_finite(self)
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
-        if self.min_gain <= 0:
-            raise ValueError("min_gain must be positive")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 def _first_appearance(labels: Iterable[int]) -> tuple[list[int], int]:
@@ -64,6 +59,14 @@ def _q(intra: Iterable[float], degree: Iterable[float], total: float, resolution
     return q
 
 
+def _labels(assignment: Mapping[Handle, int], handles: Iterable[Handle]) -> list[int]:
+    """Each handle's community, in order; a handle without one is a ValueError."""
+    try:
+        return [assignment[h] for h in handles]
+    except KeyError as exc:
+        raise ValueError(f"node {exc.args[0].display()} has no community assignment") from None
+
+
 def modularity(
     graph: InteractionGraph | GraphView,
     assignment: Mapping[Handle, int],
@@ -75,10 +78,7 @@ def modularity(
     total = view.total_weight
     if total <= 0:
         raise UndefinedModularityError("modularity undefined on a graph without edges")
-    try:
-        labels, k = _first_appearance(assignment[node] for node in view.handles)
-    except KeyError as exc:
-        raise ValueError(f"node {exc.args[0].display()} has no community assignment") from None
+    labels, k = _first_appearance(_labels(assignment, view.handles))
     comm = np.array(labels, dtype=np.int64)
 
     inside = (comm[view.src] == comm[view.dst]) & (view.src < view.dst)
@@ -163,7 +163,7 @@ class MoveContext:
             raise UndefinedModularityError("move gains undefined on a graph without edges")
         self.index = view.graph.index
         self.resolution = resolution
-        self.community = [assignment[h] for h in view.handles]
+        self.community = _labels(assignment, view.handles)
         self.community_degree: dict[int, float] = {}
         for c, d in zip(self.community, self.wg.degree):
             self.community_degree[c] = self.community_degree.get(c, 0.0) + d
@@ -175,7 +175,8 @@ def local_move_gain(node: Handle, target_community: int, context: MoveContext) -
     Matches a from-scratch modularity recomputation of the moved
     assignment; moving a node into its own community is a no-op.
     """
-    i = context.index[node.value]
+    if (i := context.index.get(node.value)) is None:
+        raise ValueError(f"node {node.display()} is not in the graph")
     current = context.community[i]
     if target_community == current:
         return 0.0
@@ -187,7 +188,7 @@ def local_move_gain(node: Handle, target_community: int, context: MoveContext) -
 
 
 def _one_level(wg: _WorkGraph, config: LouvainConfig, rng: random.Random) -> tuple[list[int], float]:
-    """Phase 1: greedy local moves until a sweep gains no more than min_gain.
+    """Phase 1: greedy local moves until a sweep gains no more than ``_MIN_GAIN``.
 
     Returns the (non-dense) community labels and the accumulated gain.
     """
@@ -225,7 +226,7 @@ def _one_level(wg: _WorkGraph, config: LouvainConfig, rng: random.Random) -> tup
                 comm_deg[best_comm] += k_i
                 sweep_gain += best_gain
         level_gain += sweep_gain
-        if sweep_gain <= config.min_gain:
+        if sweep_gain <= _MIN_GAIN:
             break
     return comm, level_gain
 
@@ -256,38 +257,25 @@ def _aggregate(wg: _WorkGraph, comm: list[int]) -> tuple[_WorkGraph, list[int]]:
 def louvain_trace(
     graph: InteractionGraph | GraphView, config: LouvainConfig | None = None
 ) -> tuple[Partition, list[float]]:
-    """Run Louvain and also report modularity after each pass.
-
-    With ``restarts > 1`` the whole procedure repeats under derived seeds
-    (greedy local moves are visit-order sensitive) and the best-Q result
-    is returned, deterministically.
-    """
+    """Run Louvain and also report modularity after each pass: at most
+    ``_MAX_PASSES``, ending after one that gains no more than ``_MIN_GAIN``."""
     config = config or LouvainConfig()
     view = undirected_view(graph)
     if view.total_weight <= 0:
         raise UndefinedModularityError("Louvain undefined on a graph without edges")
-
-    if config.restarts > 1:
-        single = replace(config, restarts=1)
-        best = None
-        for attempt in range(config.restarts):
-            result = louvain_trace(view, replace(single, seed=config.seed + attempt))
-            if best is None or result[0].modularity_q > best[0].modularity_q:
-                best = result
-        return best
 
     wg = _WorkGraph.from_view(view)
     rng = random.Random(config.seed)
     membership = list(range(wg.n))  # original node -> current super-node
     trace: list[float] = []
 
-    for _ in range(config.max_passes):
+    for _ in range(_MAX_PASSES):
         comm, level_gain = _one_level(wg, config, rng)
         wg, dense = _aggregate(wg, comm)
         membership = [dense[m] for m in membership]
         # Each super-node is its own community; its self-loop is its intra weight.
         trace.append(_q(wg.self_w, wg.degree, wg.total, config.resolution))
-        if level_gain <= config.min_gain:
+        if level_gain <= _MIN_GAIN:
             break
 
     # Dense final ids in order of first appearance over sorted handles.

@@ -82,7 +82,6 @@ class InteractionKind(enum.Enum):
 
 
 Edge = tuple[Handle, Handle, InteractionKind]
-ValueEdge = tuple[str, str, InteractionKind]  # an edge keyed on handle values
 
 
 class InteractionGraph:
@@ -110,22 +109,20 @@ class InteractionGraph:
 
     def __init__(self, edges: Mapping[Edge, int], extra_nodes: Iterable[Handle] = ()):
         handles: dict[str, Handle] = {}
-        counts: dict[ValueEdge, int] = {}
-        for (src, dst, kind), weight in edges.items():
+        for (src, dst, _), weight in edges.items():  # before int64 truncates 2.5 to 2
+            if src.value == dst.value:
+                raise ValueError(f"self-loop not allowed: {src.display()}")
+            if not 1 <= weight < math.inf or weight != int(weight):  # NaN, inf fail
+                raise ValueError(f"edge weight must be a positive count, got {weight!r}")
             handles.setdefault(src.value, src)
             handles.setdefault(dst.value, dst)
-            counts[(src.value, dst.value, kind)] = weight
+        if (total := sum(edges.values())) > _INT64_MAX:
+            raise ValueError(f"total edge weight {total} exceeds 2**63 - 1")
         for h in extra_nodes:
             handles.setdefault(h.value, h)
-        self._index(*_pack(handles, counts))
-
-    @classmethod
-    def interned(
-        cls, handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]
-    ) -> "InteractionGraph":
-        """Build from counts keyed on handle values; ``handles`` maps each
-        value to its handle. Neither mapping is kept."""
-        return cls.packed(*_pack(handles, counts))
+        ids = {v: i for i, v in enumerate(handles)}
+        keys = [self.key(ids[s.value], ids[d.value], k) for s, d, k in edges]
+        self._index(list(handles.values()), keys, list(edges.values()))
 
     @staticmethod
     def key(src: int, dst: int, kind: InteractionKind) -> int:
@@ -255,20 +252,6 @@ class GraphView:
         """Every stored arc; the symmetric view yields each pair both ways."""
         for i, j, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist()):
             yield self.handles[i], self.handles[j], w
-
-
-def _pack(handles: Mapping[str, Handle], counts: Mapping[ValueEdge, int]):
-    """The :meth:`InteractionGraph.packed` arguments of valid ``counts``."""
-    for (s, d, _), weight in counts.items():  # before int64 truncates 2.5 to 2
-        if s == d:
-            raise ValueError(f"self-loop not allowed: @{s}")
-        if not 1 <= weight < math.inf or weight != int(weight):  # NaN, inf fail
-            raise ValueError(f"edge weight must be a positive count, got {weight!r}")
-    if (total := sum(counts.values())) > _INT64_MAX:
-        raise ValueError(f"total edge weight {total} exceeds 2**63 - 1")
-    ids = {v: i for i, v in enumerate(handles)}
-    keys = [InteractionGraph.key(ids[s], ids[d], k) for s, d, k in counts]
-    return list(handles.values()), keys, list(counts.values())
 
 
 def merge_kinds(graph: InteractionGraph) -> GraphView:

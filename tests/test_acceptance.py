@@ -71,10 +71,11 @@ def test_criterion_1_modularity_oracle():
         graph = random_weighted_graph(rng, max_nodes=8)
         best_q, _ = brute_force_best_q(graph)
         # greedy local moves are visit-order sensitive on tiny weighted
-        # graphs, so a handful of seeded restarts keeps the bound robust
-        partition = louvain(
-            graph, LouvainConfig(seed=rng.randrange(2**32), restarts=5)
-        )
+        # graphs, so the best of five seeded runs (the first on ties) keeps
+        # the bound robust
+        seed = rng.randrange(2**32)
+        partition = max((louvain(graph, LouvainConfig(seed=seed + attempt))
+                         for attempt in range(5)), key=lambda p: p.modularity_q)
         assert partition.modularity_q >= 0.95 * best_q - 1e-12
 
     partition = louvain(two_triangle_graph(), LouvainConfig(seed=5))

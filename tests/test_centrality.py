@@ -140,11 +140,9 @@ class TestPowerIteration:
 
     def test_non_convergence_reported(self):
         graph = pairs_graph([("a", "b")])  # pure source/sink pair, incoming mode
-        result = eigenvector_centrality(
-            graph, PowerIterationConfig(max_iters=5, tolerance=1e-15)
-        )
+        result = eigenvector_centrality(graph)  # the source's share falls as 1/(k + 2)
         assert not result.converged
-        assert result.iterations == 5
+        assert result.iterations == 1000
 
     def test_teleport_mixes_uniform_mass(self):
         graph = pairs_graph([("a", "b")])

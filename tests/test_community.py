@@ -147,6 +147,14 @@ class TestLocalMoveGain:
         expected = modularity(g, moved, 3.0) - modularity(g, assignment, 3.0)
         assert dq == pytest.approx(expected, abs=1e-9)
 
+    def test_unassigned_or_unknown_node_names_it(self):
+        g = pairs_graph([("a", "b"), ("b", "c")])
+        with pytest.raises(ValueError, match="node @c has no community assignment"):
+            MoveContext(g, {Handle("a"): 0, Handle("b"): 0})
+        ctx = MoveContext(g, {h: 0 for h in g.nodes})
+        with pytest.raises(ValueError, match="node @zz is not in the graph"):
+            local_move_gain(Handle("zz"), 0, ctx)
+
 
 class TestLouvain:
     def test_two_triangles_found_exactly(self):
@@ -228,19 +236,3 @@ class TestLouvainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             LouvainConfig(resolution=0)
-        with pytest.raises(ValueError):
-            LouvainConfig(min_gain=0)
-        with pytest.raises(ValueError):
-            LouvainConfig(max_passes=0)
-        with pytest.raises(ValueError):
-            LouvainConfig(restarts=0)
-
-    def test_restarts_deterministic_and_at_least_single_run(self):
-        rng = random.Random(6)
-        for _ in range(5):
-            g = random_weighted_graph(rng, max_nodes=9)
-            single = louvain(g, LouvainConfig(seed=3))
-            multi1 = louvain(g, LouvainConfig(seed=3, restarts=4))
-            multi2 = louvain(g, LouvainConfig(seed=3, restarts=4))
-            assert multi1.assignment == multi2.assignment
-            assert multi1.modularity_q >= single.modularity_q - 1e-12

@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from snsgraph.centrality import CentralityMode, _edge_arrays
 from snsgraph.community import (
     LouvainConfig,
+    _MAX_PASSES,
+    _MIN_GAIN,
     _aggregate,
     _one_level,
     _WorkGraph,
@@ -178,15 +180,15 @@ def ref_workgraph_q(wg, comm, resolution):
 
 
 def ref_louvain_trace(graph, config):
-    """The per-pass loop of ``louvain_trace`` (one restart) with ``ref_workgraph_q``."""
+    """The per-pass loop of ``louvain_trace`` with ``ref_workgraph_q``."""
     wg = _WorkGraph.from_view(undirected_view(graph))
     rng = random.Random(config.seed)
     trace = []
-    for _ in range(config.max_passes):
+    for _ in range(_MAX_PASSES):
         comm, level_gain = _one_level(wg, config, rng)
         wg, _ = _aggregate(wg, comm)
         trace.append(ref_workgraph_q(wg, list(range(wg.n)), config.resolution))
-        if level_gain <= config.min_gain:
+        if level_gain <= _MIN_GAIN:
             break
     return trace
 

@@ -18,7 +18,6 @@ from snsgraph.model import (
     Handle,
     InteractionGraph,
     InteractionKind,
-    ValueEdge,
     merge_kinds,
     undirected_view,
 )
@@ -75,8 +74,7 @@ class TestInteractionGraph:
     def test_rejects_total_weight_past_int64(self):
         a, b = Handle("a"), Handle("b")
         with pytest.raises(ValueError, match="2\\*\\*63"):  # numpy's sum would wrap
-            InteractionGraph.interned({"a": a, "b": b}, {("a", "b", MENTION): 2**62,
-                                                         ("b", "a", MENTION): 2**62})
+            InteractionGraph({(a, b, MENTION): 2**62, (b, a, MENTION): 2**62})
         with pytest.raises(ValueError, match="2\\*\\*63"):  # numpy's fromiter would overflow
             InteractionGraph({(a, b, MENTION): 2**63})
 
@@ -215,6 +213,8 @@ class TestUndirectedView:
 
 # --- the index before it was packed: a dict of edge tuples and np.unique ------
 
+ValueEdge = tuple[str, str, InteractionKind]  # an edge keyed on handle values
+
 def ref_sum_by_pair(src: np.ndarray, dst: np.ndarray, weights: np.ndarray, n: int):
     """Merge arcs with equal ``(src, dst)``; the result is in ``(src, dst)`` order."""
     if not len(src):
@@ -326,14 +326,12 @@ class TestPackedIndexMatchesReference:
             handles.setdefault(h.value, h)
         if sum(counts.values()) > _INT64_MAX:
             for build in (lambda: InteractionGraph(graph_edges, map(Handle, isolated)),
-                          lambda: InteractionGraph.interned(handles, counts),
                           lambda: ref_index(handles, counts)):
                 with pytest.raises(ValueError, match="2\\*\\*63"):
                     build()
             return
         ref = ref_index(handles, counts)
         assert_same_index(InteractionGraph(graph_edges, map(Handle, isolated)), ref)
-        assert_same_index(InteractionGraph.interned(handles, counts), ref)
 
     def test_empty_graph_and_isolated_nodes(self):
         assert_same_index(InteractionGraph({}), ref_index({}, {}))

@@ -27,12 +27,12 @@ from snsgraph.errors import GexfParseError
 from snsgraph.layout import LayoutConfig, LayoutFrame, run_layout
 from snsgraph.model import (
     CentralityVector,
+    Edge,
     Handle,
     InteractionGraph,
     InteractionKind,
     Normalization,
     Partition,
-    ValueEdge,
 )
 from snsgraph.report import (
     _CHUNK,
@@ -196,7 +196,7 @@ def ref_import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
 
     kinds = {k.value: k for k in InteractionKind}
     handles: dict[str, Handle] = {}
-    counts: dict[ValueEdge, int] = {}
+    counts: dict[Edge, int] = {}
     for edge in find_all(graph_elem, "edge"):
         src_id, dst_id = edge.get("source"), edge.get("target")
         if src_id is None or dst_id is None:
@@ -224,12 +224,12 @@ def ref_import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
         handles.setdefault(dst.value, dst)
         pairs = [(src, dst)] if directed else [(src, dst), (dst, src)]
         for s, d in pairs:
-            key = (s.value, d.value, kind)
+            key = (s, d, kind)
             counts[key] = counts.get(key, 0) + weight
 
     for i in sorted(id_to_handle):
         handles.setdefault(id_to_handle[i].value, id_to_handle[i])
-    return InteractionGraph.interned(handles, counts)
+    return InteractionGraph(counts, handles.values())
 
 
 def sample_report(accounts=None):
