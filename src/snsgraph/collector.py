@@ -519,6 +519,12 @@ class CollectorConfig:
         if self.deviation.metric == "mean_sentiment" and not (
                 self.lexicon_positive and self.lexicon_negative):
             raise ValueError("the mean_sentiment metric needs a positive and a negative lexicon")
+        files = {os.path.realpath(s.location): f"source {s.id!r}" for s in self.sources
+                 if s.kind == "file" or "://" not in s.location}  # the local files read
+        for name, path in (("the sink", self.sink_path), ("the alerts", self.alerts_path)):
+            if path and path != os.devnull:
+                if (user := files.setdefault(os.path.realpath(path), name)) != name:
+                    raise ValueError(f"{name} path {path!r} is also the file of {user}")
 
     @classmethod
     def from_dict(cls, obj) -> "CollectorConfig":

@@ -8,8 +8,8 @@ numbers, orderings, and row counts untouched.
 GEXF 1.2 export writes directed weighted edges, each with its interaction
 kind, and community ids, eigenvector scores and layout positions as node
 attributes when given, as formatted text in chunks of bounded size. Import
-keeps only compact tuples from expat's callbacks and always reads UTF-8.
-Neither builds an element tree, and an exported graph re-imports exactly.
+reads UTF-8 in one pass, packing each edge as it closes. Neither builds an
+element tree, and an exported graph re-imports exactly.
 Reports render as JSON or fixed-column text tables, and echo the seeds and
 configuration that produced them so every number can be recomputed.
 """
@@ -127,7 +127,7 @@ def redact(
 # --- GEXF --------------------------------------------------------------------
 
 _CHUNK = 1024  # nodes or edges formatted per write: bounds the writer's memory
-_DIRECTED = {"directed": True, "undirected": False}  # by an edge's type attribute
+_DIRECTED = {"directed": True, "undirected": False, "mutual": False}  # by <edge type>
 
 
 def _escape(text: str) -> str:
@@ -203,43 +203,71 @@ def export_gexf(
 
 
 def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
-    """Read a GEXF document back into an interaction graph.
+    """Read a GEXF document back into an interaction graph, in one pass.
 
-    Unknown attributes are ignored; edges without a kind default to
-    mention; undirected edges become two directed edges of equal weight.
-    Only the first ``<graph>`` is read, edges may precede their nodes, and
-    node ids whose labels name one handle are a :class:`GexfParseError`.
+    Unknown attributes are ignored; edges without a kind default to mention;
+    undirected and mutual edges become two directed edges of equal weight.
+    Only the first ``<graph>`` is read, and edges may precede their nodes.
+    Each edge is checked as it starts and packed as it ends, so faults met
+    while reading are raised before those that need the whole document: an
+    undeclared node id, then two node ids whose labels name one handle.
     """
     from xml.parsers import expat  # here: only GEXF readers load the XML parser
 
-    kinds = {k.value: k for k in InteractionKind}
+    kinds, key = {k.value: k for k in InteractionKind}, InteractionGraph.key
     default_directed: bool | None = None  # set by the first <graph>
-    nodes: list[tuple] = []  # (id, label) per <node> in the first <graph>
-    edges: list[tuple] = []  # (id, source, target, weight, directed) per <edge> there
-    edge_kinds: list[InteractionKind] = []  # the last valid kind attvalue under each
-    open_edges: list[int] = []
-    share = {}.setdefault  # one string object per distinct node id and weight
+    ids: dict[str, int] = {}  # node id -> number, by first sight in a <node> or an <edge>
+    handles: list = []  # per number: its handle, or the first edge naming it until a <node> does
+    declared: list[str] = []  # node ids in the order of their first <node>
+    open_edges: list[list] = []  # [kind, weight, arcs] per open <edge>, innermost last
+    keys, weights = array("q"), array("q")  # one packed key and weight per arc
+    total = 0  # bounds every weight and per-edge sum: the graph stores int64
     depth = graph_depth = 0  # graph_depth: depth of the first <graph> while open
 
+    def number(node_id, edge=None):  # an id's number, given where the id is first seen
+        if (i := ids.setdefault(node_id, len(handles))) == len(handles):
+            handles.append(edge)
+        return i
+
     def start(name, attrs):
-        nonlocal depth, graph_depth, default_directed
+        nonlocal depth, graph_depth, default_directed, total
         depth += 1
         local = name.rpartition("}")[2]
         if graph_depth:
+            get = attrs.get
             if local == "edge":
-                open_edges.append(len(edges))
-                get = attrs.get
-                src, dst, weight = get("source"), get("target"), get("weight", "1")
-                directed = _DIRECTED.get(get("type"), default_directed)
-                edges.append((get("id"), share(src, src), share(dst, dst),
-                              share(weight, weight), directed))
-                edge_kinds.append(InteractionKind.MENTION)
+                src_id, dst_id, raw = get("source"), get("target"), get("weight", "1")
+                if src_id is None or dst_id is None:
+                    raise GexfParseError("GEXF edge without source/target")
+                try:
+                    weight = round(float(raw))
+                except (ValueError, OverflowError):  # not a number, NaN or infinite
+                    weight = 0
+                s, d = number(src_id, (src_id, dst_id)), number(dst_id, (src_id, dst_id))
+                arcs = (() if s == d else ((s, d),)  # a self-loop: no two ids name one handle
+                        if _DIRECTED.get(get("type"), default_directed) else ((s, d), (d, s)))
+                total += weight * len(arcs)
+                if weight < 1 or total > _INT64_MAX:
+                    edge = f"GEXF edge {get('id', f'{src_id}->{dst_id}')!r}"
+                    raise GexfParseError(
+                        f"{edge} has weight {raw!r}, not a positive count" if weight < 1
+                        else f"{edge} (weight {raw!r}) takes the total weight past 2**63 - 1")
+                open_edges.append([InteractionKind.MENTION, weight, arcs])
             elif local == "node":
-                nodes.append((attrs.get("id"), attrs.get("label")))
-            elif local == "attvalue" and open_edges and attrs.get("for") == "kind":
-                kind = kinds.get(attrs.get("value"))
-                for i in open_edges if kind else ():
-                    edge_kinds[i] = kind
+                if (node_id := get("id")) is None:
+                    raise GexfParseError("GEXF node without an id")
+                if not isinstance(handles[i := number(node_id)], Handle):
+                    declared.append(node_id)
+                label = get("label") or node_id
+                try:  # the last <node> of an id names it
+                    handles[i] = Handle(label if label.strip() else node_id)
+                except ValueError:
+                    raise GexfParseError(
+                        f"GEXF node {node_id!r} has an empty handle {label!r}") from None
+            elif local == "attvalue" and open_edges and get("for") == "kind":
+                kind = kinds.get(get("value"))
+                for edge in open_edges if kind else ():
+                    edge[0] = kind
         elif depth == 1 and local != "gexf":
             raise GexfParseError(f"not a GEXF document (root <{local}>)")
         elif local == "graph" and default_directed is None:
@@ -251,7 +279,10 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
         if depth == graph_depth:
             graph_depth = 0
         elif graph_depth and name.rpartition("}")[2] == "edge":
-            open_edges.pop()
+            kind, weight, arcs = open_edges.pop()
+            for s, d in arcs:
+                keys.append(key(s, d, kind))
+                weights.append(weight)
         depth -= 1
 
     parser = expat.ParserCreate(encoding="utf-8", namespace_separator="}")
@@ -266,48 +297,16 @@ def import_gexf(source: Union[str, Path, IO[str]]) -> InteractionGraph:
     if default_directed is None:
         raise GexfParseError("GEXF document has no <graph> element")
 
-    id_to_handle: dict[str, Handle] = {}
-    for node_id, label in nodes:
-        if node_id is None:
-            raise GexfParseError("GEXF node without an id")
-        label = label or node_id
-        try:
-            id_to_handle[node_id] = Handle(label if label.strip() else node_id)
-        except ValueError:
-            raise GexfParseError(f"GEXF node {node_id!r} has an empty handle {label!r}") from None
+    for handle in handles:
+        if not isinstance(handle, Handle):  # the first edge that named an undeclared id
+            raise GexfParseError("GEXF edge references unknown node %r/%r" % handle)
     owner: dict[str, str] = {}
-    for node_id, handle in id_to_handle.items():
+    for node_id in declared:
+        handle = handles[ids[node_id]]
         if owner.setdefault(handle.value, node_id) != node_id:
             raise GexfParseError(f"GEXF nodes {owner[handle.value]!r} and {node_id!r} "
                                  f"both name {handle.display()}")
-
-    ids = {node_id: i for i, node_id in enumerate(id_to_handle)}  # one handle each
-    keys, weights = array("q"), array("q")  # one packed key and weight per arc
-    total = 0  # bounds every weight and per-edge sum: the graph stores int64
-    for (edge_id, src_id, dst_id, raw_weight, directed), kind in zip(edges, edge_kinds):
-        if src_id is None or dst_id is None:
-            raise GexfParseError("GEXF edge without source/target")
-        if src_id not in id_to_handle or dst_id not in id_to_handle:
-            raise GexfParseError(f"GEXF edge references unknown node {src_id!r}/{dst_id!r}")
-        edge_id = f"{src_id}->{dst_id}" if edge_id is None else edge_id
-        try:
-            weight = round(float(raw_weight))
-        except (ValueError, OverflowError):  # not a number, NaN or infinite
-            weight = 0
-        if weight < 1:
-            raise GexfParseError(f"GEXF edge {edge_id!r} "
-                                 f"has weight {raw_weight!r}, not a positive count")
-        if src_id == dst_id:  # a self-loop: no two ids name one handle
-            continue
-        s, d = ids[src_id], ids[dst_id]
-        arcs = ((s, d),) if directed else ((s, d), (d, s))
-        if (total := total + weight * len(arcs)) > _INT64_MAX:
-            raise GexfParseError(f"GEXF edge {edge_id!r} (weight {raw_weight!r}) "
-                                 "takes the total weight past 2**63 - 1")
-        for a, b in arcs:
-            keys.append(InteractionGraph.key(a, b, kind))
-            weights.append(weight)
-    return InteractionGraph.packed(list(id_to_handle.values()), keys, weights)
+    return InteractionGraph.packed(handles, keys, weights)
 
 
 # --- rendering ---------------------------------------------------------------

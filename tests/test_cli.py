@@ -289,6 +289,38 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert sink.read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize("sink, alerts, culprit", [
+        ("c.jsonl", None, "the sink path 'c.jsonl' is also the file of source 's1'"),
+        ("./sub/../c.jsonl", None, "is also the file of source 's1'"),
+        ("link.jsonl", None, "the sink path 'link.jsonl' is also the file of source 's1'"),
+        ("out.jsonl", "out.jsonl", "the alerts path 'out.jsonl' is also the file of the sink"),
+        ("out.jsonl", "link.jsonl", "the alerts path 'link.jsonl' is also the file of source"),
+    ])
+    def test_written_path_that_names_a_file_in_use_is_data_error(self, tmp_path, sink, alerts,
+                                                                  culprit):
+        # Written over, the source would read as empty, or the alerts would replace the sink.
+        source = write_jsonl(tmp_path / "c.jsonl", [
+            {"id": str(i), "author": "alice", "text": "hi", "mentions": ["bob"],
+             "timestamp": "2017-04-21T10:00:00Z"} for i in range(20)])
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.jsonl").symlink_to("c.jsonl")
+        (tmp_path / "out.jsonl").write_bytes(b"kept\n")
+        config = {"sources": [self.SOURCE], "sink": {"path": sink}}
+        if alerts is not None:
+            config["alerts"] = {"path": alerts}
+        (tmp_path / "collector.json").write_text(json.dumps(config))
+        before = {p: p.read_bytes() for p in (source, tmp_path / "out.jsonl")}
+        src = str(Path(snsgraph.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "snsgraph.cli", "collect", "--config", "collector.json",
+             "--once"],
+            capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: collector.json: ") and culprit in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert {p: p.read_bytes() for p in before} == before
+
     @pytest.mark.parametrize("command, reader, suffix", [
         ("report", "parse_corpus", ".jsonl"),
         ("ingest", "parse_corpus", ".jsonl"),

@@ -587,6 +587,47 @@ class TestStreamingGexf:
         with pytest.raises(GexfParseError, match="'e1'"):
             import_gexf(io.StringIO(doc))
 
+    def test_faults_met_while_reading_come_first(self):
+        # The undeclared b needs the whole document; the second edge's weight does not.
+        doc = ('<gexf><graph><nodes><node id="a"/></nodes><edges>'
+               '<edge source="a" target="b"/><edge source="a" target="a" weight="x"/>'
+               '</edges></graph></gexf>')
+        with pytest.raises(GexfParseError, match="unknown node 'a'/'b'"):
+            ref_import_gexf(io.StringIO(doc))
+        with pytest.raises(GexfParseError) as got:
+            import_gexf(io.StringIO(doc))
+        assert str(got.value) == "GEXF edge 'a->a' has weight 'x', not a positive count"
+
+    @pytest.mark.parametrize("default, types", [
+        ("directed", (None, "directed", "mutual")),
+        ("undirected", (None, "undirected")),
+    ])
+    def test_edge_types_match_networkx(self, tmp_path, default, types):
+        # networkx reads a mutual edge as both arcs, and rejects an edge whose type
+        # goes against the graph's default; weights add up per ordered pair.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(3)
+        ids = [f"n{i}" for i in range(8)]
+        edges = "".join(
+            f'<edge id="{i}" source="{s}" target="{d}" weight="{rng.randint(1, 9)}"'
+            + (f' type="{kind}"' if kind else "") + "/>"
+            for i, (s, d, kind) in enumerate(
+                (*rng.sample(ids, 2), rng.choice(types)) for _ in range(40)))
+        path = tmp_path / "graph.gexf"
+        path.write_text(
+            f'<gexf xmlns="{_GEXF_NS}" version="1.2"><graph defaultedgetype="{default}">'
+            "<nodes>" + "".join(f'<node id="{i}"/>' for i in ids) + "</nodes>"
+            f"<edges>{edges}</edges></graph></gexf>")
+        want: dict = {}
+        reference = nx.read_gexf(path)
+        for s, d, w in reference.edges(data="weight"):
+            for arc in ((s, d),) if reference.is_directed() else ((s, d), (d, s)):
+                want[arc] = want.get(arc, 0) + w
+        graph = import_gexf(path)
+        got = {(s.value, d.value): w for (s, d, _), w in graph.edges.items()}
+        assert got == want
+        assert graph.total_weight == sum(want.values())
+
     @pytest.mark.parametrize("doc, positioned", [
         ('<gexf><graph><nodes><node id="a"/><node id="b"/></nodes><edges>'
          '<edge source="a" target="b"/></edges></graph>', True),
@@ -602,6 +643,10 @@ class TestStreamingGexf:
          "<edge source='a'/></edges></graph></gexf>", False),
         ("<gexf><graph><nodes><node id='a'/><node id='b'/></nodes><edges>"
          "<edge source='a' target='b' weight='inf'/></edges></graph></gexf>", False),
+        # edges before nodes: the undeclared id is first named by the second edge
+        ("<gexf><graph><edges><edge source='a' target='b'/><edge source='c' target='b'/>"
+         "<edge source='d' target='c'/></edges><nodes><node id='b'/><node id='a'/>"
+         "<node id='d'/></nodes></graph></gexf>", False),
     ])
     def test_both_readers_reject(self, doc, positioned):
         with pytest.raises(GexfParseError) as want:
@@ -638,6 +683,16 @@ class TestStreamingMemory:
         import_peak = traced_peak(lambda: import_gexf(path))
         ref_import_peak = traced_peak(lambda: ref_import_gexf(path))
         assert 4 * import_peak <= ref_import_peak, (import_peak, ref_import_peak)
+
+    def test_import_holds_under_450_bytes_per_edge(self, tmp_path):
+        # Holding a tuple per <edge> until the document ended peaked near 541 B per
+        # edge; packing each edge as it closes leaves the two arc arrays and the index.
+        graph = random_connected_graph(2000, 4000, seed=11)
+        path = tmp_path / "graph.gexf"
+        export_gexf(graph, path)
+        peak = min(traced_peak(lambda: import_gexf(path)) for _ in range(3))
+        assert graph.edge_count > 5_000
+        assert peak / graph.edge_count < 450, peak / graph.edge_count
 
     def test_uncovered_partition_leaves_the_sink_untouched(self, tmp_path):
         path = tmp_path / "graph.gexf"
