@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "model": (
         "CentralityVector", "GraphView", "Handle", "InteractionGraph", "InteractionKind",
-        "Normalization", "Partition", "merge_kinds", "undirected_view",
+        "Partition", "merge_kinds", "undirected_view",
     ),
     "ingest": (
         "IngestStats", "InteractionRecord", "ParseDiagnostic", "TopicFilter", "build_graph",

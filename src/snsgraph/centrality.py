@@ -26,7 +26,6 @@ from .model import (
     CentralityVector,
     Handle,
     InteractionGraph,
-    Normalization,
     check_finite,
     merge_kinds,
     undirected_view,
@@ -46,7 +45,6 @@ _MAX_ITERS = 1000
 @dataclass(frozen=True)
 class PowerIterationConfig:
     mode: CentralityMode = CentralityMode.INCOMING
-    normalization: Normalization = Normalization.L1
     teleport: float = 0.0
 
     def __post_init__(self):
@@ -69,12 +67,6 @@ def _edge_arrays(
     index order, so scores never depend on the order the graph was built in."""
     view = merge_kinds(graph) if mode is CentralityMode.INCOMING else undirected_view(graph)
     return view.handles, view.src, view.dst, view.weights
-
-
-def _normalize(x: np.ndarray, normalization: Normalization) -> np.ndarray:
-    if normalization is Normalization.L1:
-        return x / x.sum()
-    return x / x.max()
 
 
 def eigenvector_centrality(
@@ -107,7 +99,7 @@ def eigenvector_centrality(
         y = mv + x
         if config.teleport > 0.0:
             y = y + (config.teleport / n) * x.sum()
-        y = _normalize(y, config.normalization)
+        y = y / y.sum()
         if np.max(np.abs(y - x)) <= _TOLERANCE:
             x = y
             converged = True
@@ -115,8 +107,7 @@ def eigenvector_centrality(
         x = y
 
     scores = {node: float(x[i]) for i, node in enumerate(nodes)}
-    vector = CentralityVector(scores=scores, normalization=config.normalization)
-    return CentralityResult(vector=vector, converged=converged, iterations=iterations)
+    return CentralityResult(CentralityVector(scores), converged, iterations)
 
 
 def top_k(vector: CentralityVector, k: int) -> list[tuple[Handle, float]]:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import AnalyticsError
-from .model import Handle, Normalization
+from .model import Handle
 from .seeds import derive_seed, global_seed_from_env
 
 # Stage names (``iter_corpus``, ``louvain``, ...) are not imported here: on
@@ -148,23 +148,13 @@ def _louvain_config(args) -> LouvainConfig:
 
 
 def _layout_config(args) -> LayoutConfig:
-    return _from_flags(
-        _stage.LayoutConfig,
-        scaling_kr=args.scaling,
-        gravity_kg=args.gravity,
-        barnes_hut={"on": True, "off": False, "auto": None}[args.barnes_hut],
-        iterations=args.iterations,
-        seed=derive_seed(args.seed, "layout"),
-    )
+    return _from_flags(_stage.LayoutConfig, scaling_kr=args.scaling, gravity_kg=args.gravity,
+                       iterations=args.iterations, seed=derive_seed(args.seed, "layout"))
 
 
 def _power_config(args) -> PowerIterationConfig:
-    return _from_flags(
-        _stage.PowerIterationConfig,
-        mode=args.mode and _stage.CentralityMode(args.mode),
-        normalization=args.normalize and Normalization(args.normalize),
-        teleport=args.teleport,
-    )
+    mode = args.mode and _stage.CentralityMode(args.mode)
+    return _from_flags(_stage.PowerIterationConfig, mode=mode, teleport=args.teleport)
 
 
 def _graph_from_args(args):
@@ -319,9 +309,9 @@ def _cmd_report(args) -> int:
             "topic": args.topic or None,
             "resolution": louvain_config.resolution,
             "centrality_mode": power_config.mode.value,
-            "normalization": power_config.normalization.value,
+            "normalization": "l1",
             "layout_iterations": layout_config.iterations,
-            "barnes_hut": args.barnes_hut,
+            "barnes_hut": "auto",
             "version": __version__,
             "parse_diagnostics": corpus.diagnostics,
             "self_loops_dropped": stats.self_loops_dropped,
@@ -359,7 +349,6 @@ def _add_seed(parser):
 
 def _add_layout_flags(parser):
     parser.add_argument("--iterations", type=int)
-    parser.add_argument("--barnes-hut", choices=["on", "off", "auto"], default="auto")
     parser.add_argument("--gravity", type=float)
     parser.add_argument("--scaling", type=float)
 
@@ -373,7 +362,6 @@ def _add_text_flags(parser):
 
 def _add_centrality_flags(parser):
     parser.add_argument("--mode", choices=["incoming", "undirected"])
-    parser.add_argument("--normalize", choices=["l1", "max"])
     parser.add_argument("--teleport", type=float)
 
 

@@ -519,8 +519,18 @@ class CollectorConfig:
         if self.deviation.metric == "mean_sentiment" and not (
                 self.lexicon_positive and self.lexicon_negative):
             raise ValueError("the mean_sentiment metric needs a positive and a negative lexicon")
-        files = {os.path.realpath(s.location): f"source {s.id!r}" for s in self.sources
-                 if s.kind == "file" or "://" not in s.location}  # the local files read
+        if bool(self.lexicon_positive) != bool(self.lexicon_negative):
+            raise ValueError("`lexicon` must name both a positive and a negative file")
+        self._check_writes()
+
+    def _check_writes(self, config_path: Union[str, Path, None] = None) -> None:
+        """``ValueError`` if the sink or alerts path names a file the run reads (a local
+        source, a lexicon or the config at ``config_path``) or the other written path."""
+        read = [(f"source {s.id!r}", s.location) for s in self.sources
+                if s.kind == "file" or "://" not in s.location]
+        read += [("the positive lexicon", self.lexicon_positive),
+                 ("the negative lexicon", self.lexicon_negative), ("this config", config_path)]
+        files = {os.path.realpath(path): name for name, path in read if path}
         for name, path in (("the sink", self.sink_path), ("the alerts", self.alerts_path)):
             if path and path != os.devnull:
                 if (user := files.setdefault(os.path.realpath(path), name)) != name:
@@ -542,7 +552,9 @@ class CollectorConfig:
         """Read a JSON config; a malformed one is an :class:`AnalyticsError` naming it."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                return cls.from_dict(json.load(fh))
+                config = cls.from_dict(json.load(fh))
+                config._check_writes(path)
+                return config
             except KeyError as exc:
                 raise AnalyticsError(f"{path}: collector config lacks key {exc}") from None
             except (AttributeError, TypeError, ValueError, RecursionError) as exc:
@@ -582,7 +594,7 @@ def run_collector(
     states = {spec.id: SourceState() for spec in config.sources}
     buckets = Buckets(config.deviation.bucket_seconds)
     lexicon = (load_lexicon(config.lexicon_positive, config.lexicon_negative)
-               if config.lexicon_positive and config.lexicon_negative else None)
+               if config.lexicon_positive else None)
 
     def due_in(spec: SourceSpec) -> float:  # seconds; due at 0 or below
         last = states[spec.id].last_fetched_at

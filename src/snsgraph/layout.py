@@ -14,9 +14,9 @@ merged view of the graph:
 All forces of a step are computed from the previous frame, each node's
 terms are summed in a fixed order, and the step is applied synchronously,
 so a (graph, config, seed) triple replays bit-identically. Repulsion is
-either an exact vectorized pairwise sum or a Barnes-Hut quadtree
-approximation; a minimum-distance guard keeps every division finite even
-for coincident points.
+an exact vectorized pairwise sum up to 1,000 nodes and a Barnes-Hut
+quadtree approximation above; a minimum-distance guard keeps every
+division finite even for coincident points.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ _MIN_SPEED_EFFICIENCY = 0.05
 _BLOCK = 65_536  # elements per exact-repulsion block
 _BH_NODES = 2048  # nodes per Barnes-Hut walk: bounds the walk's frontier arrays
 _JITTER_TOLERANCE = 1.0  # ForceAtlas2's default jitter tolerance
+_EXACT_MAX_NODES = 1000  # exact repulsion up to this many nodes, Barnes-Hut above
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,6 @@ class LayoutConfig:
     scaling_kr: float = 2.0
     gravity_kg: float = 1.0
     edge_weight_influence: float = 1.0
-    barnes_hut: bool | None = None  # None: auto, on for n > 1000
     theta: float = 1.2
     iterations: int = 1000
     seed: int = 0
@@ -60,9 +60,7 @@ class LayoutConfig:
             raise ValueError("iterations must be non-negative")
 
     def use_barnes_hut(self, node_count: int) -> bool:
-        if self.barnes_hut is None:
-            return node_count > 1000
-        return self.barnes_hut
+        return node_count > _EXACT_MAX_NODES
 
 
 @dataclass(frozen=True)

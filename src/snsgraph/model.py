@@ -267,35 +267,21 @@ def undirected_view(graph: InteractionGraph | GraphView) -> GraphView:
     return (graph.graph if isinstance(graph, GraphView) else graph).undirected
 
 
-class Normalization(enum.Enum):
-    """How a centrality vector is scaled: unit L1 mass or unit maximum."""
-
-    L1 = "l1"
-    MAX = "max"
-
-
 _NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CentralityVector:
-    """Per-node centrality scores under a declared normalization."""
+    """Per-node centrality scores, L1-normalized: non-negative, summing to 1."""
 
     scores: dict[Handle, float]
-    normalization: Normalization = Normalization.L1
 
     def __post_init__(self):
         if any(s < 0 for s in self.scores.values()):
             raise ValueError("centrality scores must be non-negative")
-        if self.scores:
-            if self.normalization is Normalization.L1:
-                total = sum(self.scores.values())
-                if abs(total - 1.0) > _NORM_TOL:
-                    raise ValueError(f"L1-normalized scores must sum to 1, got {total!r}")
-            else:
-                top = max(self.scores.values())
-                if abs(top - 1.0) > _NORM_TOL:
-                    raise ValueError(f"max-normalized scores must peak at 1, got {top!r}")
+        total = sum(self.scores.values())
+        if self.scores and abs(total - 1.0) > _NORM_TOL:
+            raise ValueError(f"L1-normalized scores must sum to 1, got {total!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from snsgraph.model import (
     CentralityVector,
     Handle,
     InteractionGraph,
-    Normalization,
     merge_kinds,
 )
 
@@ -94,14 +93,6 @@ class TestPowerIteration:
         assert sum(result.vector.scores.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(s >= 0 for s in result.vector.scores.values())
 
-    def test_max_normalization(self):
-        graph = pairs_graph([("a", "b"), ("b", "c"), ("c", "a")])
-        config = PowerIterationConfig(
-            mode=CentralityMode.UNDIRECTED, normalization=Normalization.MAX
-        )
-        result = eigenvector_centrality(graph, config)
-        assert max(result.vector.scores.values()) == pytest.approx(1.0, abs=1e-9)
-
     def test_weight_scaling_invariance(self):
         rng = random.Random(13)
         graph = random_strongly_connected(rng, max_nodes=25)
@@ -164,10 +155,10 @@ class TestTopK:
         assert top_k(vector, 1) == [(Handle("a"), 0.5)]
 
     def test_k_larger_than_n(self):
-        vector = CentralityVector({Handle("a"): 1.0}, Normalization.MAX)
+        vector = CentralityVector({Handle("a"): 1.0})
         assert len(top_k(vector, 99)) == 1
 
     def test_k_must_be_positive(self):
-        vector = CentralityVector({Handle("a"): 1.0}, Normalization.MAX)
+        vector = CentralityVector({Handle("a"): 1.0})
         with pytest.raises(ValueError):
             top_k(vector, 0)

@@ -82,6 +82,9 @@ class TestExitCodes:
         ("report", "--bucket-seconds", "nan"),
         ("centrality", "--teleport", "inf"),
         ("layout", "--gravity", "nan"),
+        ("report", "--barnes-hut", "on"),
+        ("layout", "--barnes-hut", "off"),
+        ("centrality", "--normalize", "max"),
     ])
     def test_rejected_config_flag_is_usage_error(self, tmp_path, command, flag, value):
         # The input does not exist: the flag must fail before any input is read.
@@ -92,7 +95,11 @@ class TestExitCodes:
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        if flag in ("--barnes-hut", "--normalize"):  # no such flag: argparse's usage lines
+            assert proc.stderr.startswith("usage: snsgraph ")
+            assert proc.stderr.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        else:
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command, flag, value, code", [
         ("communities", "--resolution", "1e6", 0),  # Q lies in [-1e6, 1]
@@ -253,6 +260,8 @@ class TestExitCodes:
          "bucket_seconds is too large for a float"),
         ({"sources": [dict(SOURCE, poll_interval=1e300)]}, "poll_interval must be at most"),
         ({"sources": [dict(SOURCE, poll_interval=1e10)]}, "poll_interval must be at most"),
+        ({"sources": [SOURCE], "lexicon": {"positive": "missing.txt"}},
+         "`lexicon` must name both a positive and a negative file"),
     ])
     def test_bad_collector_config_is_data_error(self, tmp_path, config, culprit):
         # run where the default sink `collected.jsonl` lives: it must stay untouched
@@ -295,21 +304,31 @@ class TestExitCodes:
         ("link.jsonl", None, "the sink path 'link.jsonl' is also the file of source 's1'"),
         ("out.jsonl", "out.jsonl", "the alerts path 'out.jsonl' is also the file of the sink"),
         ("out.jsonl", "link.jsonl", "the alerts path 'link.jsonl' is also the file of source"),
+        ("pos.txt", None, "the sink path 'pos.txt' is also the file of the positive lexicon"),
+        ("out.jsonl", "neg.txt", "the alerts path 'neg.txt' is also the file of the negative "
+         "lexicon"),
+        ("collector.json", None, "the sink path 'collector.json' is also the file of this config"),
+        ("out.jsonl", "collector.json", "the alerts path 'collector.json' is also the file of "
+         "this config"),
     ])
     def test_written_path_that_names_a_file_in_use_is_data_error(self, tmp_path, sink, alerts,
                                                                   culprit):
-        # Written over, the source would read as empty, or the alerts would replace the sink.
+        # Written over, the source, a lexicon or the config would be lost, or the alerts
+        # would replace the sink.
         source = write_jsonl(tmp_path / "c.jsonl", [
             {"id": str(i), "author": "alice", "text": "hi", "mentions": ["bob"],
              "timestamp": "2017-04-21T10:00:00Z"} for i in range(20)])
         (tmp_path / "sub").mkdir()
         (tmp_path / "link.jsonl").symlink_to("c.jsonl")
         (tmp_path / "out.jsonl").write_bytes(b"kept\n")
-        config = {"sources": [self.SOURCE], "sink": {"path": sink}}
+        (tmp_path / "pos.txt").write_text("good\n")
+        (tmp_path / "neg.txt").write_text("bad\n")
+        config = {"sources": [self.SOURCE], "sink": {"path": sink},
+                  "lexicon": {"positive": "pos.txt", "negative": "neg.txt"}}
         if alerts is not None:
             config["alerts"] = {"path": alerts}
         (tmp_path / "collector.json").write_text(json.dumps(config))
-        before = {p: p.read_bytes() for p in (source, tmp_path / "out.jsonl")}
+        before = {p: p.read_bytes() for p in tmp_path.glob("*.*")}
         src = str(Path(snsgraph.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "snsgraph.cli", "collect", "--config", "collector.json",

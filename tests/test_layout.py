@@ -311,8 +311,11 @@ def kernel_cases():
     for n, seed in ((60, 3), (300, 4)):
         graph = random_connected_graph(n, 2 * n, seed=seed)
         yield graph, init_layout(graph, seed)
-        yield graph, run_layout(graph, LayoutConfig(iterations=4, seed=seed, barnes_hut=True))
-        yield graph, run_layout(graph, LayoutConfig(iterations=4, seed=seed, barnes_hut=False))
+        with pytest.MonkeyPatch.context() as patch:  # Barnes-Hut at any size
+            patch.setattr(snsgraph.layout, "_EXACT_MAX_NODES", 0)
+            frame = run_layout(graph, LayoutConfig(iterations=4, seed=seed))
+        yield graph, frame
+        yield graph, run_layout(graph, LayoutConfig(iterations=4, seed=seed))
     graph = random_connected_graph(40, 60, seed=5)
     yield graph, coincident_frame(graph, 6)
     handles = [Handle(f"c{i}") for i in range(8)]
@@ -463,11 +466,12 @@ class TestBarnesHut:
         frame = LayoutFrame(positions={})
         assert repulsion_forces(InteractionGraph({}), frame, barnes_hut=barnes_hut) == {}
 
-    def test_coincident_points_stay_finite(self):
+    def test_coincident_points_stay_finite(self, monkeypatch):
+        monkeypatch.setattr(snsgraph.layout, "_EXACT_MAX_NODES", 0)  # Barnes-Hut at n = 8
         handles = [Handle(f"c{i}") for i in range(8)]
         g = InteractionGraph({}, extra_nodes=handles)
         frame = LayoutFrame(positions={h: (1.0, 1.0) for h in handles})
-        config = LayoutConfig(barnes_hut=True, seed=0)
+        config = LayoutConfig(seed=0)
         for _ in range(50):
             frame = fa2_step(g, frame, config)
         coords = positions_array(frame)
@@ -490,10 +494,11 @@ class TestRunLayout:
         config = LayoutConfig(iterations=80, seed=21)
         assert run_layout(g, config).positions == run_layout(g, config).positions
 
-    def test_matches_stepwise_composition(self):
+    def test_matches_stepwise_composition(self, monkeypatch):
         g = random_connected_graph(12, 8, seed=4)
-        for barnes_hut in (None, True):
-            config = LayoutConfig(iterations=7, seed=5, barnes_hut=barnes_hut)
+        config = LayoutConfig(iterations=7, seed=5)
+        for exact_max in (snsgraph.layout._EXACT_MAX_NODES, 0):  # exact, then Barnes-Hut
+            monkeypatch.setattr(snsgraph.layout, "_EXACT_MAX_NODES", exact_max)
             frame = init_layout(g, 5)
             for _ in range(7):
                 frame = fa2_step(g, frame, config)
@@ -551,8 +556,19 @@ class TestLayoutConfig:
     def test_barnes_hut_auto_threshold(self):
         assert not LayoutConfig().use_barnes_hut(1000)
         assert LayoutConfig().use_barnes_hut(1001)
-        assert LayoutConfig(barnes_hut=True).use_barnes_hut(2)
-        assert not LayoutConfig(barnes_hut=False).use_barnes_hut(5000)
+
+    @pytest.mark.parametrize("n, barnes_hut", [(1000, False), (1001, True)])
+    def test_run_layout_picks_the_kernel_by_node_count(self, monkeypatch, n, barnes_hut):
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return _bh_repulsion(*args)
+
+        monkeypatch.setattr(snsgraph.layout, "_bh_repulsion", spy)
+        g = InteractionGraph({}, extra_nodes=[Handle(f"v{i}") for i in range(n)])
+        run_layout(g, LayoutConfig(iterations=1))
+        assert calls == ([n] if barnes_hut else [])
 
 
 class TestKernelsMatchReference:

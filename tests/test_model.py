@@ -136,12 +136,10 @@ class TestPartitionAndCentralityVector:
         assert [sorted(h.value for h in c) for c in ok.communities()] == [["a"], ["b"]]
 
     def test_centrality_vector_checks_normalization(self):
-        from snsgraph.model import CentralityVector, Normalization
+        from snsgraph.model import CentralityVector
 
         with pytest.raises(ValueError):
             CentralityVector({Handle("a"): 0.4, Handle("b"): 0.4})
-        with pytest.raises(ValueError):
-            CentralityVector({Handle("a"): 0.5}, Normalization.MAX)
         with pytest.raises(ValueError):
             CentralityVector({Handle("a"): -0.1, Handle("b"): 1.1})
         CentralityVector({Handle("a"): 0.6, Handle("b"): 0.4})  # valid L1

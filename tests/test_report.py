@@ -31,7 +31,6 @@ from snsgraph.model import (
     Handle,
     InteractionGraph,
     InteractionKind,
-    Normalization,
     Partition,
 )
 from snsgraph.report import (
@@ -474,9 +473,9 @@ def attributed_graphs(draw):
     dense = {c: i for i, c in enumerate(sorted(set(raw)))}
     partition = Partition({h: dense[c] for h, c in zip(nodes, raw)}, len(dense), 0.0)
     scores = [draw(st.floats(0.0, 1.0)) for _ in nodes]
-    top = max(scores, default=0.0)
+    total = sum(scores)
     centrality = CentralityVector(
-        {h: s / top if top else 1.0 for h, s in zip(nodes, scores)}, Normalization.MAX
+        {h: s / total if total else 1.0 / len(nodes) for h, s in zip(nodes, scores)}
     )
     return graph, frame, partition, centrality
 
