@@ -21,6 +21,7 @@ division finite even for coincident points.
 
 from __future__ import annotations
 
+import ctypes  # numpy imports it already
 import math
 import random
 from dataclasses import dataclass, field
@@ -418,12 +419,26 @@ def _state_to_frame(
     )
 
 
+def _keep_freed_memory() -> None:
+    """Keep freed blocks under 4 MiB mapped, so no step faults in fresh zeroed pages."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD: blocks below it come from the heap
+        libc.mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD: the heap's free top is kept below it
+    except (AttributeError, OSError, TypeError):  # no C library, or one without mallopt(3)
+        pass
+
+
 def run_layout(
     graph: InteractionGraph | GraphView,
     config: LayoutConfig | None = None,
     frame: LayoutFrame | None = None,
 ) -> LayoutFrame:
-    """Run ``config.iterations`` steps from a seeded (or given) initial frame."""
+    """Run ``config.iterations`` steps from a seeded (or given) initial frame.
+
+    First it has malloc keep freed blocks mapped, process-wide; that moves arrays, never their values.
+    """
+    _keep_freed_memory()
     config = config or LayoutConfig()
     view = undirected_view(graph)
     if frame is None:

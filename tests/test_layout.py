@@ -1,5 +1,9 @@
 import math
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,6 +541,56 @@ class TestRunLayout:
         extent = np.abs(coords).max()
         assert np.linalg.norm(centroid) < max(extent, 1.0)
         assert np.isfinite(coords).all()
+
+
+# A fresh interpreter: pytest's own process has already run layouts, so its
+# heap is grown. Prints the minor page faults per step of 40 steps, taken
+# after 5 warm-up steps at desk-report's size (Barnes-Hut, n = 1,400).
+FAULT_PROBE = """\
+import resource, sys
+sys.path[:0] = sys.argv[1:]
+from conftest import random_connected_graph
+from snsgraph.layout import LayoutConfig, run_layout
+graph = random_connected_graph(1400, 8400, seed=3)
+frame = run_layout(graph, LayoutConfig(iterations=5, seed=3))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_layout(graph, LayoutConfig(iterations=40, seed=3), frame)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 40)
+"""
+
+
+def no_c_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+def c_library_without_mallopt(name):
+    return object()
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the policy is glibc's mallopt(3)")
+    def test_a_layout_step_pages_in_no_fresh_memory(self):
+        paths = [str(Path(__file__).parent), str(Path(snsgraph.__file__).parents[1])]
+        proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, *paths],
+                              capture_output=True, text=True, check=True)
+        assert float(proc.stdout) < 50
+
+    @pytest.mark.parametrize("cdll", [no_c_library, c_library_without_mallopt])
+    def test_results_do_not_depend_on_it(self, monkeypatch, cdll):
+        calls = []
+        monkeypatch.setattr(snsgraph.layout.ctypes, "CDLL",
+                            lambda name: calls.append(name) or cdll(name))
+        graph = random_connected_graph(300, 600, seed=4)
+        arrays = _Arrays(undirected_view(graph), 1.0)
+        config = LayoutConfig(iterations=4, seed=4)
+        for exact_max in (snsgraph.layout._EXACT_MAX_NODES, 0):  # exact, then Barnes-Hut
+            monkeypatch.setattr(snsgraph.layout, "_EXACT_MAX_NODES", exact_max)
+            pos = positions_of(run_layout(graph, config), arrays)
+            for barnes_hut in (False, True):
+                expected = ref_compute_forces(pos, arrays, config, barnes_hut)
+                assert same_bits(_compute_forces(pos, arrays, config, barnes_hut), expected)
+        assert calls == [None, None]
 
 
 class TestLayoutConfig:
