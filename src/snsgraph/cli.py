@@ -224,7 +224,8 @@ def _cmd_text(args) -> int:
     top = _top_flag("--top", args.top)
     corpus = _Corpus(args)
     text = _stage.TextFold(*_text_inputs(args))
-    # sum() over a generator adds as sum() over a list does, on every Python version
+    # sum() over a generator adds as over a list on any one Python; from 3.12 sum()
+    # is compensated, so the last bits differ by version (README, "Determinism and seeds")
     total = sum(s.score for s in map(text.add, corpus) if s is not None and not s.neutral)
     stats = text.result()
     ranked = _stage.top_terms(stats, top, order=args.order)

@@ -108,44 +108,45 @@ def _delta_q(
 
 
 class _WorkGraph:
-    """Undirected weighted graph on integer nodes, with self-loop weights.
-
-    Self-loops appear only on aggregated graphs, where they carry the
-    intra-community weight of the collapsed nodes (counted once).
+    """Undirected weighted graph on integer nodes as CSR rows: node ``i``'s arcs
+    are entries ``indptr[i]:indptr[i + 1]`` of ``dst`` and ``weights``, held as
+    memoryviews, which index to Python ints and floats. Level 0 reads the
+    symmetric view's arrays in place, and every aggregated level has rows of
+    its own. Self-loop weights appear only on aggregated graphs, where they
+    carry the intra-community weight of the collapsed nodes (counted once).
     """
 
-    __slots__ = ("adj", "self_w", "degree", "total")
+    __slots__ = ("indptr", "dst", "weights", "self_w", "degree", "total")
 
-    def __init__(self, adj: list[dict[int, float]], self_w: list[float]):
-        self.adj = adj
+    def __init__(self, indptr, dst, weights, self_w: list[float]):
+        self.indptr, self.dst, self.weights = map(memoryview, (indptr, dst, weights))
         self.self_w = self_w
-        self.degree = [sum(nbrs.values()) + 2.0 * self_w[i] for i, nbrs in enumerate(adj)]
+        ptr, w = self.indptr, self.weights
+        self.degree = [sum(w[a:b]) + 2.0 * s for a, b, s in zip(ptr, ptr[1:], self_w)]
         self.total = sum(self.degree) / 2.0
 
     @classmethod
     def from_view(cls, view: GraphView) -> "_WorkGraph":
-        """The symmetric view's rows as adjacency dicts, without self-loops."""
-        indptr, dst, weights = view.indptr.tolist(), view.dst.tolist(), view.weights.tolist()
-        adj = [dict(zip(dst[a:b], weights[a:b])) for a, b in zip(indptr, indptr[1:])]
-        return cls(adj, [0.0] * len(adj))
-
-    @property
-    def n(self) -> int:
-        return len(self.adj)
+        """The symmetric view's rows, without self-loops."""
+        return cls(view.indptr, view.dst, view.weights, [0.0] * view.node_count)
 
     def links(self, node: int, comm: list[int]) -> dict[int, float]:
         """Weight from ``node`` to each community among its neighbours: the
         one input of every move gain, in Louvain and in :func:`local_move_gain`."""
         out: dict[int, float] = {}
-        for nbr, w in self.adj[node].items():
-            c = comm[nbr]
-            out[c] = out.get(c, 0.0) + w
+        a, b = self.indptr[node], self.indptr[node + 1]
+        for nbr, w in zip(self.dst[a:b], self.weights[a:b]):
+            if (c := comm[nbr]) in out:
+                out[c] += w
+            else:
+                out[c] = w  # 0.0 + w, as every weight is positive
         return out
 
 
 class MoveContext:
-    """A community assignment on a graph's Louvain work graph, for
-    evaluating single-node move gains as :func:`_one_level` does.
+    """A community assignment on the level-0 Louvain work graph (the view's
+    own rows, not a copy), for evaluating single-node move gains as
+    :func:`_one_level` does.
 
     ``community`` holds each node's community in node index order and
     ``community_degree`` the summed weighted degree of each community.
@@ -192,13 +193,9 @@ def _one_level(wg: _WorkGraph, config: LouvainConfig, rng: random.Random) -> tup
 
     Returns the (non-dense) community labels and the accumulated gain.
     """
-    comm = list(range(wg.n))
-    comm_deg = list(wg.degree)
-    total = wg.total
-    gamma = config.resolution
+    n, total, gamma = len(wg.degree), wg.total, config.resolution
+    comm, comm_deg, order = list(range(n)), list(wg.degree), list(range(n))
     level_gain = 0.0
-
-    order = list(range(wg.n))
     while True:
         rng.shuffle(order)
         sweep_gain = 0.0
@@ -206,20 +203,15 @@ def _one_level(wg: _WorkGraph, config: LouvainConfig, rng: random.Random) -> tup
             current = comm[node]
             k_i = wg.degree[node]
             links = wg.links(node, comm)
-            k_to_current = links.get(current, 0.0)
+            k_to_current = links.pop(current, 0.0)
             deg_current = comm_deg[current]
 
-            best_gain = 0.0
-            best_comm = current
+            best_gain, best_comm = 0.0, current
             for cand in sorted(links):
-                if cand == current:
-                    continue
-                gain = _delta_q(
-                    total, gamma, k_i, links[cand], k_to_current, deg_current, comm_deg[cand]
-                )
+                gain = _delta_q(total, gamma, k_i, links[cand], k_to_current, deg_current,
+                                comm_deg[cand])
                 if gain > best_gain:
-                    best_gain = gain
-                    best_comm = cand
+                    best_gain, best_comm = gain, cand
             if best_comm != current:
                 comm[node] = best_comm
                 comm_deg[current] -= k_i
@@ -234,24 +226,31 @@ def _one_level(wg: _WorkGraph, config: LouvainConfig, rng: random.Random) -> tup
 def _aggregate(wg: _WorkGraph, comm: list[int]) -> tuple[_WorkGraph, list[int]]:
     """Phase 2: collapse communities into super-nodes.
 
-    Labels are renumbered densely in order of first appearance over the
-    node index order, which keeps the whole run deterministic.
+    Labels are renumbered densely in order of first appearance over the node
+    index order, which keeps the whole run deterministic. Each pair of super-nodes
+    adds its weights in row order, and each new row lists its pairs as first met.
     """
     dense, k = _first_appearance(comm)
-    adj: list[dict[int, float]] = [{} for _ in range(k)]
     self_w = [0.0] * k
-    for u, nbrs in enumerate(wg.adj):
-        cu = dense[u]
+    pair_w: dict[int, float] = {}  # lower * k + upper super-node -> weight
+    ptr, dst, weights = wg.indptr, wg.dst, wg.weights
+    for u in range(len(wg.degree)):
+        cu, a, b = dense[u], ptr[u], ptr[u + 1]
         self_w[cu] += wg.self_w[u]
-        for v, w in nbrs.items():
+        for v, w in zip(dst[a:b], weights[a:b]):
             if u < v:
-                cv = dense[v]
-                if cu == cv:
+                if (cv := dense[v]) == cu:
                     self_w[cu] += w
                 else:
-                    adj[cu][cv] = adj[cu].get(cv, 0.0) + w
-                    adj[cv][cu] = adj[cv].get(cu, 0.0) + w
-    return _WorkGraph(adj, self_w), dense
+                    key = cu * k + cv if cu < cv else cv * k + cu
+                    pair_w[key] = pair_w.get(key, 0.0) + w
+    # Both arcs of each pair, in pair order; a stable sort by row keeps that order.
+    lo, hi = np.divmod(np.fromiter(pair_w, np.int64, len(pair_w)), k)
+    src, to = np.column_stack([lo, hi]).ravel(), np.column_stack([hi, lo]).ravel()
+    order = src.argsort(kind="stable")
+    w = np.fromiter(pair_w.values(), np.float64, len(pair_w)).repeat(2)
+    indptr = np.concatenate([[0], np.bincount(src, minlength=k).cumsum()])
+    return _WorkGraph(indptr, to[order], w[order], self_w), dense
 
 
 def louvain_trace(
@@ -266,7 +265,7 @@ def louvain_trace(
 
     wg = _WorkGraph.from_view(view)
     rng = random.Random(config.seed)
-    membership = list(range(wg.n))  # original node -> current super-node
+    membership = list(range(view.node_count))  # original node -> current super-node
     trace: list[float] = []
 
     for _ in range(_MAX_PASSES):
@@ -282,13 +281,11 @@ def louvain_trace(
     final, count = _first_appearance(membership)
     assignment = dict(zip(view.handles, final))
     q = modularity(view, assignment, config.resolution)
-    partition = Partition(assignment, count, q, config.resolution)
-    return partition, trace
+    return Partition(assignment, count, q, config.resolution), trace
 
 
 def louvain(
     graph: InteractionGraph | GraphView, config: LouvainConfig | None = None
 ) -> Partition:
     """Detect communities by greedy modularity maximization."""
-    partition, _ = louvain_trace(graph, config)
-    return partition
+    return louvain_trace(graph, config)[0]

@@ -10,8 +10,10 @@ kind, and community ids, eigenvector scores and layout positions as node
 attributes when given, as formatted text in chunks of bounded size. Import
 reads UTF-8 in one pass, packing each edge as it closes. Neither builds an
 element tree, and an exported graph re-imports exactly.
-Reports render as JSON or fixed-column text tables, and echo the seeds and
-configuration that produced them so every number can be recomputed.
+Reports render as JSON or fixed-column text tables. A report's ``metadata``
+echoes the seeds, topic, resolution, centrality mode, layout iteration count
+and version, but not every setting that can change a number: the
+``report.json`` section of ``docs/formats.md`` lists those it leaves out.
 """
 
 from __future__ import annotations

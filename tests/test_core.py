@@ -6,11 +6,16 @@ verbatim apart from their ``ref_`` names. The core must reproduce their
 arrays element for element (compared via ``tobytes``, so dtype and the
 sign of zero count too), and modularity must match bit for bit.
 ``ref_workgraph_q`` is the per-pass modularity Louvain's trace used to take
-from its work graph; the trace must match it bit for bit.
+from its work graph; the trace must match it bit for bit. ``RefWorkGraph``,
+``ref_one_level``, ``ref_aggregate`` and ``ref_louvain_trace`` are Louvain as
+it ran on one adjacency dict per node, also verbatim apart from their names:
+the CSR work graph must give the same partition, and the same trace and Q
+bit for bit, level by level.
 """
 
 import io
 import random
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -18,19 +23,25 @@ from hypothesis import given, settings, strategies as st
 from snsgraph.centrality import CentralityMode, _edge_arrays
 from snsgraph.community import (
     LouvainConfig,
+    MoveContext,
     _MAX_PASSES,
     _MIN_GAIN,
     _aggregate,
+    _delta_q,
+    _first_appearance,
     _one_level,
+    _q,
     _WorkGraph,
     louvain_trace,
     modularity,
 )
+from snsgraph.errors import UndefinedModularityError
 from snsgraph.layout import _Arrays
 from snsgraph.model import (
     Handle,
     InteractionGraph,
     InteractionKind,
+    Partition,
     merge_kinds,
     undirected_view,
 )
@@ -167,8 +178,9 @@ def ref_modularity(graph, assignment, resolution=1.0):
 def ref_workgraph_q(wg, comm, resolution):
     intra: dict[int, float] = {}
     deg: dict[int, float] = {}
-    for u, nbrs in enumerate(wg.adj):
-        for v, w in nbrs.items():
+    for u in range(len(wg.degree)):
+        a, b = wg.indptr[u], wg.indptr[u + 1]
+        for v, w in zip(wg.dst[a:b], wg.weights[a:b]):
             if u < v and comm[u] == comm[v]:
                 intra[comm[u]] = intra.get(comm[u], 0.0) + w
         intra[comm[u]] = intra.get(comm[u], 0.0) + wg.self_w[u]
@@ -179,7 +191,7 @@ def ref_workgraph_q(wg, comm, resolution):
     return q
 
 
-def ref_louvain_trace(graph, config):
+def workgraph_q_trace(graph, config):
     """The per-pass loop of ``louvain_trace`` with ``ref_workgraph_q``."""
     wg = _WorkGraph.from_view(undirected_view(graph))
     rng = random.Random(config.seed)
@@ -187,10 +199,143 @@ def ref_louvain_trace(graph, config):
     for _ in range(_MAX_PASSES):
         comm, level_gain = _one_level(wg, config, rng)
         wg, _ = _aggregate(wg, comm)
-        trace.append(ref_workgraph_q(wg, list(range(wg.n)), config.resolution))
+        trace.append(ref_workgraph_q(wg, list(range(len(wg.degree))), config.resolution))
         if level_gain <= _MIN_GAIN:
             break
     return trace
+
+
+class RefWorkGraph:
+    """Undirected weighted graph on integer nodes, with self-loop weights.
+
+    Self-loops appear only on aggregated graphs, where they carry the
+    intra-community weight of the collapsed nodes (counted once).
+    """
+
+    __slots__ = ("adj", "self_w", "degree", "total")
+
+    def __init__(self, adj: list[dict[int, float]], self_w: list[float]):
+        self.adj = adj
+        self.self_w = self_w
+        self.degree = [sum(nbrs.values()) + 2.0 * self_w[i] for i, nbrs in enumerate(adj)]
+        self.total = sum(self.degree) / 2.0
+
+    @classmethod
+    def from_view(cls, view) -> "RefWorkGraph":
+        """The symmetric view's rows as adjacency dicts, without self-loops."""
+        indptr, dst, weights = view.indptr.tolist(), view.dst.tolist(), view.weights.tolist()
+        adj = [dict(zip(dst[a:b], weights[a:b])) for a, b in zip(indptr, indptr[1:])]
+        return cls(adj, [0.0] * len(adj))
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
+
+    def links(self, node: int, comm: list[int]) -> dict[int, float]:
+        """Weight from ``node`` to each community among its neighbours: the
+        one input of every move gain, in Louvain and in :func:`local_move_gain`."""
+        out: dict[int, float] = {}
+        for nbr, w in self.adj[node].items():
+            c = comm[nbr]
+            out[c] = out.get(c, 0.0) + w
+        return out
+
+
+def ref_one_level(wg, config, rng):
+    """Phase 1: greedy local moves until a sweep gains no more than ``_MIN_GAIN``.
+
+    Returns the (non-dense) community labels and the accumulated gain.
+    """
+    comm = list(range(wg.n))
+    comm_deg = list(wg.degree)
+    total = wg.total
+    gamma = config.resolution
+    level_gain = 0.0
+
+    order = list(range(wg.n))
+    while True:
+        rng.shuffle(order)
+        sweep_gain = 0.0
+        for node in order:
+            current = comm[node]
+            k_i = wg.degree[node]
+            links = wg.links(node, comm)
+            k_to_current = links.get(current, 0.0)
+            deg_current = comm_deg[current]
+
+            best_gain = 0.0
+            best_comm = current
+            for cand in sorted(links):
+                if cand == current:
+                    continue
+                gain = _delta_q(
+                    total, gamma, k_i, links[cand], k_to_current, deg_current, comm_deg[cand]
+                )
+                if gain > best_gain:
+                    best_gain = gain
+                    best_comm = cand
+            if best_comm != current:
+                comm[node] = best_comm
+                comm_deg[current] -= k_i
+                comm_deg[best_comm] += k_i
+                sweep_gain += best_gain
+        level_gain += sweep_gain
+        if sweep_gain <= _MIN_GAIN:
+            break
+    return comm, level_gain
+
+
+def ref_aggregate(wg, comm):
+    """Phase 2: collapse communities into super-nodes.
+
+    Labels are renumbered densely in order of first appearance over the
+    node index order, which keeps the whole run deterministic.
+    """
+    dense, k = _first_appearance(comm)
+    adj: list[dict[int, float]] = [{} for _ in range(k)]
+    self_w = [0.0] * k
+    for u, nbrs in enumerate(wg.adj):
+        cu = dense[u]
+        self_w[cu] += wg.self_w[u]
+        for v, w in nbrs.items():
+            if u < v:
+                cv = dense[v]
+                if cu == cv:
+                    self_w[cu] += w
+                else:
+                    adj[cu][cv] = adj[cu].get(cv, 0.0) + w
+                    adj[cv][cu] = adj[cv].get(cu, 0.0) + w
+    return RefWorkGraph(adj, self_w), dense
+
+
+def ref_louvain_trace(graph, config=None):
+    """Run Louvain and also report modularity after each pass: at most
+    ``_MAX_PASSES``, ending after one that gains no more than ``_MIN_GAIN``."""
+    config = config or LouvainConfig()
+    view = undirected_view(graph)
+    if view.total_weight <= 0:
+        raise UndefinedModularityError("Louvain undefined on a graph without edges")
+
+    wg = RefWorkGraph.from_view(view)
+    rng = random.Random(config.seed)
+    membership = list(range(wg.n))  # original node -> current super-node
+    trace: list[float] = []
+
+    for _ in range(_MAX_PASSES):
+        comm, level_gain = ref_one_level(wg, config, rng)
+        wg, dense = ref_aggregate(wg, comm)
+        membership = [dense[m] for m in membership]
+        # Each super-node is its own community; its self-loop is its intra weight.
+        trace.append(_q(wg.self_w, wg.degree, wg.total, config.resolution))
+        if level_gain <= _MIN_GAIN:
+            break
+
+    # Dense final ids in order of first appearance over sorted handles.
+    final, count = _first_appearance(membership)
+    assignment = dict(zip(view.handles, final))
+    q = modularity(view, assignment, config.resolution)
+    partition = Partition(assignment, count, q, config.resolution)
+    return partition, trace
 
 
 def ref_view_to_workgraph(view):
@@ -200,7 +345,7 @@ def ref_view_to_workgraph(view):
     for u, v, w in view.iter_pairs():
         adj[index[u]][index[v]] = w
         adj[index[v]][index[u]] = w
-    return _WorkGraph(adj, [0.0] * len(nodes)), nodes
+    return RefWorkGraph(adj, [0.0] * len(nodes)), nodes
 
 
 def ref_edge_arrays(graph, mode):
@@ -260,6 +405,21 @@ def same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def row_arrays(wg):
+    """A CSR work graph's rows as (row, col, weight) arrays in row order."""
+    ptr = np.asarray(wg.indptr)
+    return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), np.asarray(wg.dst), np.asarray(wg.weights)
+
+
+def rows(wg):
+    """Each row of a CSR work graph as its (neighbour, weight) pairs, in order."""
+    return [list(zip(wg.dst[a:b], wg.weights[a:b])) for a, b in zip(wg.indptr, wg.indptr[1:])]
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
 def adjacency_arrays(adj):
     """A list of adjacency dicts as (row, col, weight) arrays in (row, col) order."""
     rows = [(u, v, w) for u, nbrs in enumerate(adj) for v, w in sorted(nbrs.items())]
@@ -293,7 +453,7 @@ def assert_matches_references(graph):
         wg = _WorkGraph.from_view(view)
         ref_wg, ref_nodes = ref_view_to_workgraph(ref_view)
         assert view.handles == ref_nodes
-        for a, b in zip(adjacency_arrays(wg.adj), adjacency_arrays(ref_wg.adj)):
+        for a, b in zip(row_arrays(wg), adjacency_arrays(ref_wg.adj)):
             assert same(a, b)
         assert wg.degree == ref_wg.degree and wg.total == ref_wg.total
 
@@ -384,10 +544,35 @@ def test_modularity_bit_identical_to_reference(raw, labels, rnd):
         )
 
 
+def assert_levels_match_reference(graph, config):
+    """Each level's rows (in order), self-loops, degrees, moves and relabelling
+    equal the dict oracle's, bit for bit."""
+    view = undirected_view(graph)
+    wg, ref_wg = _WorkGraph.from_view(view), RefWorkGraph.from_view(view)
+    rng, ref_rng = random.Random(config.seed), random.Random(config.seed)
+    for _ in range(_MAX_PASSES):
+        assert rows(wg) == [list(nbrs.items()) for nbrs in ref_wg.adj]
+        assert hexes(wg.self_w) == hexes(ref_wg.self_w)
+        assert hexes(wg.degree) == hexes(ref_wg.degree) and wg.total.hex() == ref_wg.total.hex()
+        comm, level_gain = _one_level(wg, config, rng)
+        ref_comm, ref_gain = ref_one_level(ref_wg, config, ref_rng)
+        assert comm == ref_comm and level_gain.hex() == ref_gain.hex()
+        (wg, dense), (ref_wg, ref_dense) = _aggregate(wg, comm), ref_aggregate(ref_wg, ref_comm)
+        assert dense == ref_dense
+        if level_gain <= _MIN_GAIN:
+            break
+    assert rows(wg) == [list(nbrs.items()) for nbrs in ref_wg.adj]
+    assert hexes(wg.self_w) == hexes(ref_wg.self_w) and hexes(wg.degree) == hexes(ref_wg.degree)
+
+
 def assert_trace_matches_reference(graph, config):
-    _, trace = louvain_trace(graph, config)
-    want = ref_louvain_trace(graph, config)
-    assert [q.hex() for q in trace] == [q.hex() for q in want]
+    partition, trace = louvain_trace(graph, config)
+    ref_partition, ref_trace = ref_louvain_trace(graph, config)
+    assert partition.assignment == ref_partition.assignment
+    assert partition.community_count == ref_partition.community_count
+    assert partition.modularity_q.hex() == ref_partition.modularity_q.hex()
+    assert hexes(trace) == hexes(ref_trace) == hexes(workgraph_q_trace(graph, config))
+    assert_levels_match_reference(graph, config)
 
 
 def test_louvain_trace_bit_identical_on_karate_and_a_larger_graph():
@@ -404,6 +589,52 @@ def test_louvain_trace_bit_identical_to_reference(raw, seed, resolution):
     graph = make_graph(raw, [])
     if graph.total_weight:
         assert_trace_matches_reference(graph, LouvainConfig(resolution=resolution, seed=seed))
+
+
+# Up to 25 nodes and 30 edges, at least two of them weighing 2**50 to 2**58: float
+# sums of such weights round, so the order they are added in shows in the bits.
+wide_names = st.integers(0, 24).map(lambda i: f"n{i}")
+rounding_edge_maps = st.dictionaries(
+    st.tuples(wide_names, wide_names, st.sampled_from(list(InteractionKind))).filter(
+        lambda t: t[0] != t[1]
+    ),
+    st.one_of(st.integers(1, 9), st.integers(2**50, 2**58)),
+    min_size=3,
+    max_size=30,
+).filter(lambda edges: sum(w >= 2**50 for w in edges.values()) >= 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rounding_edge_maps, st.integers(0, 2**16), st.sampled_from([0.5, 1.0, 1.7]))
+def test_louvain_matches_the_dict_oracle_where_float_sums_round(raw, seed, resolution):
+    assert_trace_matches_reference(
+        make_graph(raw, []), LouvainConfig(resolution=resolution, seed=seed))
+
+
+def traced_peak(build):
+    """Bytes ``build()`` has allocated at its peak, by ``tracemalloc``, with its result alive."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kept = build()
+        return tracemalloc.get_traced_memory()[1] - before, kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_level_0_reads_the_view_in_place():
+    graph = random_connected_graph(2000, 8000, seed=9)
+    view = undirected_view(graph)
+    assignment = {h: i % 10 for i, h in enumerate(graph.nodes)}
+    assert len(view.dst) >= 9 * view.node_count
+    for build in (lambda: _WorkGraph.from_view(view), lambda: MoveContext(view, assignment).wg):
+        peak, wg = traced_peak(build)
+        assert wg.indptr.obj is view.indptr and wg.dst.obj is view.dst
+        assert wg.weights.obj is view.weights
+        # Degrees and their list slots are 32 B a node. A float object per arc
+        # alone would be over 200 B a node.
+        assert peak <= 96 * view.node_count, peak / view.node_count
 
 
 @settings(max_examples=100, deadline=None)
