@@ -75,26 +75,26 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-# One writer per stage table, shared by the subcommands and ``report``.
+# One writer per stage table, shared by the subcommands and ``report``; each streams its rows.
 
 def _write_communities(out: Path, partition) -> None:
     _write_csv(out / "communities.csv", ["handle", "community_id"],
-               [(h.display(), c) for h, c in partition.assignment.items()])
+               ((h.display(), c) for h, c in partition.assignment.items()))
 
 
 def _write_centrality(out: Path, ranking) -> None:
     _write_csv(out / "centrality.csv", ["handle", "eigenvector"],
-               [(h.display(), repr(s)) for h, s in ranking])
+               ((h.display(), repr(s)) for h, s in ranking))
 
 
 def _write_terms(out: Path, ranked) -> None:
     _write_csv(out / "terms.csv", ["term", "mention_count", "salience"],
-               [(t.term, t.mention_count, repr(t.salience)) for t in ranked])
+               ((t.term, t.mention_count, repr(t.salience)) for t in ranked))
 
 
 def _write_layout(out: Path, frame) -> None:
     _write_csv(out / "layout.csv", ["handle", "x", "y"],
-               [(h.display(), repr(x), repr(y)) for h, (x, y) in frame.positions.items()])
+               ((h.display(), repr(x), repr(y)) for h, (x, y) in frame.positions.items()))
 
 
 def _warn(diag) -> None:

@@ -60,12 +60,17 @@ def utf8(line: str) -> str:
 
 
 def parse_rfc3339(value: str) -> datetime:
-    """An RFC 3339 timestamp in UTC by :func:`utc`; a ``Z`` suffix, which Python
-    3.10's ``fromisoformat`` rejects, is read as ``+00:00``."""
+    """An RFC 3339 timestamp in UTC by :func:`utc`, read as 3.11 reads it on every Python:
+    ``Z`` as ``+00:00``, a fraction of any length padded or cut to microseconds."""
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    return utc(datetime.fromisoformat(text))
+    if "." in text:
+        text = re.sub(r"(?<=\d\d:\d\d:\d\d\.)\d+(?=[+-]|$)", lambda m: f"{m[0]:0<6.6}", text)
+    try:
+        return utc(datetime.fromisoformat(text))
+    except ValueError as exc:  # quote the value as written, not as rewritten here
+        raise ValueError(str(exc).replace(repr(text), repr(value.strip()))) from None
 
 
 def utc(ts: datetime) -> datetime:

@@ -88,17 +88,17 @@ def init_layout(graph: InteractionGraph | GraphView, seed: int) -> LayoutFrame:
 
 
 class _Arrays:
-    """Graph constants of a symmetric view: sorted nodes, masses (1 + the
-    neighbor count), and each adjacent pair once as ``u < v``."""
+    """Per-run constants of a symmetric view: sorted nodes, masses (1 + the neighbor count),
+    and ``scatter``, the arc index: each node, then views ``edge_u`` and ``edge_v`` (u < v)."""
 
-    __slots__ = ("nodes", "mass", "edge_u", "edge_v", "edge_f")
+    __slots__ = ("nodes", "mass", "scatter", "edge_u", "edge_v", "edge_f")
 
     def __init__(self, view: GraphView, edge_weight_influence: float):
         self.nodes = view.handles
         self.mass = 1.0 + np.diff(view.indptr)
         upper = view.src < view.dst
-        self.edge_u = view.src[upper]
-        self.edge_v = view.dst[upper]
+        self.scatter = np.concatenate([np.arange(view.node_count), view.src[upper], view.dst[upper]])
+        self.edge_u, self.edge_v = self.scatter[view.node_count:].reshape(2, -1)
         self.edge_f = view.weights[upper] ** edge_weight_influence
 
 
@@ -323,6 +323,7 @@ def _repulsion(
 def _compute_forces(
     pos: np.ndarray, arrays: _Arrays, config: LayoutConfig, barnes_hut: bool
 ) -> np.ndarray:
+    """Repulsion, gravity, then arc pulls: one bincount per axis over the index built per run."""
     x, y = pos[:, 0], pos[:, 1]
     fx, fy = _repulsion(pos, arrays.mass, config, barnes_hut)
 
@@ -334,13 +335,11 @@ def _compute_forces(
         fy = fy - y / dist * pull
 
     u, v = arrays.edge_u, arrays.edge_v
-    if len(u):
-        pull_x = (x[u] - x[v]) * arrays.edge_f
-        pull_y = (y[u] - y[v]) * arrays.edge_f
-        fx, fy = _add_in_order(
-            fx, fy, np.concatenate([u, v]),
-            np.concatenate([-pull_x, pull_x]), np.concatenate([-pull_y, pull_y]),
-        )
+    if len(u):  # each node's force so far, then its arcs' pulls in arc order
+        pull = (x[u] - x[v]) * arrays.edge_f
+        fx = np.bincount(arrays.scatter, np.concatenate([fx, -pull, pull]))
+        pull = (y[u] - y[v]) * arrays.edge_f
+        fy = np.bincount(arrays.scatter, np.concatenate([fy, -pull, pull]))
     return np.stack([fx, fy], axis=1)
 
 

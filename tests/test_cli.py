@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from datetime import timedelta
 from pathlib import Path
 
@@ -23,6 +24,8 @@ import snsgraph.ingest
 import snsgraph.textmine
 from snsgraph.cli import main
 from snsgraph.ingest import InteractionRecord, format_rfc3339
+from snsgraph.layout import LayoutFrame
+from snsgraph.model import Handle
 from snsgraph.report import import_gexf
 from snsgraph.seeds import derive_seed
 
@@ -463,6 +466,18 @@ class TestStages:
         assert graph.node_count == 4  # alice, uklabour, bob, carol
         stats = json.loads((out / "ingest_stats.json").read_text())
         assert stats["n"] == 4 and stats["m"] == 5
+
+    def test_layout_rows_stream_to_the_file(self, tmp_path):
+        # 20,000 rows held whole as string tuples peak at about 270 B a row
+        positions = {Handle(f"acct{i:05d}"): (i / 7, -i / 3) for i in range(20_000)}
+        tracemalloc.start()
+        try:
+            snsgraph.cli._write_layout(tmp_path, LayoutFrame(positions=positions))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(positions) <= 32
+        assert len((tmp_path / "layout.csv").read_text().splitlines()) == 1 + len(positions)
 
     def test_centrality_top_13_rows(self, tmp_path):
         rows = []

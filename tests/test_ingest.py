@@ -10,7 +10,10 @@ import ast
 import io
 import json
 import random
+import re
+import sys
 import tracemalloc
+from datetime import datetime
 from pathlib import Path
 from typing import IO, Union
 
@@ -32,6 +35,7 @@ from snsgraph.ingest import (
     parse_rfc3339,
     record_to_dict,
     text_lines,
+    utc,
     utf8,
     write_corpus,
 )
@@ -362,6 +366,100 @@ def test_astimezone_is_called_only_in_utc():
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr == "astimezone"]
     assert callers == [("ingest.py", "utc")]
+
+
+def ref_parse_rfc3339(value: str) -> datetime:
+    """The timestamp reader before fractions were padded or cut, verbatim: from
+    3.11 on, ``fromisoformat`` itself reads a fraction of any length."""
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    return utc(datetime.fromisoformat(text))
+
+
+# (value as written, its isoformat() as Python 3.11 reads it); the seeds job of
+# the CI workflow pins the same pairs on 3.10, 3.12 and 3.13
+RFC3339_CASES = [
+    ("2017-04-21T10:00:00.5Z", "2017-04-21T10:00:00.500000+00:00"),
+    ("2017-04-21T10:00:00.12Z", "2017-04-21T10:00:00.120000+00:00"),
+    ("2017-04-21T10:00:00.123Z", "2017-04-21T10:00:00.123000+00:00"),
+    ("2017-04-21T10:00:00.1234Z", "2017-04-21T10:00:00.123400+00:00"),
+    ("2017-04-21T10:00:00.12345Z", "2017-04-21T10:00:00.123450+00:00"),
+    ("2017-04-21T10:00:00.123456Z", "2017-04-21T10:00:00.123456+00:00"),
+    ("2017-04-21T10:00:00.1234567Z", "2017-04-21T10:00:00.123456+00:00"),
+    ("2017-04-21T10:00:00.12345678Z", "2017-04-21T10:00:00.123456+00:00"),
+    ("2017-04-21T10:00:00.999999999Z", "2017-04-21T10:00:00.999999+00:00"),
+    ("2017-04-21T10:00:00.5z", "2017-04-21T10:00:00.500000+00:00"),
+    ("2017-04-21T10:00:00.5+05:30", "2017-04-21T04:30:00.500000+00:00"),
+    ("2017-04-21T10:00:00.25-00:00", "2017-04-21T10:00:00.250000+00:00"),
+    ("2017-04-21T10:00:00Z", "2017-04-21T10:00:00+00:00"),
+]
+
+
+class FromIsoformatAs310(datetime):
+    """``datetime`` whose ``fromisoformat`` refuses a fraction of a second that
+    is not 3 or 6 digits long, as Python 3.10's does."""
+
+    @classmethod
+    def fromisoformat(cls, text):
+        fraction = re.search(r"\.(\d*)", text)
+        if fraction and len(fraction[1]) not in (3, 6):
+            raise ValueError(f"Invalid isoformat string: {text!r}")
+        return datetime.fromisoformat(text)
+
+
+def outcome(parse, value):
+    try:
+        return parse(value).isoformat()
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def iso_strings(draw):
+    """Date, time, fraction and offset forms, RFC 3339's and wider ISO 8601's."""
+    date = draw(st.sampled_from(["2017-04-21", "20170421", "9999-12-31", "0001-01-01", "2017-13-01"]))
+    time = draw(st.sampled_from(["", "T10", "T10:00", "T10:00:00", "T100000", "t23:59:59", " 1:00:00"]))
+    fraction = draw(st.sampled_from(["", ".", ","])) + draw(st.text("0123456789", max_size=9))
+    fraction += draw(st.sampled_from(["", "", "x", " "]))  # 3.11 takes junk after 6 digits
+    offset = draw(st.sampled_from(
+        ["", "Z", "z", "+05:30", "-00:00", "+0530", "-23:59", "+23:59", "+05:30:00.5", "x"]))
+    return date + time + fraction + offset
+
+
+class TestParseRfc3339:
+    @pytest.mark.parametrize("value, want", RFC3339_CASES)
+    def test_fractions_of_any_length_read_as_on_3_11(self, monkeypatch, value, want):
+        assert parse_rfc3339(value).isoformat() == want
+        monkeypatch.setattr(snsgraph.ingest, "datetime", FromIsoformatAs310)
+        assert parse_rfc3339(value).isoformat() == want
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 reads 3 or 6 digits only")
+    @pytest.mark.parametrize("value", [
+        "2017-04-21", "2017-04-21T10:00Z", "9999-12-31T23:59:59-23:59", "2017-13-01T00:00:00Z",
+        "20170421T100000Z", "2017-04-21T10:00:00,5Z", "2017-04-21T10:00:00+0530",
+        "2017-04-21T10:00:00.+00:00", "2017-04-21T10:00:00.5x", "2017-04-21T10:00:00.5x+01:00",
+        "2017-04-21T10:00:00.1234567x+01:00", " 2017-04-21T10:00:00.5Z ",
+        "", "not a time",
+    ])
+    def test_other_inputs_read_as_before(self, value):
+        assert outcome(parse_rfc3339, value) == outcome(ref_parse_rfc3339, value)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 reads 3 or 6 digits only")
+    @settings(max_examples=300, deadline=None)
+    @given(iso_strings())
+    def test_drawn_inputs_read_as_before(self, value):
+        assert outcome(parse_rfc3339, value) == outcome(ref_parse_rfc3339, value)
+
+    @pytest.mark.parametrize("value", ["2017-04-21T10:00:00.5xZ", " 2017-04-21T10:0Z"])
+    def test_error_quotes_the_value_as_written(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"Invalid isoformat string: {value.strip()!r}")):
+            parse_rfc3339(value)
+
+    def test_a_fraction_survives_the_corpus_reader(self):
+        records, diags = parse_corpus(as_stream([dict(GOOD_LINE, timestamp="2017-04-21T10:00:00.5Z")]))
+        assert diags == []
+        assert records[0].timestamp.isoformat() == "2017-04-21T10:00:00.500000+00:00"
 
 
 class TestTextLines:
